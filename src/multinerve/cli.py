@@ -51,15 +51,23 @@ def _tag_lines(lp) -> list[str]:
     return tags
 
 
+def _at_least(low: int):
+    """argparse type: an int that is at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mnv",
         description="multinerves, exact homology, Leray numbers, Helly bounds")
     p.add_argument("--version", action="version",
                    version=f"mnv {__version__} (formats: {' '.join(FORMAT_VERSIONS)})")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker cap for independent measurements; results "
-                        "and output ordering do not depend on it")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_out(sp):
@@ -76,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("leray", "j-index"):
         sp = sub.add_parser(name, help=f"{name} of a poset or complex")
         sp.add_argument("input")
-        sp.add_argument("--cap", type=int, default=16)
-        sp.add_argument("--sample", type=int, default=None,
+        sp.add_argument("--cap", type=_at_least(0), default=16)
+        sp.add_argument("--sample", type=_at_least(0), default=None,
                         help="sampling mode: lower bound from N random draws")
         sp.add_argument("--seed", type=int, default=0)
         add_out(sp)
@@ -89,29 +97,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("multinerve", help="multinerve (or reduced multinerve) of a family")
     sp.add_argument("input")
-    sp.add_argument("--t", type=int, default=None,
+    sp.add_argument("--t", type=_at_least(1), default=None,
                     help="merge threshold: build the reduced multinerve")
     sp.add_argument("--gamma-dim", type=int, default=None)
     add_out(sp)
 
     sp = sub.add_parser("helly", help="Helly number of a family with empty intersection")
     sp.add_argument("input")
-    sp.add_argument("--cap", type=int, default=16)
+    sp.add_argument("--cap", type=_at_least(0), default=16)
     sp.add_argument("--gamma-dim", type=int, default=None)
     add_out(sp)
 
     sp = sub.add_parser("check-acyclic", help="test acyclicity with slack")
     sp.add_argument("input")
-    sp.add_argument("--s", type=int, required=True)
+    sp.add_argument("--s", type=_at_least(0), required=True)
     sp.add_argument("--gamma-dim", type=int, default=None)
     add_out(sp)
 
     sp = sub.add_parser("verify", help="check the multinerve/projection/Helly bounds on an instance")
     sp.add_argument("what", choices=["multinerve", "projection", "helly"])
     sp.add_argument("input")
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=16)
+    sp.add_argument("--s", type=_at_least(0), default=None)
+    sp.add_argument("--t", type=_at_least(1), default=1)
+    sp.add_argument("--cap", type=_at_least(0), default=16)
     sp.add_argument("--gamma-dim", type=int, default=None)
     sp.add_argument("--artifacts-dir", default=None,
                     help="archive L<J counterexample candidates here")
@@ -119,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a reproducible random family")
     sp.add_argument("--backend", choices=["box", "subcomplex"], required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(1), required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--ambient-dim", type=int, default=1)
     sp.add_argument("--boxes-per-member", type=int, default=2)
@@ -230,8 +238,6 @@ def dispatch(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.command == "verify" and args.what == "multinerve" and args.s is None:
         parser.error("verify multinerve requires --s")
     try:
@@ -239,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as e:
         print(f"mnv: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, PosetError, FileNotFoundError) as e:
+    except (ParseError, PosetError, OSError, UnicodeDecodeError) as e:
         print(f"mnv: {e}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as e:

@@ -222,47 +222,52 @@ def _region_boxes(F: SetFamily, A: tuple[int, ...]) -> list[Box]:
 
 
 def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
-    """Connected components of the intersection over A (of the union if A is empty)."""
+    """Connected components of the intersection over A (of the union if A is empty).
+
+    The cache keeps, next to the labels, the label of each region element:
+    a simplex -> label dict, or a list of (box, label) pairs.
+    """
     A = F.check_index_set(A)
-    if A in F._components_cache:
-        return F._components_cache[A]
-    if F.backend == "subcomplex":
-        labels = _subcomplex_components(F, A)
-    else:
-        labels = _box_components(F, A)
-    F._components_cache[A] = labels
-    return labels
+    if A not in F._components_cache:
+        if F.backend == "subcomplex":
+            F._components_cache[A] = _subcomplex_components(F, A)
+        else:
+            F._components_cache[A] = _box_components(F, A)
+    return F._components_cache[A][0]
 
 
-def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple[ComponentLabel, ...]:
+def _sorted_labels(A: tuple[int, ...], groups, canon_of, rep_of) -> tuple:
+    """One label per union-find group, sorted, and the label of each element."""
+    labels, owner = [], {}
+    for group in groups:
+        canon = canon_of(group)
+        label = ComponentLabel(A, canon, rep_of(canon))
+        labels.append(label)
+        owner.update(dict.fromkeys(group, label))
+    return tuple(sorted(labels, key=ComponentLabel.sort_key)), owner
+
+
+def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
     sims = _region_simplices(F, A)
-    if not sims:
-        return ()
     uf = _UnionFind(sims)
     for s in sims:
         if len(s) > 1:
             for v in s:
                 uf.union(s, s - {v})
-    labels = []
-    for group in uf.groups().values():
-        canon = min(_simplex_key(s) for s in group)
-        labels.append(ComponentLabel(A, canon, canon[1]))
-    return tuple(sorted(labels, key=ComponentLabel.sort_key))
+    return _sorted_labels(A, uf.groups().values(),
+                          lambda g: min(_simplex_key(s) for s in g),
+                          lambda canon: canon[1])
 
 
-def _box_components(F: SetFamily, A: tuple[int, ...]) -> tuple[ComponentLabel, ...]:
+def _box_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
     boxes = _region_boxes(F, A)
-    if not boxes:
-        return ()
     uf = _UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
             uf.union(i, j)
-    labels = []
-    for group in uf.groups().values():
-        canon = min(group)
-        labels.append(ComponentLabel(A, canon, boxes[canon]))
-    return tuple(sorted(labels, key=ComponentLabel.sort_key))
+    labels, owner = _sorted_labels(A, uf.groups().values(), min,
+                                   boxes.__getitem__)
+    return labels, [(b, owner[i]) for i, b in enumerate(boxes)]
 
 
 def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
@@ -279,41 +284,21 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     a Box lying inside the region for the box backend.
     """
     A = F.check_index_set(A)
-    comps = components(F, A)
+    components(F, A)  # fills the cache
+    owner = F._components_cache[A][1]
     if F.backend == "subcomplex":
         s = frozenset(rep)
-        sims = _region_simplices(F, A)
-        if s not in sims:
+        if s not in owner:
             raise FamilyError(f"representative {sorted(s)} lies outside the region")
-        uf = _UnionFind(sims)
-        for t in sims:
-            if len(t) > 1:
-                for v in t:
-                    uf.union(t, t - {v})
-        root = uf.find(s)
-        target = min(_simplex_key(t) for t in uf.groups()[root])
-        for c in comps:
-            if c.canon == target:
-                return c
-        raise AssertionError("component lookup failed")
+        return owner[s]
     if not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
-    boxes = _region_boxes(F, A)
-    hits = [i for i, b in enumerate(boxes) if b.overlaps(rep)]
+    hits = {label for b, label in owner if b.overlaps(rep)}
     if not hits:
         raise FamilyError("representative lies outside the region")
-    uf = _UnionFind(range(len(boxes)))
-    for i, j in combinations(range(len(boxes)), 2):
-        if boxes[i].overlaps(boxes[j]):
-            uf.union(i, j)
-    roots = {uf.find(i) for i in hits}
-    if len(roots) != 1:
+    if len(hits) != 1:
         raise AssertionError("representative spans several components")
-    target = min(uf.groups()[roots.pop()])
-    for c in comps:
-        if c.canon == target:
-            return c
-    raise AssertionError("component lookup failed")
+    return hits.pop()
 
 
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:

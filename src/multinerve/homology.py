@@ -162,59 +162,31 @@ class ChainComplex:
 def chain_complex(X: Space) -> ChainComplex:
     """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i."""
     if isinstance(X, SimplicialComplex):
-        return _complex_chain(X)
+        return _chain(X.dim, X.simplices_of_dim,
+                      lambda s: [s[:i] + s[i + 1:] for i in range(len(s))])
     if isinstance(X, SimplicialPoset):
-        return _poset_chain(X)
+        return _chain(X.dim, lambda d: sorted(X.cells_of_dim(d)), X.faces_of)
     raise TypeError(f"expected a poset or complex, got {type(X).__name__}")
 
 
-def _poset_chain(X: SimplicialPoset) -> ChainComplex:
-    sizes: dict[int, int] = {}
-    basis: dict[int, list] = {}
-    index: dict[int, dict[int, int]] = {}
-    for d in range(-1, X.dim + 1):
-        cells = sorted(X.cells_of_dim(d))
-        if cells or d == -1:
-            sizes[d] = len(cells)
-            basis[d] = cells
-            index[d] = {c: i for i, c in enumerate(cells)}
+def _chain(top: int, cells_of_dim, faces_of) -> ChainComplex:
+    """Chain complex on the cells of each dimension -1..top, all nonempty;
+    face i of a cell, in ``faces_of`` order, enters its boundary as (-1)^i.
+    The faces of a cell are distinct, so no two of them share an entry."""
+    basis = {d: cells_of_dim(d) for d in range(-1, top + 1)}
     boundary: dict[int, list[SparseRow]] = {}
-    for d in range(0, X.dim + 1):
-        if d not in sizes:
-            continue
+    for d in range(0, top + 1):
+        below = {c: i for i, c in enumerate(basis[d - 1])}
         rows = []
-        below = index[d - 1]
         for c in basis[d]:
             row: SparseRow = {}
-            for i, f in enumerate(X.faces_of(c)):
-                j = below[f]
-                row[j] = row.get(j, 0) + (1 if i % 2 == 0 else -1)
-            rows.append({j: v for j, v in row.items() if v})
-        boundary[d] = rows
-    return ChainComplex(sizes, boundary, basis)
-
-
-def _complex_chain(K: SimplicialComplex) -> ChainComplex:
-    sizes: dict[int, int] = {}
-    basis: dict[int, list] = {}
-    index: dict[int, dict[tuple, int]] = {}
-    for d in range(-1, K.dim + 1):
-        sims = K.simplices_of_dim(d)
-        sizes[d] = len(sims)
-        basis[d] = sims
-        index[d] = {s: i for i, s in enumerate(sims)}
-    boundary: dict[int, list[SparseRow]] = {}
-    for d in range(0, K.dim + 1):
-        rows = []
-        below = index[d - 1]
-        for s in basis[d]:
-            row: SparseRow = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                j = below[face]
-                row[j] = row.get(j, 0) + (1 if i % 2 == 0 else -1)
+            sign = 1
+            for f in faces_of(c):
+                row[below[f]] = sign
+                sign = -sign
             rows.append(row)
         boundary[d] = rows
+    sizes = {d: len(cells) for d, cells in basis.items()}
     return ChainComplex(sizes, boundary, basis)
 
 

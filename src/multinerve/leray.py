@@ -1,14 +1,27 @@
 """Leray number L(X) and the index J(X) of a simplicial poset.
 
-Both are computed by exhaustive enumeration over induced subposets, which is
-exponential in the vertex count; the cap refuses larger inputs explicitly
-and a sampling mode gives labeled lower bounds instead.
-
 L(X) asks that every induced subposet has vanishing reduced homology from
 some dimension up.  J(X) asks the same of the order complexes of all open
 upper intervals in all induced subposets (the least element included, whose
 upper interval complex is the barycentric subdivision).  L <= J always; on
 simplicial complexes they agree.
+
+Both come from one subset enumerator, ``_enumerate``.  What differs is its
+hit function: given one induced subposet and a floor, it yields the rising
+dimensions j >= floor at which a reduced Betti number is nonzero, of the
+subposet itself for L and of an upper interval (with its cell) for J.  The
+value is one more than the largest hit.  The enumerator has three passes:
+
+* exact: every vertex subset, largest first, with the floor raised past
+  each hit, until the value reaches dim + 1;
+* witness: the subsets of the sorted vertices, smallest first, at floor
+  value - 1; nothing is alive above that, so the first hit is a nonzero
+  Betti number in dimension value - 1;
+* sampled, instead of both: random subsets (and for J one random cell
+  each), which give a labeled lower bound.
+
+Exact enumeration is exponential in the vertex count, so it refuses inputs
+past the vertex cap.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
-from .homology import top_nonzero_betti, chain_complex
+from .homology import top_nonzero_betti
 from .poset import SimplicialComplex, SimplicialPoset, order_complex
 
 
@@ -63,93 +76,24 @@ def _as_poset(X: Space) -> SimplicialPoset:
     return X.as_poset() if isinstance(X, SimplicialComplex) else X
 
 
-def _translate_witness(X: Space, w: Witness | None) -> Witness | None:
+def _translate_witness(X: Space, w: Witness) -> Witness:
     """Rewrite a poset-id witness in the vertex labels of a complex input."""
-    if w is None or not isinstance(X, SimplicialComplex):
+    if not isinstance(X, SimplicialComplex):
         return w
     S = tuple(sorted(X.cell_label(v)[0] for v in w.S))
     sigma = None if w.sigma is None else X.cell_label(w.sigma)
     return Witness(S, w.j, sigma)
 
 
-def _betti_at(X, n: int) -> int:
-    cc = chain_complex(X)
-    if n > cc.top or n < -1:
-        return 0
-    return cc.size(n) - cc.rank_boundary(n) - cc.rank_boundary(n + 1)
+def _leray_hits(XS: SimplicialPoset, floor: int, rng=None):
+    """The top nonzero reduced Betti dimension of XS, if it is >= floor.
 
-
-def leray_number(X: Space, cap: int = 16,
-                 sample: int | None = None, seed: int = 0) -> LerayReport:
-    """Exact L(X), or a sampled lower bound when ``sample`` is given."""
-    P = _as_poset(X)
-    V = list(P.vertex_order)
-    if sample is not None:
-        return _leray_sampled(P, sample, seed)
-    if len(V) > cap:
-        raise CapExceeded(len(V), cap)
-
-    best = 0
-    ceiling = P.dim + 1
-    for size in range(len(V), -1, -1):
-        if best == ceiling:
-            break
-        for S in combinations(V, size):
-            XS = P.induced_subposet(S)
-            if XS.dim + 1 <= best:
-                continue
-            j = top_nonzero_betti(XS, floor=best)
-            if j is not None:
-                best = j + 1
-                if best == ceiling:
-                    break
-
-    witness = None
-    if best > 0:
-        witness = _translate_witness(X, _leray_witness(P, V, best))
-    return LerayReport(best, "exact", witness)
-
-
-def _leray_witness(P: SimplicialPoset, V: list, value: int) -> Witness:
-    for size in range(0, len(V) + 1):
-        for S in combinations(sorted(V), size):
-            XS = P.induced_subposet(S)
-            if XS.dim < value - 1:
-                continue
-            if _betti_at(XS, value - 1):
-                return Witness(S, value - 1)
-    raise AssertionError("no witness found for computed Leray number")
-
-
-def j_index(X: Space, cap: int = 16,
-            sample: int | None = None, seed: int = 0) -> LerayReport:
-    """Exact J(X), or a sampled lower bound when ``sample`` is given."""
-    P = _as_poset(X)
-    V = list(P.vertex_order)
-    if sample is not None:
-        return _j_sampled(P, sample, seed)
-    if len(V) > cap:
-        raise CapExceeded(len(V), cap)
-
-    best = 0
-    ceiling = P.dim + 1
-    for size in range(len(V), -1, -1):
-        if best == ceiling:
-            break
-        for S in combinations(V, size):
-            XS = P.induced_subposet(S)
-            if XS.dim + 1 <= best:
-                continue
-            cand = _j_over_cells(XS, best)
-            if cand is not None:
-                best = cand
-                if best == ceiling:
-                    break
-
-    witness = None
-    if best > 0:
-        witness = _translate_witness(X, _j_witness(P, V, best))
-    return LerayReport(best, "exact", witness)
+    ``rng`` is unused: sampled L draws nothing beyond the subset.
+    """
+    if XS.dim >= floor:
+        j = top_nonzero_betti(XS, floor=floor)
+        if j is not None:
+            yield j, None
 
 
 def _is_cone_interval(XS: SimplicialPoset, up: list) -> bool:
@@ -169,90 +113,91 @@ def _is_cone_interval(XS: SimplicialPoset, up: list) -> bool:
     return n_min == 1
 
 
-def _j_over_cells(XS: SimplicialPoset, best: int) -> int | None:
-    """Best achievable value from all upper intervals of XS, above ``best``."""
-    found = None
-    floor = best
-    for sigma in XS.cells():
-        # dim of the open upper interval complex is at most dim - dim(sigma) - 1
-        if XS.dim - XS.dim_of(sigma) <= floor:
+def _j_hits(XS: SimplicialPoset, floor: int, rng=None):
+    """Rising top nonzero dimensions >= floor over the open upper intervals
+    of XS, each with its cell; with ``rng``, of one random cell only.
+
+    The cell is drawn before any pruning, so the random stream does not
+    depend on the floor."""
+    if rng is None:
+        cells = XS.cells()
+    elif XS.n_cells > 1:
+        cells = (rng.randrange(XS.n_cells),)
+    else:
+        return
+    top = XS.dim
+    if top < floor:
+        return
+    for sigma in cells:
+        # dim of the open upper interval complex is at most top - dim(sigma) - 1
+        if top - XS.dim_of(sigma) <= floor:
             continue
         up = XS.strictly_above(sigma)
-        if not up:
-            continue
-        if _is_cone_interval(XS, up):
+        if not up or _is_cone_interval(XS, up):
             continue
         ddot = order_complex(up, XS.leq)
         if ddot.dim + 1 <= floor:
             continue
         j = top_nonzero_betti(ddot, floor=floor)
         if j is not None:
-            found = j + 1
-            floor = found
-            if found == XS.dim + 1:
-                break
-    return found
+            yield j, sigma
+            floor = j + 1
 
 
-def _j_witness(P: SimplicialPoset, V: list, value: int) -> Witness:
-    for size in range(0, len(V) + 1):
-        for S in combinations(sorted(V), size):
+def _subsets(V: list, sizes: range):
+    return (S for size in sizes for S in combinations(V, size))
+
+
+def _witness(S: tuple, j: int, sigma, old_ids: tuple) -> Witness:
+    return Witness(S, j, None if sigma is None else old_ids[sigma])
+
+
+def _enumerate(X: Space, hits, cap: int, sample: int | None,
+               seed: int) -> LerayReport:
+    """Value of the index whose hit function is ``hits``, with a witness."""
+    P = _as_poset(X)
+    V = list(P.vertex_order)
+    if sample is not None:
+        rng = random.Random(seed)
+        best, witness = 0, None
+        for _ in range(sample):
+            S = tuple(v for v in V if rng.random() < 0.5)
             XS, old_ids = P.induced_with_map(S)
-            if XS.dim < value - 1:
-                continue
-            for sigma in XS.cells():
-                if XS.dim - XS.dim_of(sigma) < value:
-                    continue
-                up = XS.strictly_above(sigma)
-                if not up or _is_cone_interval(XS, up):
-                    continue
-                ddot = order_complex(up, XS.leq)
-                if ddot.dim < value - 1:
-                    continue
-                if _betti_at(ddot, value - 1):
-                    return Witness(S, value - 1, old_ids[sigma])
-    raise AssertionError("no witness found for computed J index")
+            for j, sigma in hits(XS, best, rng):
+                best, witness = j + 1, _witness(S, j, sigma, old_ids)
+        return LerayReport(best, "sampled", witness)
+    if len(V) > cap:
+        raise CapExceeded(len(V), cap)
 
-
-def _random_subset(rng: random.Random, V: list) -> tuple:
-    return tuple(v for v in V if rng.random() < 0.5)
-
-
-def _leray_sampled(P: SimplicialPoset, draws: int, seed: int) -> LerayReport:
-    rng = random.Random(seed)
-    best, witness = 0, None
-    for _ in range(draws):
-        S = _random_subset(rng, list(P.vertex_order))
-        XS = P.induced_subposet(S)
-        if XS.dim + 1 <= best:
-            continue
-        j = top_nonzero_betti(XS, floor=best)
-        if j is not None:
+    best, ceiling = 0, P.dim + 1
+    for S in _subsets(V, range(len(V), -1, -1)):
+        if best == ceiling:
+            break
+        for j, _ in hits(P.induced_subposet(S), best):
             best = j + 1
-            witness = Witness(S, j)
-    return LerayReport(best, "sampled", witness)
+    if best == 0:
+        return LerayReport(0, "exact", None)
 
-
-def _j_sampled(P: SimplicialPoset, draws: int, seed: int) -> LerayReport:
-    rng = random.Random(seed)
-    best, witness = 0, None
-    for _ in range(draws):
-        S = _random_subset(rng, list(P.vertex_order))
+    # nothing is alive at or above dimension best, so the first hit at
+    # floor best - 1 is a nonzero Betti number in that dimension
+    for S in _subsets(sorted(V), range(len(V) + 1)):
         XS, old_ids = P.induced_with_map(S)
-        if XS.n_cells <= 1:
-            continue
-        sigma = rng.randrange(XS.n_cells)
-        up = XS.strictly_above(sigma)
-        if not up:
-            continue
-        ddot = order_complex(up, XS.leq)
-        if ddot.dim + 1 <= best:
-            continue
-        j = top_nonzero_betti(ddot, floor=best)
-        if j is not None:
-            best = j + 1
-            witness = Witness(S, j, old_ids[sigma])
-    return LerayReport(best, "sampled", witness)
+        for j, sigma in hits(XS, best - 1):
+            witness = _translate_witness(X, _witness(S, j, sigma, old_ids))
+            return LerayReport(best, "exact", witness)
+    raise AssertionError("no witness found for the computed value")
+
+
+def leray_number(X: Space, cap: int = 16,
+                 sample: int | None = None, seed: int = 0) -> LerayReport:
+    """Exact L(X), or a sampled lower bound when ``sample`` is given."""
+    return _enumerate(X, _leray_hits, cap, sample, seed)
+
+
+def j_index(X: Space, cap: int = 16,
+            sample: int | None = None, seed: int = 0) -> LerayReport:
+    """Exact J(X), or a sampled lower bound when ``sample`` is given."""
+    return _enumerate(X, _j_hits, cap, sample, seed)
 
 
 def is_simplex(X: Space) -> bool:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -46,6 +48,23 @@ class TestExitCodes:
     def test_usage_error_is_2(self):
         r = mnv("frobnicate")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--backend", "box", "--n", "0", "--seed", "1"),
+        ("multinerve", str(FIXTURES / "two_arcs.family"), "--t", "0"),
+        ("check-acyclic", str(FIXTURES / "two_arcs.family"), "--s", "-1"),
+        ("homology", str(FIXTURES)),
+        ("homology", "{latin1}"),
+        ("leray", str(FIXTURES / "double_edge.poset"), "--cap", "-1"),
+        ("leray", str(FIXTURES / "double_edge.poset"), "--sample", "-3"),
+    ])
+    def test_bad_argument_or_path_is_2_without_traceback(self, argv, tmp_path):
+        latin1 = tmp_path / "latin1.poset"
+        latin1.write_bytes("poset v1\n0 -1 caf\u00e9\n".encode("latin-1"))
+        r = mnv(*(str(latin1) if a == "{latin1}" else a for a in argv))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip().splitlines()[-1].startswith("mnv")
 
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
@@ -150,12 +169,6 @@ class TestSubcommands:
         r = mnv("--version")
         assert r.returncode == 0
         assert "poset.v1" in r.stdout and "report.v1" in r.stdout
-
-    def test_jobs_flag_accepted(self):
-        r = mnv("--jobs", "2", "homology", str(FIXTURES / "double_edge.poset"))
-        assert r.returncode == 0 and r.stdout == "1 1\n"
-        r = mnv("--jobs", "0", "homology", str(FIXTURES / "double_edge.poset"))
-        assert r.returncode == 2
 
 
 class TestReportFiles:

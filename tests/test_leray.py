@@ -10,7 +10,7 @@ from multinerve import (CapExceeded, SimplicialComplex, build_poset,
                         j_index, leray_number, is_simplex, reduced_betti,
                         upper_complexes)
 from multinerve.fixtures import double_edge_poset
-from multinerve.leray import _betti_at
+from multinerve.leray import Witness
 from multinerve.poset import order_complex
 
 
@@ -95,7 +95,14 @@ class TestJIndex:
         sigma = local[rep.witness.sigma]
         up = sub.strictly_above(sigma)
         ddot = order_complex(up, sub.leq)
-        assert _betti_at(ddot, rep.value - 1) != 0
+        assert reduced_betti(ddot)[rep.value - 1] != 0
+
+    def test_witness_under_vertex_reorder(self):
+        P = random_poset(random.Random(0), n_vertices=5, n_facets=4)
+        Q = P.with_vertex_order(list(reversed(P.vertex_order)))
+        rep = j_index(Q)
+        assert rep.value == 2
+        assert rep.witness == Witness((2, 4), 1, 0)
 
     def test_cap_refusal(self):
         K = SimplicialComplex([(i,) for i in range(20)])
@@ -159,3 +166,9 @@ class TestSampling:
         rep = j_index(P, sample=60, seed=3)
         assert rep.mode == "sampled"
         assert rep.value <= 2
+
+    def test_j_sampled_witness(self):
+        P = random_poset(random.Random(3), n_vertices=5, n_facets=4)
+        rep = j_index(P, sample=40, seed=5)
+        assert rep.value == 2
+        assert rep.witness == Witness((1, 2, 3), 1, 3)
