@@ -129,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--backend", choices=["box", "subcomplex"], required=True)
     sp.add_argument("--n", type=_at_least(1), required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--ambient-dim", type=int, default=1)
-    sp.add_argument("--boxes-per-member", type=int, default=2)
-    sp.add_argument("--grid", type=int, default=4)
-    sp.add_argument("--stars-per-member", type=int, default=2)
+    sp.add_argument("--ambient-dim", type=_at_least(1), default=1)
+    sp.add_argument("--boxes-per-member", type=_at_least(0), default=2)
+    sp.add_argument("--grid", type=_at_least(1), default=4)
+    sp.add_argument("--stars-per-member", type=_at_least(0), default=2)
     sp.add_argument("--with-ring", action="store_true")
     add_out(sp)
     return p

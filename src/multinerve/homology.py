@@ -115,7 +115,7 @@ Space = Union[SimplicialPoset, SimplicialComplex]
 
 
 class ChainComplex:
-    """Augmented rational chain complex of a poset or complex.
+    """Augmented rational chain complex of a poset, a complex or a cell set.
 
     ``boundary[n]`` maps C_n to C_{n-1}; dimension -1 has the single
     augmentation basis element.  d o d = 0 is asserted at build time.
@@ -162,27 +162,33 @@ class ChainComplex:
 def chain_complex(X: Space) -> ChainComplex:
     """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i."""
     if isinstance(X, SimplicialComplex):
-        return _chain(X.dim, X.simplices_of_dim,
+        return _chain(sorted(tuple(sorted(s)) for s in X.simplices),
+                      lambda s: len(s) - 1,
                       lambda s: [s[:i] + s[i + 1:] for i in range(len(s))])
     if isinstance(X, SimplicialPoset):
-        return _chain(X.dim, lambda d: sorted(X.cells_of_dim(d)), X.faces_of)
+        return _chain(X.cells(), X.dim_of, X.faces_of)
     raise TypeError(f"expected a poset or complex, got {type(X).__name__}")
 
 
-def _chain(top: int, cells_of_dim, faces_of) -> ChainComplex:
-    """Chain complex on the cells of each dimension -1..top, all nonempty;
-    face i of a cell, in ``faces_of`` order, enters its boundary as (-1)^i.
+def _chain(cells: Iterable, dim_of, faces_of) -> ChainComplex:
+    """Chain complex on ``cells``, each in dimension ``dim_of(c)``, the one
+    in dimension -1 the augmentation.  Face i of a cell, in ``faces_of``
+    order, enters its boundary as (-1)^i; faces outside the basis are
+    skipped, which on a cell set closed upward gives the relative complex.
     The faces of a cell are distinct, so no two of them share an entry."""
-    basis = {d: cells_of_dim(d) for d in range(-1, top + 1)}
+    basis: dict[int, list] = {}
+    for c in cells:
+        basis.setdefault(dim_of(c), []).append(c)
     boundary: dict[int, list[SparseRow]] = {}
-    for d in range(0, top + 1):
-        below = {c: i for i, c in enumerate(basis[d - 1])}
+    for d in range(0, max(basis) + 1):
+        below = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
         rows = []
-        for c in basis[d]:
+        for c in basis.get(d, ()):
             row: SparseRow = {}
             sign = 1
             for f in faces_of(c):
-                row[below[f]] = sign
+                if f in below:
+                    row[below[f]] = sign
                 sign = -sign
             rows.append(row)
         boundary[d] = rows
@@ -204,13 +210,13 @@ def reduced_betti(X: Space) -> BettiVector:
     return BettiVector.from_dict(out)
 
 
-def top_nonzero_betti(X: Space, floor: int = 0) -> int | None:
+def top_nonzero_betti(X: Space | ChainComplex, floor: int = 0) -> int | None:
     """Largest n >= floor with nonzero reduced Betti number, scanning downward.
 
     Computes boundary ranks lazily from the top dimension, so callers that
     only need "is anything alive at or above floor" pay for few eliminations.
     """
-    cc = chain_complex(X)
+    cc = X if isinstance(X, ChainComplex) else chain_complex(X)
     ranks: dict[int, int] = {}
 
     def rank(n: int) -> int:

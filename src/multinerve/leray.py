@@ -6,11 +6,22 @@ upper intervals in all induced subposets (the least element included, whose
 upper interval complex is the barycentric subdivision).  L <= J always; on
 simplicial complexes they agree.
 
+Neither builds a new poset or complex.  The induced subposet X[S] is the
+set of X's cells whose vertices all lie in S (by vertex bitmask), and its
+chain complex is ``homology._chain`` on those cells.  For J, the cells
+tau >= sigma of X[S] are the face poset of a regular CW complex, the link
+of sigma (Bjorner 1984), whose barycentric subdivision is the order
+complex of (sigma, .); so the link's cellular chain complex has the
+reduced homology J needs.  It is X's signed boundary on those cells,
+shifted down by dim sigma + 1 so that sigma is the augmentation, with the
+faces not >= sigma dropped: the relative complex C(X[S], X[S] - st sigma),
+where d o d = 0 still holds.
+
 Both come from one subset enumerator, ``_enumerate``.  What differs is its
-hit function: given one induced subposet and a floor, it yields the rising
-dimensions j >= floor at which a reduced Betti number is nonzero, of the
-subposet itself for L and of an upper interval (with its cell) for J.  The
-value is one more than the largest hit.  The enumerator has three passes:
+hit function: given the cells of X[S] and a floor, it yields the rising
+dimensions j >= floor at which a reduced Betti number is nonzero, of X[S]
+for L and of a link (with its cell) for J.  The value is one more than the
+largest hit.  The enumerator has three passes:
 
 * exact: every vertex subset, largest first, with the floor raised past
   each hit, until the value reaches dim + 1;
@@ -31,8 +42,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
-from .homology import top_nonzero_betti
-from .poset import SimplicialComplex, SimplicialPoset, order_complex
+from .homology import _chain, top_nonzero_betti
+from .poset import SimplicialComplex, SimplicialPoset
 
 
 class CapExceeded(RuntimeError):
@@ -76,69 +87,51 @@ def _as_poset(X: Space) -> SimplicialPoset:
     return X.as_poset() if isinstance(X, SimplicialComplex) else X
 
 
-def _translate_witness(X: Space, w: Witness) -> Witness:
-    """Rewrite a poset-id witness in the vertex labels of a complex input."""
-    if not isinstance(X, SimplicialComplex):
-        return w
-    S = tuple(sorted(X.cell_label(v)[0] for v in w.S))
-    sigma = None if w.sigma is None else X.cell_label(w.sigma)
-    return Witness(S, w.j, sigma)
+def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
+    """A hit as a witness, in the vertex labels of a complex input."""
+    if isinstance(X, SimplicialComplex):
+        S = tuple(sorted(X.cell_label(v)[0] for v in S))
+        sigma = None if sigma is None else X.cell_label(sigma)
+    return Witness(S, j, sigma)
 
 
-def _leray_hits(XS: SimplicialPoset, floor: int, rng=None):
-    """The top nonzero reduced Betti dimension of XS, if it is >= floor.
+def _leray_hits(P: SimplicialPoset, cells: list, floor: int, rng=None):
+    """The top nonzero reduced Betti dimension of the cells, if >= floor.
 
     ``rng`` is unused: sampled L draws nothing beyond the subset.
     """
-    if XS.dim >= floor:
-        j = top_nonzero_betti(XS, floor=floor)
+    if max(map(P.dim_of, cells)) >= floor:
+        j = top_nonzero_betti(_chain(cells, P.dim_of, P.faces_of), floor)
         if j is not None:
             yield j, None
 
 
-def _is_cone_interval(XS: SimplicialPoset, up: list) -> bool:
-    """Whether the interval has a maximum or minimum element.
+def _j_hits(P: SimplicialPoset, cells: list, floor: int, rng=None):
+    """Rising top nonzero dimensions >= floor over the links of the cells
+    in the cell set, each with its cell; with ``rng``, of one random cell.
 
-    Its order complex is then a cone with that apex, so every reduced Betti
-    number vanishes; skipping these avoids building large subdivisions of
-    simplex-like regions.  (In a finite poset a unique maximal element is a
-    maximum, and dually.)
-    """
-    n_max = sum(1 for t in up
-                if not any(u != t and XS.leq(t, u) for u in up))
-    if n_max == 1:
-        return True
-    n_min = sum(1 for t in up
-                if not any(u != t and XS.leq(u, t) for u in up))
-    return n_min == 1
-
-
-def _j_hits(XS: SimplicialPoset, floor: int, rng=None):
-    """Rising top nonzero dimensions >= floor over the open upper intervals
-    of XS, each with its cell; with ``rng``, of one random cell only.
-
-    The cell is drawn before any pruning, so the random stream does not
-    depend on the floor."""
+    The link of sigma is the cells tau >= sigma in dimension
+    dim tau - dim sigma - 1, sigma the augmentation, with the faces not
+    >= sigma skipped.  Its reduced homology is that of the order complex of
+    (sigma, .), which subdivides it.  The cell is drawn before any pruning,
+    so the random stream does not depend on the floor."""
     if rng is None:
-        cells = XS.cells()
-    elif XS.n_cells > 1:
-        cells = (rng.randrange(XS.n_cells),)
+        sigmas = cells
+    elif len(cells) > 1:
+        sigmas = (cells[rng.randrange(len(cells))],)
     else:
         return
-    top = XS.dim
+    top = max(map(P.dim_of, cells))
     if top < floor:
         return
-    for sigma in cells:
-        # dim of the open upper interval complex is at most top - dim(sigma) - 1
-        if top - XS.dim_of(sigma) <= floor:
+    for sigma in sigmas:
+        shift = P.dim_of(sigma) + 1
+        # the link has dimension at most top - shift
+        if top - shift < floor:
             continue
-        up = XS.strictly_above(sigma)
-        if not up or _is_cone_interval(XS, up):
-            continue
-        ddot = order_complex(up, XS.leq)
-        if ddot.dim + 1 <= floor:
-            continue
-        j = top_nonzero_betti(ddot, floor=floor)
+        link = [sigma, *P.strictly_above(sigma, cells)]
+        j = top_nonzero_betti(
+            _chain(link, lambda t: P.dim_of(t) - shift, P.faces_of), floor)
         if j is not None:
             yield j, sigma
             floor = j + 1
@@ -148,23 +141,26 @@ def _subsets(V: list, sizes: range):
     return (S for size in sizes for S in combinations(V, size))
 
 
-def _witness(S: tuple, j: int, sigma, old_ids: tuple) -> Witness:
-    return Witness(S, j, None if sigma is None else old_ids[sigma])
-
-
 def _enumerate(X: Space, hits, cap: int, sample: int | None,
                seed: int) -> LerayReport:
     """Value of the index whose hit function is ``hits``, with a witness."""
     P = _as_poset(X)
     V = list(P.vertex_order)
+    bit = {v: 1 << i for i, v in enumerate(V)}
+    masks = [sum(bit[v] for v in P.vertices_of(c)) for c in P.cells()]
+
+    def induced(S: tuple) -> list:
+        """The ids of the cells all of whose vertices lie in S, ascending."""
+        outside = ~sum(bit[v] for v in S)
+        return [c for c, m in enumerate(masks) if not m & outside]
+
     if sample is not None:
         rng = random.Random(seed)
         best, witness = 0, None
         for _ in range(sample):
             S = tuple(v for v in V if rng.random() < 0.5)
-            XS, old_ids = P.induced_with_map(S)
-            for j, sigma in hits(XS, best, rng):
-                best, witness = j + 1, _witness(S, j, sigma, old_ids)
+            for j, sigma in hits(P, induced(S), best, rng):
+                best, witness = j + 1, _witness(X, S, j, sigma)
         return LerayReport(best, "sampled", witness)
     if len(V) > cap:
         raise CapExceeded(len(V), cap)
@@ -173,7 +169,7 @@ def _enumerate(X: Space, hits, cap: int, sample: int | None,
     for S in _subsets(V, range(len(V), -1, -1)):
         if best == ceiling:
             break
-        for j, _ in hits(P.induced_subposet(S), best):
+        for j, _ in hits(P, induced(S), best):
             best = j + 1
     if best == 0:
         return LerayReport(0, "exact", None)
@@ -181,10 +177,8 @@ def _enumerate(X: Space, hits, cap: int, sample: int | None,
     # nothing is alive at or above dimension best, so the first hit at
     # floor best - 1 is a nonzero Betti number in that dimension
     for S in _subsets(sorted(V), range(len(V) + 1)):
-        XS, old_ids = P.induced_with_map(S)
-        for j, sigma in hits(XS, best - 1):
-            witness = _translate_witness(X, _witness(S, j, sigma, old_ids))
-            return LerayReport(best, "exact", witness)
+        for j, sigma in hits(P, induced(S), best - 1):
+            return LerayReport(best, "exact", _witness(X, S, j, sigma))
     raise AssertionError("no witness found for the computed value")
 
 
@@ -202,8 +196,7 @@ def j_index(X: Space, cap: int = 16,
 
 def is_simplex(X: Space) -> bool:
     """Whether the space is a (possibly empty) single simplex with its faces."""
-    P = _as_poset(X)
-    return P.is_simplex()
+    return _as_poset(X).is_simplex()
 
 
 def format_leray(report: LerayReport, kind: str = "leray") -> str:

@@ -214,3 +214,61 @@ def random_poset(rng: random.Random, n_vertices: int = 5,
         c = rng.choice(candidates)
         records.append(records[c])
     return build_poset(records)
+
+
+# ---------------------------------------------------------------------------
+# brute-force J index from the definition: order complexes of open upper
+# intervals, built here from chains, with the oracle homology
+
+
+def _lower_sets(P: SimplicialPoset) -> list[set]:
+    lower: list[set] = []
+    for c in P.cells():
+        acc = {c}
+        for f in P.faces_of(c):
+            acc |= lower[f]
+        lower.append(acc)
+    return lower
+
+
+def upper_interval_betti(P: SimplicialPoset, S, sigma: int) -> dict[int, int]:
+    """Reduced Betti numbers of the order complex of the open interval
+    above ``sigma`` in the subposet induced on the vertex set ``S``."""
+    lower = _lower_sets(P)
+    up = [t for t in P.cells()
+          if t != sigma and sigma in lower[t] and P.vertices_of(t) <= set(S)]
+    return _interval_betti(frozenset(up), lower)
+
+
+def _interval_betti(up: frozenset, lower: list[set]) -> dict[int, int]:
+    chains = []
+
+    def extend(chain: list) -> None:
+        chains.append(tuple(chain))
+        for t in up:
+            if t != chain[-1] and chain[-1] in lower[t]:
+                extend(chain + [t])
+
+    for t in up:
+        extend([t])
+    return betti_oracle_gj(SimplicialComplex(chains))
+
+
+def j_oracle(P: SimplicialPoset) -> int:
+    """J(P): one more than the largest dimension >= 0 with nonzero reduced
+    homology of an open upper interval in an induced subposet, else 0."""
+    lower = _lower_sets(P)
+    seen: dict[frozenset, dict[int, int]] = {}
+    best = 0
+    for size in range(len(P.vertex_order) + 1):
+        for S in combinations(P.vertex_order, size):
+            cells = [c for c in P.cells() if P.vertices_of(c) <= set(S)]
+            for sigma in cells:
+                up = frozenset(t for t in cells
+                               if t != sigma and sigma in lower[t])
+                if up not in seen:
+                    seen[up] = _interval_betti(up, lower)
+                for d, b in seen[up].items():
+                    if d >= 0 and b:
+                        best = max(best, d + 1)
+    return best

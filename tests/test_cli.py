@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,15 @@ from pathlib import Path
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def mnv(*args, cwd=None):
+    # the child finds the package in this checkout's src/, installed or not
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "multinerve.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestHomology:
@@ -57,6 +62,16 @@ class TestExitCodes:
         ("homology", "{latin1}"),
         ("leray", str(FIXTURES / "double_edge.poset"), "--cap", "-1"),
         ("leray", str(FIXTURES / "double_edge.poset"), "--sample", "-3"),
+        ("gen", "--backend", "subcomplex", "--n", "2", "--seed", "1",
+         "--grid", "0"),
+        ("gen", "--backend", "box", "--n", "2", "--seed", "1",
+         "--ambient-dim", "-1"),
+        ("gen", "--backend", "box", "--n", "2", "--seed", "1",
+         "--ambient-dim", "0"),
+        ("gen", "--backend", "box", "--n", "2", "--seed", "1",
+         "--boxes-per-member", "-1"),
+        ("gen", "--backend", "subcomplex", "--n", "2", "--seed", "1",
+         "--stars-per-member", "-1"),
     ])
     def test_bad_argument_or_path_is_2_without_traceback(self, argv, tmp_path):
         latin1 = tmp_path / "latin1.poset"

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from helpers import leray_oracle, random_poset
+from helpers import (j_oracle, leray_oracle, random_poset,
+                     upper_interval_betti)
 
 from multinerve import (CapExceeded, SimplicialComplex, build_poset,
-                        j_index, leray_number, is_simplex, reduced_betti,
+                        j_index, leray_number, is_simplex, multinerve,
+                        random_family, reduced_betti, reduced_multinerve,
                         upper_complexes)
 from multinerve.fixtures import double_edge_poset
 from multinerve.leray import Witness
@@ -110,6 +112,38 @@ class TestJIndex:
             j_index(K)
 
 
+class TestJOracle:
+    """J from link chain complexes against J from order complexes of
+    chains, enumerated by the oracle."""
+
+    @staticmethod
+    def check(P):
+        rep = j_index(P)
+        assert rep.value == j_oracle(P)
+        if rep.witness is not None:
+            w = rep.witness
+            assert upper_interval_betti(P, w.S, w.sigma).get(rep.value - 1)
+
+    def test_random_posets_with_duplicated_cells(self):
+        rng = random.Random(11)
+        duplicated = 0
+        for _ in range(15):
+            P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=4)
+            duplicated += P.n_cells > len({P.vertices_of(c) for c in P.cells()})
+            self.check(P)
+        assert duplicated
+
+    @pytest.mark.parametrize("backend,kw", [("box", {"ambient_dim": 1}),
+                                            ("box", {"ambient_dim": 2}),
+                                            ("subcomplex", {"grid": 3})])
+    def test_multinerves_and_reduced_multinerves(self, backend, kw):
+        for n in (3, 4):
+            for seed in range(3):
+                F = random_family(backend, n, seed, **kw)
+                self.check(multinerve(F).poset)
+                self.check(reduced_multinerve(F, 2)[0].poset)
+
+
 class TestLJRelations:
     def test_l_le_j_on_random_posets(self):
         rng = random.Random(4)
@@ -172,3 +206,8 @@ class TestSampling:
         rep = j_index(P, sample=40, seed=5)
         assert rep.value == 2
         assert rep.witness == Witness((1, 2, 3), 1, 3)
+
+    def test_sampled_witness_in_complex_labels(self):
+        K = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")])
+        rep = leray_number(K, sample=30, seed=1)
+        assert rep.witness.S == ("a", "b", "c")
