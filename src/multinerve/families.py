@@ -9,13 +9,20 @@ Two backends realize the oracle:
   rational endpoints; intersections are enumerated box overlaps and
   components come from the strict-overlap graph.  Openness is modeled by
   strict inequalities throughout, so tangent boxes never merge.
+
+The family keeps one region per index set A, built from the region of its
+prefix A[:-1] (an empty prefix gives an empty region at no cost) and cached
+next to its components and Betti vector.  Scans over subfamilies (slack,
+component counts, the nerve, Helly numbers) walk only the index sets whose
+facets all intersect, level by level in (size, lexicographic) order, so an
+empty intersection ends the walk above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .homology import BettiVector, reduced_betti
@@ -100,6 +107,7 @@ class SetFamily:
         self.ambient = ambient
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
+        self._region_cache: dict[tuple, frozenset | tuple] = {}
         self._components_cache: dict[tuple, tuple] = {}
         self._betti_cache: dict[tuple, BettiVector] = {}
 
@@ -193,31 +201,26 @@ def _simplex_key(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-def _region_simplices(F: SetFamily, A: tuple[int, ...]) -> frozenset:
-    if not A:
-        out: set = set()
-        for m in F.members:
-            out |= m.simplices
-        return frozenset(out)
-    sims = F.members[A[0]].simplices
-    for a in A[1:]:
-        sims = sims & F.members[a].simplices
-    return sims
+def _region(F: SetFamily, A: tuple[int, ...]) -> frozenset | tuple[Box, ...]:
+    """The region over the sorted index set A (the union when A is empty).
 
-
-def _region_boxes(F: SetFamily, A: tuple[int, ...]) -> list[Box]:
-    """Constituent open boxes of the region, in deterministic order."""
-    if not A:
-        return [b for m in F.members for b in m.boxes]
-    out = []
-    for combo in product(*(F.members[a].boxes for a in A)):
-        cur = combo[0]
-        for b in combo[1:]:
-            cur = cur.meet(b)
-            if cur is None:
-                break
-        if cur is not None:
-            out.append(cur)
+    A set of simplices, or the open boxes met from one box per member of A,
+    in the lexicographic order of those choices.  Built from the cached
+    region of the prefix A[:-1], so nothing is met above an empty prefix.
+    """
+    if A in F._region_cache:
+        return F._region_cache[A]
+    sub = F.backend == "subcomplex"
+    if len(A) > 1:
+        prev, last = _region(F, A[:-1]), F.members[A[-1]]
+        out = (prev & last.simplices if sub
+               else tuple(met for cur in prev for b in last.boxes
+                          if (met := cur.meet(b)) is not None))
+    else:
+        ms = [F.members[a] for a in A] or F.members
+        out = (frozenset().union(*(m.simplices for m in ms)) if sub
+               else tuple(b for m in ms for b in m.boxes))
+    F._region_cache[A] = out
     return out
 
 
@@ -248,7 +251,7 @@ def _sorted_labels(A: tuple[int, ...], groups, canon_of, rep_of) -> tuple:
 
 
 def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    sims = _region_simplices(F, A)
+    sims = _region(F, A)
     uf = _UnionFind(sims)
     for s in sims:
         if len(s) > 1:
@@ -260,7 +263,7 @@ def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
 
 
 def _box_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    boxes = _region_boxes(F, A)
+    boxes = _region(F, A)
     uf = _UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
@@ -271,10 +274,32 @@ def _box_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
 
 
 def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
-    A = F.check_index_set(A)
-    if F.backend == "subcomplex":
-        return not _region_simplices(F, A)
-    return not _region_boxes(F, A)
+    return not _region(F, F.check_index_set(A))
+
+
+def _nerve_walk(F: SetFamily):
+    """Yield (A, intersects) for each nonempty index set A all of whose
+    facets intersect, in (size, lexicographic) order.
+
+    The empty index set counts as intersecting, so every singleton is
+    yielded.  Level k + 1 extends the intersecting sets of level k, so the
+    sets yielded with False are exactly the minimal empty subfamilies.
+    """
+    n = len(F)
+    layer: list[tuple[int, ...]] = [()]
+    while layer:
+        alive = set(layer)
+        nxt = []
+        for A in layer:
+            for j in range(A[-1] + 1 if A else 0, n):
+                cand = A + (j,)
+                if all(cand[:k] + cand[k + 1:] in alive
+                       for k in range(len(cand) - 1)):
+                    hit = bool(_region(F, cand))
+                    yield cand, hit
+                    if hit:
+                        nxt.append(cand)
+        layer = nxt
 
 
 def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
@@ -311,10 +336,13 @@ def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     A = F.check_index_set(A)
     if A in F._betti_cache:
         return F._betti_cache[A]
-    if F.backend == "subcomplex":
-        out = reduced_betti(SimplicialComplex(_region_simplices(F, A)))
+    region = _region(F, A)
+    if not region:
+        out = BettiVector.from_dict({-1: 1})
+    elif F.backend == "subcomplex":
+        out = reduced_betti(SimplicialComplex(region))
     else:
-        out = reduced_betti(_box_nerve(_region_boxes(F, A)))
+        out = reduced_betti(_box_nerve(region))
     F._betti_cache[A] = out
     return out
 
@@ -351,16 +379,16 @@ def is_acyclic_with_slack(F: SetFamily, s: int) -> tuple[bool, SlackViolation | 
     """Whether every subfamily intersection is homologically trivial in
     dimensions >= max(1, s - |G|); returns the first violation otherwise.
 
-    Subsets are scanned in (size, lexicographic) order and dimensions
-    ascending, so the reported violation is deterministic.
+    Intersecting subsets are scanned in (size, lexicographic) order and
+    dimensions ascending, so the reported violation is deterministic; an
+    empty region has no homology above dimension -1 and cannot violate.
     """
     if s < 0:
         raise FamilyError("slack must be >= 0")
-    n = len(F.members)
-    for size in range(1, n + 1):
-        for G in combinations(range(n), size):
+    for G, hit in _nerve_walk(F):
+        if hit:
             b = region_betti(F, G)
-            cutoff = max(1, s - size)
+            cutoff = max(1, s - len(G))
             bad = sorted(d for d, v in b.items() if d >= cutoff and v)
             if bad:
                 return False, SlackViolation(G, bad[0])
@@ -377,13 +405,8 @@ def max_components(F: SetFamily, t: int = 1) -> ComponentCountReport:
     """Max component count over subfamilies of size >= t, with per-size table."""
     if t < 1:
         raise FamilyError("t must be >= 1")
-    n = len(F.members)
-    per_size: dict[int, int] = {}
-    best = 0
-    for size in range(t, n + 1):
-        m = 0
-        for G in combinations(range(n), size):
-            m = max(m, len(components(F, G)))
-        per_size[size] = m
-        best = max(best, m)
-    return ComponentCountReport(best, per_size)
+    per_size = dict.fromkeys(range(t, len(F) + 1), 0)
+    for G, hit in _nerve_walk(F):
+        if hit and len(G) >= t:
+            per_size[len(G)] = max(per_size[len(G)], len(components(F, G)))
+    return ComponentCountReport(max(per_size.values(), default=0), per_size)

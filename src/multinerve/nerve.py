@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import (ComponentLabel, SetFamily, component_containing,
-                       components, region_is_empty)
+from .families import (ComponentLabel, SetFamily, _nerve_walk,
+                       component_containing, components)
 from .poset import CellRecord, SimplicialComplex, SimplicialPoset, build_poset
 
 
@@ -50,33 +50,10 @@ class LabeledPoset:
         return self.index[tag]
 
 
-def _alive_subsets(F: SetFamily) -> list[tuple[int, ...]]:
-    """Nonempty member subsets with nonempty intersection, smallest first.
-
-    Grown level-wise: a set can only be alive when all its facets are, so
-    candidates come from joining alive sets that share a prefix.
-    """
-    n = len(F)
-    alive: list[tuple[int, ...]] = []
-    layer = [(i,) for i in range(n) if not region_is_empty(F, (i,))]
-    while layer:
-        alive.extend(layer)
-        prev = set(layer)
-        nxt = []
-        for A in layer:
-            for j in range(A[-1] + 1, n):
-                cand = A + (j,)
-                if all(cand[:k] + cand[k + 1:] in prev
-                       for k in range(len(cand) - 1)):
-                    if not region_is_empty(F, cand):
-                        nxt.append(cand)
-        layer = nxt
-    return alive
-
-
 def nerve(F: SetFamily) -> SimplicialComplex:
     """Nerve of the family: one simplex per intersecting subfamily."""
-    return SimplicialComplex(_alive_subsets(F), closed=False)
+    return SimplicialComplex((A for A, hit in _nerve_walk(F) if hit),
+                             closed=False)
 
 
 def multinerve(F: SetFamily) -> LabeledPoset:
@@ -87,9 +64,10 @@ def multinerve(F: SetFamily) -> LabeledPoset:
 def _build_multinerve(F: SetFamily, t: int | None) -> LabeledPoset:
     """Shared builder; t = None gives the multinerve, otherwise cells with
     |A| <= t-1 are merged per subset (the reduced multinerve)."""
-    alive = _alive_subsets(F)
     cells: list[CellTag] = [CellTag((), None)]
-    for A in alive:
+    for A, hit in _nerve_walk(F):
+        if not hit:
+            continue
         if t is not None and len(A) <= t - 1:
             cells.append(CellTag(A, None))
         else:

@@ -12,12 +12,11 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
-from .families import (SetFamily, box, box_family, is_acyclic_with_slack,
-                       max_components, region_betti, region_is_empty,
-                       subcomplex_family)
+from .families import (SetFamily, _nerve_walk, box, box_family,
+                       is_acyclic_with_slack, max_components, region_betti,
+                       region_is_empty, subcomplex_family)
 from .homology import BettiVector, reduced_betti
 from .leray import CapExceeded, j_index, leray_number
 from .nerve import canonical_projection, multinerve, nerve, reduced_multinerve
@@ -47,23 +46,14 @@ def helly_number(F: SetFamily, cap: int = 16,
         raise CapExceeded(n, cap, what="member count")
     if not region_is_empty(F, range(n)):
         raise PreconditionError("family has non-empty intersection")
-    alive: dict[tuple[int, ...], bool] = {}
-
-    def is_alive(G: tuple[int, ...]) -> bool:
-        if G not in alive:
-            alive[G] = not region_is_empty(F, G)
-        return alive[G]
-
+    # the minimal empty subfamilies are the walk's non-intersecting sets;
+    # it yields them by size, then lexicographically
     best, witness = 0, ()
-    top = n if max_size is None else min(n, max_size)
-    for size in range(1, top + 1):
-        for G in combinations(range(n), size):
-            if is_alive(G):
-                continue
-            # the empty subfamily counts as intersecting by convention
-            if all(is_alive(G[:i] + G[i + 1:]) for i in range(size)):
-                if size > best:
-                    best, witness = size, G
+    for G, hit in _nerve_walk(F):
+        if max_size is not None and len(G) > max_size:
+            break
+        if not hit and len(G) > best:
+            best, witness = len(G), G
     if best == 0:
         raise AssertionError("empty total intersection admits a minimal witness")
     return HellyResult(best, witness)
@@ -236,7 +226,9 @@ def verify_helly_bound(F: SetFamily, s: int = 0, t: int = 1,
     r = max_components(F, t).value
     h = helly_number(F, cap=cap).h
     l_n = leray_number(nerve(F), cap=cap).value
-    bound = r * (max(F.gamma_dim, s, t) + 1)
+    # r = 0 when no subfamily of size >= t intersects; r = 1 bounds the
+    # component counts just as well there
+    bound = max(r, 1) * (max(F.gamma_dim, s, t) + 1)
     report = BoundReport(instance_id(F))
     report.quantities.update({"s": s, "t": t, "r": r,
                               "gamma_dim": F.gamma_dim, "h": h,

@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from multinerve import SimplicialComplex, SimplicialPoset, build_poset
+from multinerve import (SimplicialComplex, SimplicialPoset, box_family,
+                        build_poset, random_family, subcomplex_family)
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +273,146 @@ def j_oracle(P: SimplicialPoset) -> int:
                     if d >= 0 and b:
                         best = max(best, d + 1)
     return best
+
+
+# ---------------------------------------------------------------------------
+# brute-force family oracle: every region from scratch (the full product of
+# the members' boxes, or a set intersection), every scan over all 2^n
+# subsets; boxes are plain tuples of (lo, hi) pairs here
+
+
+def _meet(a: tuple, b: tuple):
+    out = tuple((max(p, r), min(q, s)) for (p, q), (r, s) in zip(a, b))
+    return out if all(lo < hi for lo, hi in out) else None
+
+
+def family_region(F, A) -> list:
+    """Region over the index set A (the union when A is empty): simplices,
+    or the nonempty meets of every choice of one box per member of A."""
+    if F.backend == "subcomplex":
+        if not A:
+            return sorted({s for m in F.members for s in m.simplices},
+                          key=lambda s: (len(s), sorted(s)))
+        common = set.intersection(*(set(F.members[a].simplices) for a in A))
+        return sorted(common, key=lambda s: (len(s), sorted(s)))
+    if not A:
+        return [b.intervals for m in F.members for b in m.boxes]
+    out = []
+    for combo in product(*(F.members[a].boxes for a in A)):
+        cur = combo[0].intervals
+        for b in combo[1:]:
+            cur = cur and _meet(cur, b.intervals)
+        if cur:
+            out.append(cur)
+    return out
+
+
+def family_region_betti(F, A) -> dict[int, int]:
+    """Reduced Betti numbers of the region: the subcomplex itself, or the
+    nerve of the region's boxes found by trying every subset of them."""
+    region = family_region(F, A)
+    if F.backend == "subcomplex":
+        return betti_oracle_gj(SimplicialComplex(region))
+    sims = []
+    for size in range(1, len(region) + 1):
+        for S in combinations(range(len(region)), size):
+            cur = region[S[0]]
+            for i in S[1:]:
+                cur = cur and _meet(cur, region[i])
+            if cur:
+                sims.append(S)
+    return betti_oracle_gj(SimplicialComplex(sims))
+
+
+def family_components(F, A) -> list[tuple]:
+    """Components of the region by graph search (simplices sharing a vertex,
+    or boxes that overlap), each as (canon, rep): the least simplex by
+    (size, sorted vertices) and its vertices, or the position of the
+    component's first box in the region and that box."""
+    region = family_region(F, A)
+    if F.backend == "subcomplex":
+        touch = lambda x, y: bool(x & y)
+    else:
+        touch = lambda x, y: _meet(x, y) is not None
+    seen, out = set(), []
+    for start in range(len(region)):
+        if start in seen:
+            continue
+        group, stack = [start], [start]
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            for j in range(len(region)):
+                if j not in seen and touch(region[i], region[j]):
+                    seen.add(j)
+                    stack.append(j)
+                    group.append(j)
+        if F.backend == "subcomplex":
+            canon = min((len(region[i]), tuple(sorted(region[i])))
+                        for i in group)
+            out.append((canon, canon[1]))
+        else:
+            out.append((start, region[start]))
+    return sorted(out)
+
+
+def _subsets(n: int):
+    return [G for size in range(1, n + 1) for G in combinations(range(n), size)]
+
+
+def family_nerve(F) -> set[frozenset]:
+    return {frozenset(G) for G in _subsets(len(F)) if family_region(F, G)}
+
+
+def family_helly(F, max_size: int | None = None) -> tuple[int, tuple]:
+    """(h, witness): the largest empty subfamily of size <= max_size whose
+    facets all intersect (the empty subfamily always does), lex-first;
+    (0, ()) when there is none."""
+    best = (0, ())
+    for G in _subsets(len(F)):
+        if max_size is not None and len(G) > max_size:
+            break
+        minimal = not family_region(F, G) and (
+            len(G) == 1 or all(family_region(F, G[:i] + G[i + 1:])
+                               for i in range(len(G))))
+        if minimal and len(G) > best[0]:
+            best = (len(G), G)
+    return best
+
+
+def family_slack_violation(F, s: int):
+    """First (subset, dim) with nonzero reduced homology in a dimension
+    >= max(1, s - |G|), in (size, lex) order and ascending dimension."""
+    for G in _subsets(len(F)):
+        bad = [d for d, b in sorted(family_region_betti(F, G).items())
+               if b and d >= max(1, s - len(G))]
+        if bad:
+            return G, bad[0]
+    return None
+
+
+def family_component_maxima(F, t: int) -> dict[int, int]:
+    return {size: max(len(family_components(F, G))
+                      for G in combinations(range(len(F)), size))
+            for size in range(t, len(F) + 1)}
+
+
+def small_family(seed: int, backend: str):
+    """A random family of 2-4 members for the oracle, sometimes with one
+    member replaced by the empty set, sometimes with every member empty."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 5)
+    if backend == "box":
+        F = random_family("box", n, seed, ambient_dim=1 if n <= 3 else 2,
+                          boxes_per_member=rng.choice((0, 1, 2, 2, 2, 2, 2, 2)))
+        members = [list(m.boxes) for m in F.members]
+    else:
+        F = random_family("subcomplex", n, seed, grid=3,
+                          stars_per_member=rng.choice((0, 1, 2, 2, 2, 2, 2, 2)),
+                          with_ring=rng.random() < 0.3)
+        members = [list(m.simplices) for m in F.members]
+    if rng.random() < 0.3:
+        members[rng.randrange(n)] = []
+    if backend == "box":
+        return box_family(F.ambient, members)
+    return subcomplex_family(F.ambient, members)

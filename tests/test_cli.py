@@ -81,6 +81,28 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert r.stderr.strip().splitlines()[-1].startswith("mnv")
 
+    @pytest.mark.parametrize("argv", [
+        ("helly", "{input}"),
+        ("verify", "helly", "{input}"),
+        ("verify", "projection", "{input}"),
+        ("verify", "multinerve", "{input}", "--s", "0"),
+        ("multinerve", "{input}"),
+    ])
+    @pytest.mark.parametrize("empty_members", [
+        ("--backend", "box", "--boxes-per-member", "0"),
+        ("--backend", "subcomplex", "--stars-per-member", "0"),
+    ])
+    def test_all_members_empty_is_0_without_traceback(self, argv,
+                                                      empty_members, tmp_path):
+        fam = tmp_path / "empty.family"
+        r = mnv("gen", "--n", "3", "--seed", "1", *empty_members,
+                "--out", str(fam))
+        assert r.returncode == 0
+        r = mnv(*(str(fam) if a == "{input}" else a for a in argv))
+        assert r.returncode == 0
+        assert "Traceback" not in r.stderr
+        assert "FAIL" not in r.stdout
+
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
         lines = ["poset v1", "0 -1"] + [f"{i} 0 0" for i in range(1, 13)]

@@ -1,14 +1,19 @@
 """Intersection-component oracle: both backends, slack, component counts."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from helpers import (family_component_maxima, family_components,
+                     family_nerve, family_region, family_region_betti,
+                     family_slack_violation, small_family)
 
 from multinerve import (Box, FamilyError, box, box_family,
                         component_containing, components, grid_triangulation,
-                        is_acyclic_with_slack, max_components, random_family,
-                        region_betti, subcomplex_family)
+                        is_acyclic_with_slack, max_components, nerve,
+                        random_family, region_betti, region_is_empty,
+                        subcomplex_family)
 from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
                                  interval_union_double_edge_family,
@@ -228,3 +233,85 @@ class TestRandomFamily:
 
     def test_box_gamma_dim_defaults_to_dimension(self):
         assert random_family("box", 2, 0, ambient_dim=2).gamma_dim == 2
+
+
+ORACLE_FAMILIES = [(seed, backend) for seed in range(40)
+                   for backend in ("box", "subcomplex")]
+
+
+class TestAgainstOracle:
+    """The cached, prefix-grown regions and the nerve walk against plain
+    2^n scans that rebuild every region (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("seed,backend", ORACLE_FAMILIES)
+    def test_regions(self, seed, backend):
+        F = small_family(seed, backend)
+        for size in range(len(F) + 1):
+            for A in itertools.combinations(range(len(F)), size):
+                assert region_is_empty(F, A) == (not family_region(F, A)), A
+                assert dict(region_betti(F, A).items()) == \
+                    family_region_betti(F, A), A
+                labels = [(c.canon, c.rep if backend == "subcomplex"
+                           else c.rep.intervals) for c in components(F, A)]
+                assert labels == family_components(F, A), A
+
+    @pytest.mark.parametrize("seed,backend", ORACLE_FAMILIES)
+    def test_scans(self, seed, backend):
+        F = small_family(seed, backend)
+        assert nerve(F).simplices == family_nerve(F) | {frozenset()}
+        for s in range(4):
+            ok, viol = is_acyclic_with_slack(F, s)
+            want = family_slack_violation(F, s)
+            assert ok == (want is None)
+            assert want is None or (viol.subset, viol.dim) == want
+        for t in range(1, len(F) + 2):
+            rep = max_components(F, t)
+            want = family_component_maxima(F, t)
+            assert rep.per_size == want
+            assert rep.value == max(want.values(), default=0)
+
+    def test_families_cover_empty_members(self):
+        shapes = {(backend, sum(not family_region(F, (i,)) for i in F.indices))
+                  for seed, backend in ORACLE_FAMILIES
+                  for F in [small_family(seed, backend)]}
+        for backend in ("box", "subcomplex"):
+            counts = {k for b, k in shapes if b == backend}
+            assert 0 in counts and 1 in counts
+            assert any(k >= 2 for k in counts)
+
+
+def _cache_snapshot(F, order):
+    """Query F's oracle in the given order; return every answer by subset."""
+    out = {}
+    for kind, A in order:
+        if kind == "empty":
+            out[kind, A] = region_is_empty(F, A)
+        elif kind == "betti":
+            out[kind, A] = region_betti(F, A)
+        elif kind == "components":
+            out[kind, A] = components(F, A)
+        else:
+            out[kind, A] = tuple(
+                component_containing(F, A[:i] + A[i + 1:], c.rep)
+                for c in components(F, A) for i in range(len(A)))
+    return out
+
+
+QUERIES = [(kind, A) for kind in ("empty", "betti", "components", "containing")
+           for size in range(5) for A in itertools.combinations(range(4), size)]
+
+
+class TestCacheOrder:
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_answers_do_not_depend_on_query_order(self, backend):
+        # the full set before its prefixes, components before emptiness
+        reverse = sorted(QUERIES, key=lambda q: (-len(q[1]), q[0]))
+        for seed in range(6):
+            shuffled = list(QUERIES)
+            random.Random(seed).shuffle(shuffled)
+            answers = [_cache_snapshot(random_family(backend, 4, seed,
+                                                     ambient_dim=2, grid=3),
+                                       order)
+                       for order in (QUERIES, reverse, shuffled)]
+            assert answers[1] == answers[0]
+            assert answers[2] == answers[0]

@@ -1,6 +1,7 @@
 """Helly numbers, bound reports, and the random-instance harness."""
 
 import pytest
+from helpers import family_helly, family_region, small_family
 
 from multinerve import (PreconditionError, box, box_family, helly_number,
                         instance_id, random_family, verify_helly_bound,
@@ -11,7 +12,7 @@ from multinerve.fixtures import (blown_tetrahedron_family,
                                  tight_interval_family,
                                  two_arc_circle_family)
 from multinerve.leray import CapExceeded
-from multinerve.verify import Check
+from multinerve.verify import Check, HellyResult
 
 
 class TestHellyNumber:
@@ -43,6 +44,29 @@ class TestHellyNumber:
     def test_max_size_pruning_agrees(self):
         F = interval_union_h3_family()
         assert helly_number(F).h == helly_number(F, max_size=4).h == 3
+
+    def test_all_members_empty(self):
+        # the empty subfamily intersects by convention, so each empty
+        # member is a minimal empty subfamily on its own
+        F = random_family("box", 3, 1, boxes_per_member=0)
+        assert helly_number(F) == HellyResult(1, (0,))
+
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_agrees_with_brute_force(self, backend):
+        checked = 0
+        for seed in range(40):
+            F = small_family(seed, backend)
+            if family_region(F, tuple(F.indices)):
+                continue
+            checked += 1
+            res = helly_number(F)
+            assert (res.h, res.witness) == family_helly(F)
+            for m in range(1, len(F) + 1):
+                h, witness = family_helly(F, max_size=m)
+                if h:
+                    res = helly_number(F, max_size=m)
+                    assert (res.h, res.witness) == (h, witness)
+        assert checked >= 15
 
 
 class TestMultinerveTheorem:
@@ -119,6 +143,25 @@ class TestHellyBound:
         F = box_family(1, [[box((0, 2))], [box((1, 3))]])
         with pytest.raises(PreconditionError, match="non-empty"):
             verify_helly_bound(F)
+
+    @pytest.mark.parametrize("backend,kw", [
+        ("box", {"boxes_per_member": 0}),
+        ("subcomplex", {"stars_per_member": 0}),
+    ])
+    def test_all_members_empty(self, backend, kw):
+        # no subfamily intersects, so r = 0; the bound takes r = 1
+        F = random_family(backend, 3, 1, **kw)
+        rep = verify_helly_bound(F, s=0, t=1)
+        assert rep.quantities["r"] == 0 and rep.quantities["h"] == 1
+        assert rep.quantities["bound"] == F.gamma_dim + 1
+        assert rep.all_pass
+
+    def test_no_intersecting_pair_at_t_2(self):
+        F = box_family(1, [[box((0, 1))], [box((2, 3))]])
+        rep = verify_helly_bound(F, s=0, t=2)
+        assert rep.quantities["r"] == 0 and rep.quantities["h"] == 2
+        assert rep.quantities["bound"] == 3
+        assert rep.all_pass
 
     def test_slack_violation_rejected(self):
         T = circle_member_family()
