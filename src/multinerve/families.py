@@ -329,7 +329,8 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     """Reduced Betti vector of the intersection over A (union when A is empty).
 
-    Subcomplex regions are handed to the homology core directly.  Box regions
+    Subcomplex regions, closed downward as unions or intersections of
+    subcomplexes, are handed to the homology core directly.  Box regions
     go through the nerve of their constituent open boxes, which is exact for
     a good cover (all box intersections are open boxes or empty).
     """
@@ -340,7 +341,7 @@ def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     if not region:
         out = BettiVector.from_dict({-1: 1})
     elif F.backend == "subcomplex":
-        out = reduced_betti(SimplicialComplex(region))
+        out = reduced_betti(SimplicialComplex(region, closed=True))
     else:
         out = reduced_betti(_box_nerve(region))
     F._betti_cache[A] = out
@@ -352,7 +353,8 @@ def _box_nerve(boxes: Sequence[Box]) -> SimplicialComplex:
 
     Alive index sets are grown by sorted-prefix extension; since box
     intersections shrink monotonically this enumerates each nonempty
-    intersection exactly once, with its intersection box in hand.
+    intersection exactly once, with its intersection box in hand, and the
+    alive sets are closed downward.
     """
     sims: list[frozenset] = [frozenset()]
     layer = [((i,), b) for i, b in enumerate(boxes)]
@@ -366,7 +368,7 @@ def _box_nerve(boxes: Sequence[Box]) -> SimplicialComplex:
                     nxt.append((key + (j,), met))
                     sims.append(frozenset(key + (j,)))
         layer = nxt
-    return SimplicialComplex(sims, closed=False)
+    return SimplicialComplex(sims, closed=True)
 
 
 @dataclass(frozen=True)

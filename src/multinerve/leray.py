@@ -17,11 +17,17 @@ shifted down by dim sigma + 1 so that sigma is the augmentation, with the
 faces not >= sigma dropped: the relative complex C(X[S], X[S] - st sigma),
 where d o d = 0 still holds.
 
-Both come from one subset enumerator, ``_enumerate``.  What differs is its
-hit function: given the cells of X[S] and a floor, it yields the rising
-dimensions j >= floor at which a reduced Betti number is nonzero, of X[S]
-for L and of a link (with its cell) for J.  The value is one more than the
-largest hit.  The enumerator has three passes:
+Both come from one subset enumerator, ``_enumerate``.  It prepares X once
+per call: cell vertex masks and P's validated dimension and face tuples,
+read with no per-call id check (every id comes from P itself), and for J
+the cells above each sigma and the closed star mask of sigma.  What differs
+is the hit function: given the cells of X[S], the mask of S and a floor,
+it yields the rising dimensions j >= floor at which a reduced Betti number
+is nonzero, of X[S] for L and of a link (with its cell) for J.  Link
+answers are memoized for the call by (sigma, S & star sigma, floor): the
+link holds only cells above sigma, whose vertices lie in star sigma, so
+two vertex sets that agree on star sigma give the same link.  The value is
+one more than the largest hit.  The enumerator has three passes:
 
 * exact: every vertex subset, largest first, with the floor raised past
   each hit, until the value reaches dim + 1;
@@ -39,7 +45,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Union
 
 from .homology import _chain, top_nonzero_betti
@@ -52,7 +60,10 @@ class CapExceeded(RuntimeError):
     def __init__(self, n: int, cap: int, what: str = "vertex count"):
         self.n = n
         self.cap = cap
-        super().__init__(f"{what} {n} exceeds cap {cap}; "
+        # the exact pass visits every subset; past 2^64 the count is given
+        # as a power, not as a number with thousands of digits
+        subsets = 2 ** n if n <= 64 else f"2^{n}"
+        super().__init__(f"{what} {n} exceeds cap {cap} ({subsets} subsets); "
                          "raise --cap or use sampling mode")
 
 
@@ -95,81 +106,110 @@ def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
     return Witness(S, j, sigma)
 
 
-def _leray_hits(P: SimplicialPoset, cells: list, floor: int, rng=None):
-    """The top nonzero reduced Betti dimension of the cells, if >= floor.
+def _leray_hits(P: SimplicialPoset, masks: list):
+    """L's hit function on P: the top nonzero reduced Betti dimension of
+    the cells of X[S], if >= floor.  ``S`` and ``rng`` are unused: distinct
+    vertex sets give distinct X[S], and sampled L draws nothing beyond the
+    subset."""
+    dims, faces = P._dims, P._faces
 
-    ``rng`` is unused: sampled L draws nothing beyond the subset.
-    """
-    if max(map(P.dim_of, cells)) >= floor:
-        j = top_nonzero_betti(_chain(cells, P.dim_of, P.faces_of), floor)
-        if j is not None:
-            yield j, None
+    def hits(cells: list, S: int, floor: int, rng=None):
+        if max(dims[c] for c in cells) >= floor:
+            j = top_nonzero_betti(
+                _chain(cells, dims.__getitem__, faces.__getitem__), floor)
+            if j is not None:
+                yield j, None
+    return hits
 
 
-def _j_hits(P: SimplicialPoset, cells: list, floor: int, rng=None):
-    """Rising top nonzero dimensions >= floor over the links of the cells
-    in the cell set, each with its cell; with ``rng``, of one random cell.
+def _j_hits(P: SimplicialPoset, masks: list):
+    """J's hit function on P: rising top nonzero dimensions >= floor over
+    the links of the cells of X[S], each with its cell; with ``rng``, of
+    one random cell.
 
-    The link of sigma is the cells tau >= sigma in dimension
-    dim tau - dim sigma - 1, sigma the augmentation, with the faces not
-    >= sigma skipped.  Its reduced homology is that of the order complex of
-    (sigma, .), which subdivides it.  The cell is drawn before any pruning,
-    so the random stream does not depend on the floor."""
-    if rng is None:
-        sigmas = cells
-    elif len(cells) > 1:
-        sigmas = (cells[rng.randrange(len(cells))],)
-    else:
-        return
-    top = max(map(P.dim_of, cells))
-    if top < floor:
-        return
-    for sigma in sigmas:
-        shift = P.dim_of(sigma) + 1
-        # the link has dimension at most top - shift
-        if top - shift < floor:
-            continue
-        link = [sigma, *P.strictly_above(sigma, cells)]
-        j = top_nonzero_betti(
-            _chain(link, lambda t: P.dim_of(t) - shift, P.faces_of), floor)
-        if j is not None:
-            yield j, sigma
-            floor = j + 1
+    The link of sigma is sigma and the cells above it whose vertex masks
+    lie in S, in dimension dim tau - dim sigma - 1, sigma the augmentation,
+    with the faces not >= sigma skipped.  Its reduced homology is that of
+    the order complex of (sigma, .), which subdivides it.  Its answer is
+    kept by sigma, S & star[sigma] and the floor.  The cell is drawn before
+    any pruning, so the random stream does not depend on the floor."""
+    dims, faces = P._dims, P._faces
+    above: list[list[int]] = [[] for _ in dims]
+    for t, lower in enumerate(P._lower_sets()):
+        for sigma in lower:
+            if sigma != t:
+                above[sigma].append(t)
+    star = [reduce(or_, map(masks.__getitem__, up), masks[sigma])
+            for sigma, up in enumerate(above)]
+    memo: dict[tuple[int, int, int], int | None] = {}
+
+    def hits(cells: list, S: int, floor: int, rng=None):
+        if rng is None:
+            sigmas = cells
+        elif len(cells) > 1:
+            sigmas = (cells[rng.randrange(len(cells))],)
+        else:
+            return
+        top = max(dims[c] for c in cells)
+        if top < floor:
+            return
+        outside = ~S
+        for sigma in sigmas:
+            shift = dims[sigma] + 1
+            # the link has dimension at most top - shift
+            if top - shift < floor:
+                continue
+            key = (sigma, S & star[sigma], floor)
+            if key not in memo:
+                link = [sigma, *(t for t in above[sigma]
+                                 if not masks[t] & outside)]
+                memo[key] = top_nonzero_betti(
+                    _chain(link, lambda t: dims[t] - shift,
+                           faces.__getitem__), floor)
+            j = memo[key]
+            if j is not None:
+                yield j, sigma
+                floor = j + 1
+    return hits
 
 
 def _subsets(V: list, sizes: range):
     return (S for size in sizes for S in combinations(V, size))
 
 
-def _enumerate(X: Space, hits, cap: int, sample: int | None,
+def _enumerate(X: Space, prepare, cap: int, sample: int | None,
                seed: int) -> LerayReport:
-    """Value of the index whose hit function is ``hits``, with a witness."""
+    """Value of the index whose hit function ``prepare`` builds, with a
+    witness."""
     P = _as_poset(X)
     V = list(P.vertex_order)
+    if sample is None and len(V) > cap:
+        raise CapExceeded(len(V), cap)
     bit = {v: 1 << i for i, v in enumerate(V)}
-    masks = [sum(bit[v] for v in P.vertices_of(c)) for c in P.cells()]
+    masks = [sum(bit[v] for v in vs) for vs in P._verts]
+    hits = prepare(P, masks)
 
-    def induced(S: tuple) -> list:
-        """The ids of the cells all of whose vertices lie in S, ascending."""
-        outside = ~sum(bit[v] for v in S)
-        return [c for c, m in enumerate(masks) if not m & outside]
+    def induced(S: tuple) -> tuple[list, int]:
+        """The ids of the cells all of whose vertices lie in S, ascending,
+        and the vertex mask of S."""
+        inside = sum(bit[v] for v in S)
+        outside = ~inside
+        return [c for c, m in enumerate(masks) if not m & outside], inside
 
     if sample is not None:
         rng = random.Random(seed)
         best, witness = 0, None
         for _ in range(sample):
             S = tuple(v for v in V if rng.random() < 0.5)
-            for j, sigma in hits(P, induced(S), best, rng):
+            for j, sigma in hits(*induced(S), best, rng):
                 best, witness = j + 1, _witness(X, S, j, sigma)
         return LerayReport(best, "sampled", witness)
-    if len(V) > cap:
-        raise CapExceeded(len(V), cap)
 
     best, ceiling = 0, P.dim + 1
     for S in _subsets(V, range(len(V), -1, -1)):
         if best == ceiling:
             break
-        for j, _ in hits(P, induced(S), best):
+        for j, _ in hits(*induced(S), best):
             best = j + 1
     if best == 0:
         return LerayReport(0, "exact", None)
@@ -177,7 +217,7 @@ def _enumerate(X: Space, hits, cap: int, sample: int | None,
     # nothing is alive at or above dimension best, so the first hit at
     # floor best - 1 is a nonzero Betti number in that dimension
     for S in _subsets(sorted(V), range(len(V) + 1)):
-        for j, sigma in hits(P, induced(S), best - 1):
+        for j, sigma in hits(*induced(S), best - 1):
             return LerayReport(best, "exact", _witness(X, S, j, sigma))
     raise AssertionError("no witness found for the computed value")
 

@@ -51,9 +51,10 @@ class LabeledPoset:
 
 
 def nerve(F: SetFamily) -> SimplicialComplex:
-    """Nerve of the family: one simplex per intersecting subfamily."""
+    """Nerve of the family: one simplex per intersecting subfamily (the walk
+    yields them all, a set closed downward)."""
     return SimplicialComplex((A for A, hit in _nerve_walk(F) if hit),
-                             closed=False)
+                             closed=True)
 
 
 def multinerve(F: SetFamily) -> LabeledPoset:

@@ -27,6 +27,13 @@ class PreconditionError(ValueError):
     """A verification op was called on an instance outside its hypotheses."""
 
 
+def _intersection_is_empty(F: SetFamily) -> bool:
+    """Whether the members have empty total intersection.  A family with no
+    members does not: its intersection is over the empty subfamily, which
+    intersects by convention."""
+    return len(F) > 0 and region_is_empty(F, F.indices)
+
+
 @dataclass(frozen=True)
 class HellyResult:
     h: int
@@ -44,7 +51,7 @@ def helly_number(F: SetFamily, cap: int = 16,
     n = len(F)
     if n > cap:
         raise CapExceeded(n, cap, what="member count")
-    if not region_is_empty(F, range(n)):
+    if not _intersection_is_empty(F):
         raise PreconditionError("family has non-empty intersection")
     # the minimal empty subfamilies are the walk's non-intersecting sets;
     # it yields them by size, then lexicographically
@@ -198,7 +205,7 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
         if s <= 1:
             report.checks.append(Check("multinerve_leray_bound",
                                        l_m, F.gamma_dim))
-    if region_is_empty(F, range(len(F))):
+    if _intersection_is_empty(F):
         h = helly_number(F, cap=cap).h
         q["h"] = h
         report.checks.append(Check("helly_leray", h, l_n + 1))
@@ -216,7 +223,7 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
 def verify_helly_bound(F: SetFamily, s: int = 0, t: int = 1,
                        cap: int = 16) -> BoundReport:
     """Check h <= r (max(d_Gamma, s, t) + 1) on an empty-intersection family."""
-    if not region_is_empty(F, range(len(F))):
+    if not _intersection_is_empty(F):
         raise PreconditionError("family has non-empty intersection")
     ok, viol = is_acyclic_with_slack(F, s)
     if not ok:

@@ -217,6 +217,24 @@ def random_poset(rng: random.Random, n_vertices: int = 5,
     return build_poset(records)
 
 
+def cone_poset(P: SimplicialPoset) -> SimplicialPoset:
+    """The cone over P with a new apex, last in the vertex order: cell c
+    gains a copy c * apex whose faces are the copies of c's faces, then c."""
+    records = [(r.dim, list(r.faces)) for r in P.export_records()]
+    n = len(records)
+    copy = {}
+    for c, (dim, faces) in enumerate(records[:n]):
+        copy[c] = len(records)
+        records.append((dim + 1, [copy[f] for f in faces] + [c]))
+    return build_poset(records)
+
+
+def with_isolated_vertices(P: SimplicialPoset, k: int) -> SimplicialPoset:
+    """P with k more vertices that lie in no other cell."""
+    records = [(r.dim, list(r.faces)) for r in P.export_records()]
+    return build_poset(records + [(0, [P.least])] * k)
+
+
 # ---------------------------------------------------------------------------
 # brute-force J index from the definition: order complexes of open upper
 # intervals, built here from chains, with the oracle homology

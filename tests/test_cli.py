@@ -103,13 +103,35 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert "FAIL" not in r.stdout
 
+    @pytest.mark.parametrize("argv,code", [
+        (("helly", "{input}"), 1),
+        (("verify", "helly", "{input}"), 1),
+        (("verify", "projection", "{input}"), 0),
+    ])
+    def test_family_without_members_without_traceback(self, argv, code,
+                                                      tmp_path):
+        # the empty subfamily intersects, so the Helly precondition fails
+        # and verify projection has no Helly check to make
+        fam = tmp_path / "none.family"
+        fam.write_text("family v1 box 1\n")
+        r = mnv(*(str(fam) if a == "{input}" else a for a in argv))
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr
+        if code:
+            assert r.stderr.strip() == "mnv: family has non-empty intersection"
+        else:
+            assert "helly" not in r.stdout and "FAIL" not in r.stdout
+
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
         lines = ["poset v1", "0 -1"] + [f"{i} 0 0" for i in range(1, 13)]
         p.write_text("\n".join(lines) + "\n")
-        r = mnv("leray", str(p), "--cap", "10")
-        assert r.returncode == 3
-        assert "cap 10" in r.stderr
+        for cmd in ("leray", "j-index"):
+            r = mnv(cmd, str(p), "--cap", "10")
+            assert r.returncode == 3
+            assert r.stdout == ""
+            assert r.stderr == ("mnv: vertex count 12 exceeds cap 10 (4096 "
+                                "subsets); raise --cap or use sampling mode\n")
 
     def test_check_failure_is_1(self, tmp_path):
         fam = tmp_path / "circle.family"

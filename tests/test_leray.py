@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import (j_oracle, leray_oracle, random_poset,
-                     upper_interval_betti)
+from helpers import (cone_poset, j_oracle, leray_oracle, random_poset,
+                     upper_interval_betti, with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, build_poset,
                         j_index, leray_number, is_simplex, multinerve,
@@ -62,8 +62,13 @@ class TestLerayNumber:
 
     def test_cap_refusal_names_cap(self):
         K = SimplicialComplex([(i,) for i in range(6)])
-        with pytest.raises(CapExceeded, match="cap 4"):
-            leray_number(K, cap=4)
+        for index in (leray_number, j_index):
+            with pytest.raises(CapExceeded, match=r"cap 4 \(64 subsets\)"):
+                index(K, cap=4)
+        # past 64 vertices the count is written as a power
+        K = SimplicialComplex([(i,) for i in range(70)])
+        with pytest.raises(CapExceeded, match=r"cap 16 \(2\^70 subsets\)"):
+            j_index(K)
 
 
 class TestJIndex:
@@ -106,6 +111,17 @@ class TestJIndex:
         assert rep.value == 2
         assert rep.witness == Witness((2, 4), 1, 0)
 
+    def test_witness_after_links_answered_at_other_floors(self):
+        # the witness pass asks at floor 1 for links that the exact pass
+        # answered at other floors, so a link answer kept without its
+        # floor gives a wrong witness here
+        P = multinerve(random_family("box", 5, 795214, ambient_dim=2)).poset
+        rep = j_index(P)
+        assert rep.value == 2
+        assert rep.witness == Witness((2, 3, 4, 8), 1, 0)
+        w = rep.witness
+        assert upper_interval_betti(P, w.S, w.sigma).get(1)
+
     def test_cap_refusal(self):
         K = SimplicialComplex([(i,) for i in range(20)])
         with pytest.raises(CapExceeded):
@@ -142,6 +158,40 @@ class TestJOracle:
                 F = random_family(backend, n, seed, **kw)
                 self.check(multinerve(F).poset)
                 self.check(reduced_multinerve(F, 2)[0].poset)
+
+    # the inputs below give many vertex sets S the same S & star sigma, so
+    # J's link answers are reused across them
+
+    def test_cones(self):
+        # the apex's star is every vertex, the other stars miss most
+        rng = random.Random(12)
+        for _ in range(8):
+            P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+            self.check(cone_poset(P))
+
+    def test_isolated_vertices(self):
+        rng = random.Random(13)
+        for k in (1, 2, 3):
+            for _ in range(4):
+                P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+                self.check(with_isolated_vertices(P, k))
+
+    @pytest.mark.parametrize("backend,kw", [
+        ("box", {"ambient_dim": 1}),
+        ("box", {"ambient_dim": 2}),
+        ("subcomplex", {"grid": 4, "stars_per_member": 1}),
+    ])
+    def test_six_vertex_multinerves(self, backend, kw):
+        checked = 0
+        for seed in range(12):
+            F = random_family(backend, 6, seed, boxes_per_member=1, **kw)
+            P = multinerve(F).poset
+            # past about 26 cells the oracle's chain enumeration takes
+            # seconds per poset
+            if len(P.vertex_order) == 6 and P.n_cells <= 26:
+                self.check(P)
+                checked += 1
+        assert checked >= 5
 
 
 class TestLJRelations:

@@ -100,6 +100,16 @@ class TestVerticesAndInduced:
         with pytest.raises(PosetError, match="unknown"):
             double_edge_poset().vertices_of(99)
 
+    @pytest.mark.parametrize("accessor", ["dim_of", "faces_of", "vertices_of",
+                                          "strictly_above"])
+    def test_accessors_check_cell_ids(self, accessor):
+        # the Leray/J loops read the cell tuples directly, on P's own ids;
+        # the public accessors keep the check
+        P = double_edge_poset()
+        for bad in (-1, P.n_cells, "0"):
+            with pytest.raises(PosetError, match="unknown cell id"):
+                getattr(P, accessor)(bad)
+
     def test_induced_full_and_empty(self):
         P = double_edge_poset()
         assert P.induced_subposet(P.vertices).n_cells == P.n_cells

@@ -3,8 +3,9 @@
 import pytest
 from helpers import family_helly, family_region, small_family
 
-from multinerve import (PreconditionError, box, box_family, helly_number,
-                        instance_id, random_family, verify_helly_bound,
+from multinerve import (PreconditionError, SimplicialComplex, box, box_family,
+                        helly_number, instance_id, random_family,
+                        subcomplex_family, verify_helly_bound,
                         verify_multinerve_theorem, verify_projection_bound)
 from multinerve.fixtures import (blown_tetrahedron_family,
                                  circle_member_family, corridor_box_family,
@@ -172,6 +173,29 @@ class TestHellyBound:
                               + [[]])
         with pytest.raises(PreconditionError, match="slack"):
             verify_helly_bound(F, s=0)
+
+
+@pytest.mark.parametrize("F", [
+    box_family(1, []),
+    subcomplex_family(SimplicialComplex([(0, 1)]), []),
+], ids=["box", "subcomplex"])
+class TestNoMembers:
+    """The intersection over the empty subfamily is nonempty by convention,
+    so a family without members has no Helly number to compute."""
+
+    def test_helly_number_rejected(self, F):
+        with pytest.raises(PreconditionError, match="non-empty"):
+            helly_number(F)
+
+    def test_helly_bound_rejected(self, F):
+        with pytest.raises(PreconditionError, match="non-empty"):
+            verify_helly_bound(F)
+
+    def test_projection_bound_skips_helly(self, F):
+        rep = verify_projection_bound(F, t=1)
+        assert rep.all_pass
+        assert "h" not in rep.quantities
+        assert "helly_leray" not in [c.name for c in rep.checks]
 
 
 class TestReportPlumbing:
