@@ -189,6 +189,8 @@ def parse_family(text: str, path: str = "<string>",
         ambient = int(parts[3])
     except ValueError:
         raise ParseError(path, lineno, "ambient descriptor must be an integer")
+    if backend == "box" and ambient < 1:
+        raise ParseError(path, lineno, f"box ambient dimension must be >= 1, got {ambient}")
 
     pos = 1
     gamma_dim = None
@@ -201,6 +203,8 @@ def parse_family(text: str, path: str = "<string>",
             gamma_dim = int(toks[1])
         except ValueError:
             raise ParseError(path, lineno, "gamma-dim must be an integer")
+        if gamma_dim < 0:
+            raise ParseError(path, lineno, f"gamma-dim must be >= 0, got {gamma_dim}")
         pos += 1
     if gamma_dim_override is not None:
         gamma_dim = gamma_dim_override
@@ -217,7 +221,7 @@ def parse_family(text: str, path: str = "<string>",
                 if not members:
                     raise ParseError(path, lineno, "'box' line before any 'member'")
                 vals = [_parse_fraction(t, path, lineno) for t in toks[1:]]
-                if len(vals) != 2 * ambient or ambient == 0:
+                if len(vals) != 2 * ambient:
                     raise ParseError(path, lineno,
                                      f"expected {2 * ambient} rationals for a "
                                      f"{ambient}-dimensional box")

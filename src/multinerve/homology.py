@@ -98,15 +98,6 @@ class BettiVector:
     def is_trivial(self) -> bool:
         return not self.entries
 
-    def top_dim(self) -> int | None:
-        """Largest dimension with a nonzero entry, or None."""
-        return self.entries[-1][0] if self.entries else None
-
-    def agrees_from(self, other: "BettiVector", ell: int) -> bool:
-        """Equality of the two vectors in every dimension >= ell."""
-        dims = {k for k, _ in self.entries} | {k for k, _ in other.entries}
-        return all(self[d] == other[d] for d in dims if d >= ell)
-
     def __repr__(self) -> str:
         return f"BettiVector({dict(self.entries)})"
 

@@ -57,14 +57,16 @@ from .poset import SimplicialComplex, SimplicialPoset
 class CapExceeded(RuntimeError):
     """Exact enumeration refused because the vertex cap was exceeded."""
 
-    def __init__(self, n: int, cap: int, what: str = "vertex count"):
+    def __init__(self, n: int, cap: int, what: str = "vertex count",
+                 at_most: bool = False):
         self.n = n
         self.cap = cap
-        # the exact pass visits every subset; past 2^64 the count is given
-        # as a power, not as a number with thousands of digits
+        # the exact pass visits every subset (``at_most``: a walk that may
+        # stop early visits no more); past 2^64 the count is given as a
+        # power, not as a number with thousands of digits
         subsets = 2 ** n if n <= 64 else f"2^{n}"
-        super().__init__(f"{what} {n} exceeds cap {cap} ({subsets} subsets); "
-                         "raise --cap or use sampling mode")
+        bound = "at most " if at_most else ""
+        super().__init__(f"{what} {n} exceeds cap {cap} ({bound}{subsets} subsets)")
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,6 @@ class LabeledPoset:
     def tag_of(self, cell: int) -> CellTag:
         return self.tags[cell]
 
-    def cell_of(self, tag: CellTag) -> int:
-        return self.index[tag]
-
 
 def nerve(F: SetFamily) -> SimplicialComplex:
     """Nerve of the family: one simplex per intersecting subfamily (the walk

@@ -94,9 +94,6 @@ class SimplicialPoset:
     def cells_of_dim(self, d: int) -> tuple[CellId, ...]:
         return self._by_dim.get(d, ())
 
-    def vertex_rank(self, v: CellId) -> int:
-        return self._vrank[v]
-
     def _check_cell(self, c: CellId) -> None:
         if not (isinstance(c, int) and 0 <= c < self.n_cells):
             raise PosetError(f"unknown cell id {c!r}")
@@ -131,10 +128,6 @@ class SimplicialPoset:
         return [t for t in pool if t != c and c in lower[t]]
 
     # -- derived posets ---------------------------------------------------
-
-    def induced_subposet(self, S: Iterable[CellId]) -> "SimplicialPoset":
-        """Sub-poset of cells all of whose vertices lie in S, plus the least."""
-        return self.induced_with_map(S)[0]
 
     def induced_with_map(self, S: Iterable[CellId]) -> tuple["SimplicialPoset", tuple[CellId, ...]]:
         """Induced subposet together with the original id of each new cell."""

@@ -50,7 +50,7 @@ def helly_number(F: SetFamily, cap: int = 16,
     """
     n = len(F)
     if n > cap:
-        raise CapExceeded(n, cap, what="member count")
+        raise CapExceeded(n, cap, what="member count", at_most=True)
     if not _intersection_is_empty(F):
         raise PreconditionError("family has non-empty intersection")
     # the minimal empty subfamilies are the walk's non-intersecting sets;

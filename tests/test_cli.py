@@ -1,11 +1,17 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
+import contextlib
+import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from multinerve.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -17,6 +23,17 @@ def mnv(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "multinerve.cli", *args],
                           capture_output=True, text=True, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def mnv_in_process(*argv):
+    """``main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestHomology:
@@ -72,11 +89,24 @@ class TestExitCodes:
          "--boxes-per-member", "-1"),
         ("gen", "--backend", "subcomplex", "--n", "2", "--seed", "1",
          "--stars-per-member", "-1"),
+        ("multinerve", str(FIXTURES / "two_arcs.family"), "--gamma-dim", "-4"),
+        ("verify", "helly", str(FIXTURES / "intervals.family"),
+         "--gamma-dim", "-1"),
+        ("helly", "{box-2}"),
+        ("nerve", "{box0}"),
+        ("check-acyclic", "{gamma-4}", "--s", "0"),
     ])
     def test_bad_argument_or_path_is_2_without_traceback(self, argv, tmp_path):
         latin1 = tmp_path / "latin1.poset"
         latin1.write_bytes("poset v1\n0 -1 caf\u00e9\n".encode("latin-1"))
-        r = mnv(*(str(latin1) if a == "{latin1}" else a for a in argv))
+        files = {"{latin1}": latin1}
+        for name, text in (("{box-2}", "family v1 box -2\n"),
+                           ("{box0}", "family v1 box 0\n"),
+                           ("{gamma-4}", "family v1 box 1\ngamma-dim -4\n"
+                                         "member\nbox 0 1\n")):
+            files[name] = tmp_path / f"{name[1:-1]}.family"
+            files[name].write_text(text)
+        r = mnv(*(str(files[a]) if a in files else a for a in argv))
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert r.stderr.strip().splitlines()[-1].startswith("mnv")
@@ -132,6 +162,20 @@ class TestExitCodes:
             assert r.stdout == ""
             assert r.stderr == ("mnv: vertex count 12 exceeds cap 10 (4096 "
                                 "subsets); raise --cap or use sampling mode\n")
+
+    @pytest.mark.parametrize("argv,refusal", [
+        (("helly",), "member count 3 exceeds cap 2 (at most 8 subsets)"),
+        (("verify", "helly"), "member count 3 exceeds cap 2 (at most 8 subsets)"),
+        (("verify", "projection"), "vertex count 3 exceeds cap 2 (8 subsets)"),
+    ])
+    def test_cap_refusal_without_sampling_mode(self, argv, refusal):
+        # these commands take no --sample, so the hint names only --cap;
+        # the Helly walk stops above empty intersections, so its count is
+        # an upper bound
+        r = mnv(*argv, str(FIXTURES / "intervals.family"), "--cap", "2")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == f"mnv: {refusal}; raise --cap\n"
 
     def test_check_failure_is_1(self, tmp_path):
         fam = tmp_path / "circle.family"
@@ -247,3 +291,82 @@ class TestRoundTripThroughCli:
         assert r.returncode == 0
         r2 = mnv("homology", str(out))
         assert r2.returncode == 0 and r2.stdout == "1 1\n"
+
+
+class TestInProcess:
+    """``main`` reuses one parser per process; calls must not leak state."""
+
+    USAGE_ERROR = ("leray", str(FIXTURES / "double_edge.poset"), "--cap", "-1")
+    HOMOLOGY = ("homology", str(FIXTURES / "double_edge.poset"))
+
+    def test_usage_error_around_a_valid_call(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [self.USAGE_ERROR, self.HOMOLOGY, self.USAGE_ERROR]
+        results = [mnv_in_process(*argv) for argv in calls]
+        for argv, res in zip(calls, results):
+            alone = mnv(*argv)
+            assert res == (alone.returncode, alone.stdout, alone.stderr)
+        assert results[0] == results[2] and results[0][0] == 2
+        assert results[1] == (0, "1 1\n", "")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+    def test_help_is_the_same_twice(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        first, second = mnv_in_process(*argv), mnv_in_process(*argv)
+        assert first == second
+        assert first[0] == 0 and first[1].startswith("usage: mnv")
+        alone = mnv(*argv)
+        assert first == (alone.returncode, alone.stdout, alone.stderr)
+
+
+# each subcommand's options, --out aside
+_OPTIONS = {
+    "homology": [], "sd": [],
+    "leray": ["--cap", "--sample", "--seed"],
+    "j-index": ["--cap", "--sample", "--seed"],
+    "nerve": ["--gamma-dim"], "multinerve": ["--t", "--gamma-dim"],
+    "helly": ["--cap", "--gamma-dim"], "check-acyclic": ["--s", "--gamma-dim"],
+    "verify": ["--s", "--t", "--cap", "--gamma-dim", "--artifacts-dir"],
+    "gen": ["--backend", "--n", "--seed", "--ambient-dim",
+            "--boxes-per-member", "--grid", "--stars-per-member"],
+}
+_WORDS = [*_OPTIONS, *sorted({o for opts in _OPTIONS.values() for o in opts}),
+          "projection", "box", "subcomplex", "--out", "--with-ring", "--help",
+          "--version", "-x"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_main_exits_with_a_contract_code(tmp_path_factory, data):
+    # fresh copies of the fixtures each time, since --out may overwrite one
+    work = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(FIXTURES, work, dirs_exist_ok=True)
+    paths = sorted(str(work / f.name) for f in FIXTURES.iterdir())
+    paths += [str(work), str(work / "missing.poset"), str(work / "out")]
+    number = st.integers(-1, 5).map(str)
+
+    def value(option):
+        if option == "--backend":
+            return st.sampled_from(["box", "subcomplex"])
+        if option in ("--out", "--artifacts-dir"):
+            return st.sampled_from(paths)
+        return number
+
+    # mostly well-formed: a command, its positionals and some of its
+    # options, each with a value; then maybe one token from anywhere
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(data.draw(st.sampled_from(["multinerve", "projection",
+                                               "helly"])))
+    if command != "gen":
+        argv.append(data.draw(st.sampled_from(paths)))
+    options = st.lists(st.sampled_from(_OPTIONS[command] + ["--out"]),
+                       unique=True)
+    for option in data.draw(options):
+        argv += [option, data.draw(value(option))]
+    argv += data.draw(st.lists(st.sampled_from(_WORDS + paths) | number,
+                               max_size=1))
+    code, _, err = mnv_in_process(*argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -1,9 +1,10 @@
 """Text formats: round trips and parse-error reporting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multinerve import (SimplicialComplex, box, box_family, poset_isomorphic,
-                        reduced_betti, subcomplex_family)
+from multinerve import (PosetError, SimplicialComplex, box, box_family,
+                        poset_isomorphic, reduced_betti, subcomplex_family)
 from multinerve.fixtures import double_edge_poset, two_arc_circle_family
 from multinerve.formats import (ParseError, load_text, parse_betti,
                                 parse_complex, parse_family, parse_poset,
@@ -111,6 +112,19 @@ class TestFamilyRoundTrip:
         with pytest.raises(ParseError, match="backend"):
             parse_family("family v1 disk 2\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("family v1 box -2\n", "box ambient dimension must be >= 1, got -2"),
+        ("family v1 box 0\n", "box ambient dimension must be >= 1, got 0"),
+        ("family v1 box 0\nmember\n", "box ambient dimension must be >= 1"),
+        ("family v1 box 1\ngamma-dim -1\nmember\nbox 0 1\n",
+         "2: gamma-dim must be >= 0, got -1"),
+        ("family v1 subcomplex 0\ngamma-dim -4\ncomplex v1\n0\nend complex\n",
+         "2: gamma-dim must be >= 0, got -4"),
+    ])
+    def test_out_of_range_header_values_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_family(text)
+
     def test_unknown_simplex_id(self):
         text = ("family v1 subcomplex 1\ncomplex v1\n0\n1\n0 1\nend complex\n"
                 "member 9\n")
@@ -139,3 +153,20 @@ class TestLoadDispatch:
     def test_unknown_header(self):
         with pytest.raises(ParseError, match="unrecognized header"):
             load_text("graph v1\n")
+
+
+# headers and lines the parsers know, mixed with arbitrary text, so that the
+# drawn inputs get past the header check
+_TOKENS = ["poset v1", "complex v1", "family v1 box", "family v1 subcomplex",
+           "gamma-dim", "member", "box", "end complex", "|", "0", "1", "2",
+           "-1", "-3", "1/2", "3/0", "x", " ", "\n", "\n", "\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=4)),
+                max_size=30))
+def test_load_text_raises_only_parse_errors(parts):
+    try:
+        load_text(" ".join(parts))
+    except (ParseError, PosetError):
+        pass

@@ -112,18 +112,18 @@ class TestVerticesAndInduced:
 
     def test_induced_full_and_empty(self):
         P = double_edge_poset()
-        assert P.induced_subposet(P.vertices).n_cells == P.n_cells
-        assert P.induced_subposet(()).n_cells == 1
+        assert P.induced_with_map(P.vertices)[0].n_cells == P.n_cells
+        assert P.induced_with_map(())[0].n_cells == 1
 
     def test_induced_single_vertex(self):
         P = double_edge_poset()
         a = P.cells_of_dim(0)[0]
-        Q = P.induced_subposet({a})
+        Q = P.induced_with_map({a})[0]
         assert Q.n_cells == 2 and Q.dim == 0
 
     def test_induced_unknown_vertex(self):
         with pytest.raises(PosetError, match="unknown"):
-            double_edge_poset().induced_subposet({77})
+            double_edge_poset().induced_with_map({77})
 
 
 class TestOrderComplex:
