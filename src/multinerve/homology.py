@@ -5,6 +5,11 @@ ranks are computed by fraction-free integer elimination, so every Betti
 number is exact.  The (-1)-dimensional cell doubles as the augmentation,
 which makes reduced homology the uniform default: the empty space has
 Betti vector {-1: 1} and nothing else.
+
+A boundary row maps each face's cell id to +1 or -1, so a cell set closed
+downward in a complex keeps its rows unchanged, and with them d o d = 0.
+``chain_complex`` checks d o d; ``leray`` checks it once on X and once on
+each full link, then selects from those rows.
 """
 
 from __future__ import annotations
@@ -108,42 +113,28 @@ Space = Union[SimplicialPoset, SimplicialComplex]
 class ChainComplex:
     """Augmented rational chain complex of a poset, a complex or a cell set.
 
-    ``boundary[n]`` maps C_n to C_{n-1}; dimension -1 has the single
-    augmentation basis element.  d o d = 0 is asserted at build time.
+    Built on ``cells``, cell c in dimension ``dim_of(c)`` with the row
+    ``row_of(c)``, taken as it is: ``boundary[n]`` maps each n-cell id to
+    its signed row in C_{n-1}; dimension -1 holds the augmentation, whose
+    row is empty.  Unchecked: the rows come from checked ones (see the
+    module docstring).
     """
 
-    __slots__ = ("sizes", "boundary", "basis")
+    __slots__ = ("sizes", "boundary")
 
-    def __init__(self, sizes: dict[int, int],
-                 boundary: dict[int, list[SparseRow]],
-                 basis: dict[int, list]):
-        self.sizes = sizes
+    def __init__(self, cells: Iterable[int], dim_of, row_of):
+        boundary: dict[int, dict[int, SparseRow]] = {}
+        for c in cells:
+            boundary.setdefault(dim_of(c), {})[c] = row_of(c)
         self.boundary = boundary
-        self.basis = basis
-        self._check_dd()
-
-    def _check_dd(self) -> None:
-        for n in sorted(self.boundary):
-            upper = self.boundary.get(n + 1)
-            if not upper:
-                continue
-            lower = self.boundary[n]
-            for r, row in enumerate(upper):
-                acc: SparseRow = {}
-                for j, a in row.items():
-                    for k, b in lower[j].items():
-                        acc[k] = acc.get(k, 0) + a * b
-                if any(acc.values()):
-                    raise AssertionError(
-                        f"boundary of boundary nonzero at dimension {n + 1}, "
-                        f"basis element {r}")
+        self.sizes = {d: len(rows) for d, rows in boundary.items()}
 
     def size(self, n: int) -> int:
         return self.sizes.get(n, 0)
 
     def rank_boundary(self, n: int) -> int:
         rows = self.boundary.get(n)
-        return sparse_rank(rows) if rows else 0
+        return sparse_rank(rows.values()) if rows else 0
 
     @property
     def top(self) -> int:
@@ -151,40 +142,46 @@ class ChainComplex:
 
 
 def chain_complex(X: Space) -> ChainComplex:
-    """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i."""
+    """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i,
+    checked for d o d = 0; a complex's simplices are numbered in sorted order."""
     if isinstance(X, SimplicialComplex):
-        return _chain(sorted(tuple(sorted(s)) for s in X.simplices),
-                      lambda s: len(s) - 1,
-                      lambda s: [s[:i] + s[i + 1:] for i in range(len(s))])
-    if isinstance(X, SimplicialPoset):
-        return _chain(X.cells(), X.dim_of, X.faces_of)
-    raise TypeError(f"expected a poset or complex, got {type(X).__name__}")
+        simplices = sorted(tuple(sorted(s)) for s in X.simplices)
+        index = {s: i for i, s in enumerate(simplices)}
+        faces = [[index[s[:i] + s[i + 1:]] for i in range(len(s))]
+                 for s in simplices]
+        dims = [len(s) - 1 for s in simplices]
+    elif isinstance(X, SimplicialPoset):
+        faces, dims = X._faces, X._dims
+    else:
+        raise TypeError(f"expected a poset or complex, got {type(X).__name__}")
+    rows = _signed_rows(faces)
+    _check_dd(rows)
+    return ChainComplex(rows, dims.__getitem__, rows.__getitem__)
 
 
-def _chain(cells: Iterable, dim_of, faces_of) -> ChainComplex:
-    """Chain complex on ``cells``, each in dimension ``dim_of(c)``, the one
-    in dimension -1 the augmentation.  Face i of a cell, in ``faces_of``
-    order, enters its boundary as (-1)^i; faces outside the basis are
-    skipped, which on a cell set closed upward gives the relative complex.
-    The faces of a cell are distinct, so no two of them share an entry."""
-    basis: dict[int, list] = {}
-    for c in cells:
-        basis.setdefault(dim_of(c), []).append(c)
-    boundary: dict[int, list[SparseRow]] = {}
-    for d in range(0, max(basis) + 1):
-        below = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
-        rows = []
-        for c in basis.get(d, ()):
-            row: SparseRow = {}
-            sign = 1
-            for f in faces_of(c):
-                if f in below:
-                    row[below[f]] = sign
-                sign = -sign
-            rows.append(row)
-        boundary[d] = rows
-    sizes = {d: len(cells) for d, cells in basis.items()}
-    return ChainComplex(sizes, boundary, basis)
+def _signed_rows(faces) -> dict[int, SparseRow]:
+    """The boundary row of each cell, given its face ids in order: face i
+    enters as (-1)^i.  The faces of a cell are distinct, so no two of them
+    share an entry."""
+    rows: dict[int, SparseRow] = {}
+    for c, fs in enumerate(faces):
+        row = rows[c] = {}
+        sign = 1
+        for f in fs:
+            row[f] = sign
+            sign = -sign
+    return rows
+
+
+def _check_dd(rows: Mapping[int, SparseRow]) -> None:
+    """Assert d o d = 0 on rows closed under taking faces."""
+    for c, row in rows.items():
+        acc: SparseRow = {}
+        for f, a in row.items():
+            for g, b in rows[f].items():
+                acc[g] = acc.get(g, 0) + a * b
+        if any(acc.values()):
+            raise AssertionError(f"boundary of boundary nonzero at cell {c}")
 
 
 def reduced_betti(X: Space) -> BettiVector:

@@ -6,28 +6,29 @@ upper intervals in all induced subposets (the least element included, whose
 upper interval complex is the barycentric subdivision).  L <= J always; on
 simplicial complexes they agree.
 
-Neither builds a new poset or complex.  The induced subposet X[S] is the
-set of X's cells whose vertices all lie in S (by vertex bitmask), and its
-chain complex is ``homology._chain`` on those cells.  For J, the cells
-tau >= sigma of X[S] are the face poset of a regular CW complex, the link
-of sigma (Bjorner 1984), whose barycentric subdivision is the order
-complex of (sigma, .); so the link's cellular chain complex has the
-reduced homology J needs.  It is X's signed boundary on those cells,
-shifted down by dim sigma + 1 so that sigma is the augmentation, with the
-faces not >= sigma dropped: the relative complex C(X[S], X[S] - st sigma),
-where d o d = 0 still holds.
+Neither builds a new poset, complex or boundary.  ``_enumerate`` builds
+X's signed rows once, keyed by cell id, and checks d o d = 0 on them.  X[S]
+is X's cells whose vertices all lie in S (by vertex bitmask), on X's rows.
+For J, the cells tau >= sigma of X[S] are the face poset of a regular CW
+complex, the link of sigma (Bjorner 1984), whose barycentric subdivision
+is the order complex of (sigma, .); so the link's cellular chain complex
+has the reduced homology J needs.  Its rows, built and checked once per
+sigma, are X's rows of the cells tau > sigma less the faces not >= sigma,
+sigma the augmentation: C(X, X - st sigma) shifted down by dim sigma + 1.
+A selection closed downward in checked rows takes them whole and keeps
+d o d = 0: X[S] in X, and the link of sigma in X[S] in the full link.
 
 Both come from one subset enumerator, ``_enumerate``.  It prepares X once
-per call: cell vertex masks and P's validated dimension and face tuples,
-read with no per-call id check (every id comes from P itself), and for J
-the cells above each sigma and the closed star mask of sigma.  What differs
-is the hit function: given the cells of X[S], the mask of S and a floor,
-it yields the rising dimensions j >= floor at which a reduced Betti number
-is nonzero, of X[S] for L and of a link (with its cell) for J.  Link
-answers are memoized for the call by (sigma, S & star sigma, floor): the
-link holds only cells above sigma, whose vertices lie in star sigma, so
-two vertex sets that agree on star sigma give the same link.  The value is
-one more than the largest hit.  The enumerator has three passes:
+per call: cell vertex masks and X's rows, read from P's validated tuples
+with no per-call id check (every id comes from P itself), and for J the
+link rows of each sigma and the vertex mask of its closed star.  What
+differs is the hit function: given the cells of X[S], the mask of S and a
+floor, it yields the rising dimensions j >= floor at which a reduced Betti
+number is nonzero, of X[S] for L and of a link (with its cell) for J.
+Link answers are memoized for the call by (sigma, S & star sigma, floor):
+the link holds only cells above sigma, whose vertices lie in star sigma,
+so two vertex sets that agree on star sigma give the same link.  The value
+is one more than the largest hit.  The enumerator has three passes:
 
 * exact: every vertex subset, largest first, with the floor raised past
   each hit, until the value reaches dim + 1;
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Union
 
-from .homology import _chain, top_nonzero_betti
+from .homology import (ChainComplex, Space, _check_dd, _signed_rows,
+                       top_nonzero_betti)
 from .poset import SimplicialComplex, SimplicialPoset
 
 
@@ -93,9 +94,6 @@ class LerayReport:
         return self.mode == "exact"
 
 
-Space = Union[SimplicialPoset, SimplicialComplex]
-
-
 def _as_poset(X: Space) -> SimplicialPoset:
     return X.as_poset() if isinstance(X, SimplicialComplex) else X
 
@@ -108,41 +106,43 @@ def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
     return Witness(S, j, sigma)
 
 
-def _leray_hits(P: SimplicialPoset, masks: list):
+def _leray_hits(P: SimplicialPoset, masks: list, rows: dict):
     """L's hit function on P: the top nonzero reduced Betti dimension of
-    the cells of X[S], if >= floor.  ``S`` and ``rng`` are unused: distinct
-    vertex sets give distinct X[S], and sampled L draws nothing beyond the
-    subset."""
-    dims, faces = P._dims, P._faces
+    the cells of X[S] on X's rows, if >= floor.  ``S`` and ``rng`` are
+    unused: distinct vertex sets give distinct X[S], and sampled L draws
+    nothing beyond the subset."""
+    dims = P._dims
 
     def hits(cells: list, S: int, floor: int, rng=None):
         if max(dims[c] for c in cells) >= floor:
             j = top_nonzero_betti(
-                _chain(cells, dims.__getitem__, faces.__getitem__), floor)
+                ChainComplex(cells, dims.__getitem__, rows.__getitem__), floor)
             if j is not None:
                 yield j, None
     return hits
 
 
-def _j_hits(P: SimplicialPoset, masks: list):
+def _j_hits(P: SimplicialPoset, masks: list, rows: dict):
     """J's hit function on P: rising top nonzero dimensions >= floor over
     the links of the cells of X[S], each with its cell; with ``rng``, of
     one random cell.
 
     The link of sigma is sigma and the cells above it whose vertex masks
     lie in S, in dimension dim tau - dim sigma - 1, sigma the augmentation,
-    with the faces not >= sigma skipped.  Its reduced homology is that of
-    the order complex of (sigma, .), which subdivides it.  Its answer is
-    kept by sigma, S & star[sigma] and the floor.  The cell is drawn before
-    any pruning, so the random stream does not depend on the floor."""
-    dims, faces = P._dims, P._faces
-    above: list[list[int]] = [[] for _ in dims]
-    for t, lower in enumerate(P._lower_sets()):
-        for sigma in lower:
-            if sigma != t:
-                above[sigma].append(t)
-    star = [reduce(or_, map(masks.__getitem__, up), masks[sigma])
-            for sigma, up in enumerate(above)]
+    on sigma's link rows.  Its reduced homology is that of the order
+    complex of (sigma, .), which subdivides it.  Its answer is kept by
+    sigma, S & star[sigma] and the floor.  The cell is drawn before any
+    pruning, so the random stream does not depend on the floor."""
+    dims = P._dims
+    lower_sets = P._lower_sets()
+    links: list[dict[int, dict]] = [{sigma: {}} for sigma in range(len(dims))]
+    for t, lower in enumerate(lower_sets):
+        for sigma in lower - {t}:
+            links[sigma][t] = {f: a for f, a in rows[t].items()
+                               if sigma in lower_sets[f]}
+    for link in links:
+        _check_dd(link)
+    star = [reduce(or_, map(masks.__getitem__, link)) for link in links]
     memo: dict[tuple[int, int, int], int | None] = {}
 
     def hits(cells: list, S: int, floor: int, rng=None):
@@ -163,11 +163,11 @@ def _j_hits(P: SimplicialPoset, masks: list):
                 continue
             key = (sigma, S & star[sigma], floor)
             if key not in memo:
-                link = [sigma, *(t for t in above[sigma]
-                                 if not masks[t] & outside)]
+                link = links[sigma]
                 memo[key] = top_nonzero_betti(
-                    _chain(link, lambda t: dims[t] - shift,
-                           faces.__getitem__), floor)
+                    ChainComplex((t for t in link if not masks[t] & outside),
+                                 lambda t: dims[t] - shift, link.__getitem__),
+                    floor)
             j = memo[key]
             if j is not None:
                 yield j, sigma
@@ -189,7 +189,9 @@ def _enumerate(X: Space, prepare, cap: int, sample: int | None,
         raise CapExceeded(len(V), cap)
     bit = {v: 1 << i for i, v in enumerate(V)}
     masks = [sum(bit[v] for v in vs) for vs in P._verts]
-    hits = prepare(P, masks)
+    rows = _signed_rows(P._faces)
+    _check_dd(rows)
+    hits = prepare(P, masks, rows)
 
     def induced(S: tuple) -> tuple[list, int]:
         """The ids of the cells all of whose vertices lie in S, ascending,

@@ -163,18 +163,17 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     empty intersection.  Posets found with L < J are archived as
     counterexample candidates rather than asserted either way.
     """
-    M = multinerve(F)
     R, f = reduced_multinerve(F, t)
     pi = canonical_projection(R)
     if not (pi.monotone and pi.dimension_preserving):
         raise AssertionError("projection lost monotonicity or dimension")
-    N = nerve(F)
+    M, N = f.source, pi.target  # N: the nerve's face poset, same L and J
     r = pi.max_fiber
 
-    j_m = j_index(M.poset, cap=cap).value
+    j_m = j_index(M, cap=cap).value
     j_r = j_index(R.poset, cap=cap).value
     j_n = j_index(N, cap=cap).value
-    l_m = leray_number(M.poset, cap=cap).value
+    l_m = leray_number(M, cap=cap).value
     l_r = leray_number(R.poset, cap=cap).value
     l_n = leray_number(N, cap=cap).value
 
@@ -212,7 +211,7 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
 
     if artifacts_dir is not None:
         if l_m < j_m:
-            _record_lj_candidate(M.poset, l_m, j_m, artifacts_dir,
+            _record_lj_candidate(M, l_m, j_m, artifacts_dir,
                                  f"{report.instance}-multinerve")
         if l_r < j_r:
             _record_lj_candidate(R.poset, l_r, j_r, artifacts_dir,

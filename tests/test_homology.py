@@ -43,15 +43,18 @@ class TestSparseRank:
 
 class TestChainComplex:
     def test_single_vertex_augmentation(self):
+        # rows are keyed by cell id: the empty simplex is cell 0, the
+        # vertex cell 1, and the augmentation row of dimension -1 is empty
         cc = chain_complex(SimplicialComplex([(0,)]))
         assert cc.size(0) == 1 and cc.size(-1) == 1
-        assert cc.boundary[0] == [{0: 1}]
+        assert cc.boundary[0] == {1: {0: 1}}
+        assert cc.boundary[-1] == {0: {}}
 
     def test_double_edge_boundary_rows(self):
         cc = chain_complex(double_edge_poset())
         assert cc.size(1) == 2 and cc.size(0) == 2
         # each edge row is (+1, -1) up to the vertex order
-        for row in cc.boundary[1]:
+        for row in cc.boundary[1].values():
             assert sorted(row.values()) == [-1, 1]
 
     def test_empty_poset(self):
@@ -59,12 +62,11 @@ class TestChainComplex:
         assert cc.size(-1) == 1 and cc.size(0) == 0
 
     def test_dd_zero_is_asserted(self):
-        # a hand-built complex violating d o d = 0 must be rejected
-        from multinerve.homology import ChainComplex
+        # hand-built rows violating d o d = 0 must be rejected: the least
+        # cell 0, vertices 1 and 2, and an edge 3 with entries +1, +1
+        from multinerve.homology import _check_dd
         with pytest.raises(AssertionError):
-            ChainComplex({-1: 1, 0: 2, 1: 1},
-                         {0: [{0: 1}, {0: 1}], 1: [{0: 1, 1: 1}]},
-                         {-1: [0], 0: [0, 1], 1: [0]})
+            _check_dd({0: {}, 1: {0: 1}, 2: {0: 1}, 3: {1: 1, 2: 1}})
 
 
 class TestReducedBetti:

@@ -8,9 +8,9 @@ from helpers import (cone_poset, j_oracle, leray_oracle, random_poset,
                      upper_interval_betti, with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, build_poset,
-                        j_index, leray_number, is_simplex, multinerve,
-                        random_family, reduced_betti, reduced_multinerve,
-                        upper_complexes)
+                        chain_complex, j_index, leray_number, is_simplex,
+                        multinerve, random_family, reduced_betti,
+                        reduced_multinerve, upper_complexes)
 from multinerve.fixtures import double_edge_poset
 from multinerve.leray import Witness
 from multinerve.poset import order_complex
@@ -192,6 +192,33 @@ class TestJOracle:
                 self.check(P)
                 checked += 1
         assert checked >= 5
+
+
+class TestDDChecked:
+    """d o d is checked on the rows the L/J enumeration selects from: a
+    sign flipped by the signed-row builder on cells of dimension >= 2 must
+    be caught by ``chain_complex``, ``leray_number`` and ``j_index``."""
+
+    @pytest.fixture
+    def flipped_signs(self, monkeypatch):
+        from multinerve import homology, leray
+        real = homology._signed_rows
+
+        def flipped(faces):
+            rows = real(faces)
+            for c, fs in enumerate(faces):
+                if len(fs) >= 3:
+                    f = fs[0]
+                    rows[c][f] = -rows[c][f]
+            return rows
+
+        for module in (homology, leray):
+            monkeypatch.setattr(module, "_signed_rows", flipped)
+
+    @pytest.mark.parametrize("fn", [chain_complex, leray_number, j_index])
+    def test_flipped_sign_is_caught(self, flipped_signs, fn):
+        with pytest.raises(AssertionError):
+            fn(SimplicialComplex([(0, 1, 2)]))
 
 
 class TestLJRelations:
