@@ -331,8 +331,9 @@ def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
 
     Subcomplex regions, closed downward as unions or intersections of
     subcomplexes, are handed to the homology core directly.  Box regions
-    go through the nerve of their constituent open boxes, which is exact for
-    a good cover (all box intersections are open boxes or empty).
+    go through the nerve of their distinct open boxes, which is exact for
+    a good cover (all box intersections are open boxes or empty); a
+    repeated box covers nothing more, but would make its nerve a cone.
     """
     A = F.check_index_set(A)
     if A in F._betti_cache:
@@ -343,7 +344,7 @@ def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     elif F.backend == "subcomplex":
         out = reduced_betti(SimplicialComplex(region, closed=True))
     else:
-        out = reduced_betti(_box_nerve(region))
+        out = reduced_betti(_box_nerve(tuple(dict.fromkeys(region))))
     F._betti_cache[A] = out
     return out
 

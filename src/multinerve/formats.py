@@ -95,15 +95,12 @@ def write_complex(K: SimplicialComplex) -> str:
     """complex.v1: one nonempty simplex per line, sorted; line order is the
     simplex id used by family.v1 member lists."""
     out = ["complex v1"]
-    sims = sorted((s for s in K.simplices if s), key=lambda s: (len(s), sorted(s)))
-    for s in sims:
-        out.append(" ".join(str(v) for v in sorted(s)))
+    out.extend(" ".join(map(str, sorted(s))) for s in K.ordered_simplices()[1:])
     return "\n".join(out) + "\n"
 
 
 def complex_simplex_ids(K: SimplicialComplex) -> dict[frozenset, int]:
-    sims = sorted((s for s in K.simplices if s), key=lambda s: (len(s), sorted(s)))
-    return {s: i for i, s in enumerate(sims)}
+    return {s: i for i, s in enumerate(K.ordered_simplices()[1:])}
 
 
 def parse_complex(text: str, path: str = "<string>") -> SimplicialComplex:

@@ -101,8 +101,9 @@ def _as_poset(X: Space) -> SimplicialPoset:
 def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
     """A hit as a witness, in the vertex labels of a complex input."""
     if isinstance(X, SimplicialComplex):
-        S = tuple(sorted(X.cell_label(v)[0] for v in S))
-        sigma = None if sigma is None else X.cell_label(sigma)
+        cell = X.ordered_simplices()
+        S = tuple(sorted(v for c in S for v in cell[c]))
+        sigma = None if sigma is None else tuple(sorted(cell[sigma]))
     return Witness(S, j, sigma)
 
 

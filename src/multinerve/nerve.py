@@ -1,11 +1,14 @@
 """Nerve, multinerve, reduced multinerve, and the projections between them.
 
-The multinerve has one cell per connected component of each intersecting
-subfamily; it projects onto the nerve by forgetting the component.  The
-reduced multinerve merges cells below a size threshold t, which is what the
-projection bound machinery needs.  The convention for the empty index set is
-that it intersects in the whole union, so the least element is the single
-cell labeled by the union even when the union is disconnected.
+The multinerve M has one cell per connected component of each intersecting
+subfamily, and is the one poset built from the family.  The reduced
+multinerve R_t and the nerve's face poset are quotients of M's tags: R_t
+merges the cells over each index set of size <= t - 1, which is what the
+projection bound machinery needs, and the nerve merges them over every index
+set, so the projection onto the nerve forgets the component.  The convention
+for the empty index set is that it intersects in the whole union, so the
+least element is the single cell labeled by the union even when the union is
+disconnected.
 """
 
 from __future__ import annotations
@@ -36,12 +39,9 @@ class CellTag:
 class LabeledPoset:
     """A simplicial poset whose cells carry multinerve labels."""
 
-    def __init__(self, poset: SimplicialPoset, tags: tuple[CellTag, ...],
-                 family: SetFamily):
+    def __init__(self, poset: SimplicialPoset, tags: tuple[CellTag, ...]):
         self.poset = poset
         self.tags = tags
-        self.family = family
-        self.index = {t: c for c, t in enumerate(tags)}
 
     def tag_of(self, cell: int) -> CellTag:
         return self.tags[cell]
@@ -56,45 +56,45 @@ def nerve(F: SetFamily) -> SimplicialComplex:
 
 def multinerve(F: SetFamily) -> LabeledPoset:
     """Multinerve of the family as a validated labeled simplicial poset."""
-    return _build_multinerve(F, t=None)
-
-
-def _build_multinerve(F: SetFamily, t: int | None) -> LabeledPoset:
-    """Shared builder; t = None gives the multinerve, otherwise cells with
-    |A| <= t-1 are merged per subset (the reduced multinerve)."""
     cells: list[CellTag] = [CellTag((), None)]
     for A, hit in _nerve_walk(F):
-        if not hit:
-            continue
-        if t is not None and len(A) <= t - 1:
-            cells.append(CellTag(A, None))
-        else:
-            for comp in components(F, A):
-                cells.append(CellTag(A, comp))
+        if hit:
+            cells.extend(CellTag(A, comp) for comp in components(F, A))
     cells.sort(key=CellTag.sort_key)
     index = {tag: i for i, tag in enumerate(cells)}
 
     records = []
     for tag in cells:
         A = tag.subset
-        if not A:
-            records.append(CellRecord(-1, ()))
-            continue
         faces = []
         for i in range(len(A)):
             B = A[:i] + A[i + 1:]
-            if not B:
-                faces.append(index[CellTag((), None)])
-            elif t is not None and len(B) <= t - 1:
-                faces.append(index[CellTag(B, None)])
-            else:
-                # only unmerged cells reach here, so the component is set
-                comp = component_containing(F, B, tag.component.rep)
-                faces.append(index[CellTag(B, comp)])
+            comp = component_containing(F, B, tag.component.rep) if B else None
+            faces.append(index[CellTag(B, comp)])
         records.append(CellRecord(len(A) - 1, tuple(faces)))
+    return LabeledPoset(build_poset(records), tuple(cells))
 
-    poset = build_poset(records)
-    return LabeledPoset(poset, tuple(cells), F)
+
+def _quotient(M: LabeledPoset, t: int | None) -> tuple[LabeledPoset, tuple[int, ...]]:
+    """Merge the cells of M over each index set A with |A| <= t - 1 (over
+    every A when t is None), with the cell map from M.
+
+    Merged cells take the tag (A, None).  A merged cell's faces are the
+    images of the faces of any of its preimages: those lie over smaller
+    index sets, so they are merged too and every preimage gives the same.
+    """
+    images = [CellTag(tag.subset, None)
+              if t is None or len(tag.subset) <= t - 1 else tag
+              for tag in M.tags]
+    tags = sorted(set(images), key=CellTag.sort_key)
+    index = {tag: i for i, tag in enumerate(tags)}
+    mapping = tuple(index[tag] for tag in images)
+    faces: dict[int, tuple[int, ...]] = {}
+    for c, y in enumerate(mapping):
+        faces.setdefault(y, tuple(mapping[f] for f in M.poset.faces_of(c)))
+    records = [CellRecord(len(tag.subset) - 1, faces[y])
+               for y, tag in enumerate(tags)]
+    return LabeledPoset(build_poset(records), tuple(tags)), mapping
 
 
 @dataclass
@@ -178,15 +178,12 @@ def validate_map(mapping, X: SimplicialPoset, Y: SimplicialPoset) -> MonotoneMap
 def canonical_projection(M: LabeledPoset) -> MonotoneMap:
     """Projection of a (reduced) multinerve onto its nerve, with flags.
 
-    The target poset is the face poset of the nerve; the fiber over a
-    simplex A has exactly one cell per component of the intersection over A.
+    The target poset is the face poset of the nerve, the quotient that
+    merges every index set; the fiber over a simplex A has exactly one cell
+    per component of the intersection over A.
     """
-    N = nerve(M.family)
-    NP = N.as_poset()
-    ordered = sorted(N.simplices, key=lambda s: (len(s), sorted(s)))
-    n_index = {tuple(sorted(s)): i for i, s in enumerate(ordered)}
-    mapping = tuple(n_index[M.tags[c].subset] for c in M.poset.cells())
-    return validate_map(mapping, M.poset, NP)
+    N, mapping = _quotient(M, None)
+    return validate_map(mapping, M.poset, N.poset)
 
 
 def reduced_multinerve(F: SetFamily, t: int = 1) -> tuple[LabeledPoset, MonotoneMap]:
@@ -199,13 +196,5 @@ def reduced_multinerve(F: SetFamily, t: int = 1) -> tuple[LabeledPoset, Monotone
     if t < 1:
         raise ValueError("t must be >= 1")
     M = multinerve(F)
-    R = _build_multinerve(F, t=t)
-    mapping = []
-    for c in M.poset.cells():
-        tag = M.tags[c]
-        if len(tag.subset) <= t - 1:
-            mapping.append(R.index[CellTag(tag.subset, None)])
-        else:
-            mapping.append(R.index[tag])
-    f = validate_map(tuple(mapping), M.poset, R.poset)
-    return R, f
+    R, mapping = _quotient(M, t)
+    return R, validate_map(mapping, M.poset, R.poset)

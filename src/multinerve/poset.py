@@ -315,8 +315,14 @@ class SimplicialComplex:
         for s in self.simplices:
             for v in s:
                 non_max.add(s - {v})
-        return sorted((s for s in self.simplices if s and s not in non_max),
-                      key=lambda s: (len(s), sorted(s)))
+        return [s for s in self.ordered_simplices()
+                if s and s not in non_max]
+
+    def ordered_simplices(self) -> list[frozenset]:
+        """Every simplex, by dimension and then sorted vertex list; the
+        position of a simplex is its cell id in ``as_poset()`` (the empty
+        simplex is cell 0)."""
+        return sorted(self.simplices, key=lambda s: (len(s), sorted(s)))
 
     def simplices_of_dim(self, d: int) -> list[tuple]:
         return sorted(tuple(sorted(s)) for s in self.simplices if len(s) == d + 1)
@@ -327,20 +333,12 @@ class SimplicialComplex:
                                  closed=True)
 
     def as_poset(self) -> SimplicialPoset:
-        """Face poset of the complex; cell ids follow (dim, vertex list) order."""
-        ordered = sorted(self.simplices, key=lambda s: (len(s), sorted(s)))
+        """Face poset of the complex; cell ids follow ``ordered_simplices``."""
+        ordered = self.ordered_simplices()
         idx = {s: i for i, s in enumerate(ordered)}
-        records = []
-        for s in ordered:
-            vs = sorted(s)
-            records.append(CellRecord(len(s) - 1,
-                                      tuple(idx[s - {v}] for v in vs)))
-        return build_poset(records)
-
-    def cell_label(self, poset_id: int) -> tuple:
-        """Vertex tuple of the given cell of ``as_poset()``."""
-        ordered = sorted(self.simplices, key=lambda s: (len(s), sorted(s)))
-        return tuple(sorted(ordered[poset_id]))
+        return build_poset(
+            CellRecord(len(s) - 1, tuple(idx[s - {v}] for v in sorted(s)))
+            for s in ordered)
 
 
 def order_complex(elements: Iterable, leq: Callable[[object, object], bool]) -> SimplicialComplex:

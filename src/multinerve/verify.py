@@ -160,7 +160,8 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     Also checks L <= J on the posets in play, the quotient bound
     J(M_red) <= max(J(M), t), the slack bound J(M) <= max(d_Gamma, s) when a
     verified slack is supplied, and the Helly-Leray link when the family has
-    empty intersection.  Posets found with L < J are archived as
+    empty intersection.  L and J run once per distinct poset among M, M_red
+    and the nerve's face poset.  Posets found with L < J are archived as
     counterexample candidates rather than asserted either way.
     """
     R, f = reduced_multinerve(F, t)
@@ -170,12 +171,12 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     M, N = f.source, pi.target  # N: the nerve's face poset, same L and J
     r = pi.max_fiber
 
-    j_m = j_index(M, cap=cap).value
-    j_r = j_index(R.poset, cap=cap).value
-    j_n = j_index(N, cap=cap).value
-    l_m = leray_number(M, cap=cap).value
-    l_r = leray_number(R.poset, cap=cap).value
-    l_n = leray_number(N, cap=cap).value
+    # J and L once per distinct poset: R is M at t = 1, and N for t > |F|
+    posets = (M, R.poset, N)
+    keys = [tuple(P.export_records()) for P in posets]
+    jl = {k: (j_index(P, cap=cap).value, leray_number(P, cap=cap).value)
+          for k, P in dict(zip(keys, posets)).items()}
+    (j_m, l_m), (j_r, l_r), (j_n, l_n) = map(jl.__getitem__, keys)
 
     report = BoundReport(instance_id(F))
     q = report.quantities

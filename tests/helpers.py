@@ -342,16 +342,21 @@ def family_region_betti(F, A) -> dict[int, int]:
     return betti_oracle_gj(SimplicialComplex(sims))
 
 
-def family_components(F, A) -> list[tuple]:
+def _touch(F, x, y) -> bool:
+    """Whether two region elements meet: simplices sharing a vertex, or
+    boxes that overlap."""
+    if F.backend == "subcomplex":
+        return bool(x & y)
+    return _meet(x, y) is not None
+
+
+def family_components(F, A, with_elements: bool = False) -> list[tuple]:
     """Components of the region by graph search (simplices sharing a vertex,
     or boxes that overlap), each as (canon, rep): the least simplex by
     (size, sorted vertices) and its vertices, or the position of the
-    component's first box in the region and that box."""
+    component's first box in the region and that box.  With
+    ``with_elements``, each also carries the list of its region elements."""
     region = family_region(F, A)
-    if F.backend == "subcomplex":
-        touch = lambda x, y: bool(x & y)
-    else:
-        touch = lambda x, y: _meet(x, y) is not None
     seen, out = set(), []
     for start in range(len(region)):
         if start in seen:
@@ -361,17 +366,20 @@ def family_components(F, A) -> list[tuple]:
         while stack:
             i = stack.pop()
             for j in range(len(region)):
-                if j not in seen and touch(region[i], region[j]):
+                if j not in seen and _touch(F, region[i], region[j]):
                     seen.add(j)
                     stack.append(j)
                     group.append(j)
         if F.backend == "subcomplex":
             canon = min((len(region[i]), tuple(sorted(region[i])))
                         for i in group)
-            out.append((canon, canon[1]))
+            label = (canon, canon[1])
         else:
-            out.append((start, region[start]))
-    return sorted(out)
+            label = (start, region[start])
+        if with_elements:
+            label += ([region[i] for i in group],)
+        out.append(label)
+    return sorted(out, key=lambda c: c[0])
 
 
 def _subsets(n: int):
@@ -380,6 +388,35 @@ def _subsets(n: int):
 
 def family_nerve(F) -> set[frozenset]:
     return {frozenset(G) for G in _subsets(len(F)) if family_region(F, G)}
+
+
+def family_reduced_multinerve(F, t: int | None) -> dict[tuple, tuple]:
+    """The reduced multinerve R_t (the multinerve when t is None) from the
+    nerve and the components alone: each cell's tag (A, canon), canon None
+    for a merged index set (the empty one, and |A| <= t - 1), mapped to the
+    tags of its faces, face i dropping A[i].  A face of a component C lies
+    in the one component of the larger region that meets C's
+    representative element."""
+    def merged(A) -> bool:
+        return not A or (t is not None and len(A) <= t - 1)
+
+    def face(B, rep) -> tuple:
+        if merged(B):
+            return B, None
+        elem = frozenset(rep) if F.backend == "subcomplex" else rep
+        (canon,) = [canon for canon, _, elems in
+                    family_components(F, B, with_elements=True)
+                    if any(_touch(F, x, elem) for x in elems)]
+        return B, canon
+
+    cells = {}
+    for A in [(), *(tuple(sorted(G)) for G in family_nerve(F))]:
+        labels = ([(None, None)] if merged(A)
+                  else family_components(F, A))
+        for canon, rep in labels:
+            cells[A, canon] = tuple(face(A[:i] + A[i + 1:], rep)
+                                    for i in range(len(A)))
+    return cells
 
 
 def family_helly(F, max_size: int | None = None) -> tuple[int, tuple]:

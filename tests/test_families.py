@@ -9,6 +9,7 @@ from helpers import (family_component_maxima, family_components,
                      family_nerve, family_region, family_region_betti,
                      family_slack_violation, small_family)
 
+import multinerve.families
 from multinerve import (Box, FamilyError, box, box_family,
                         component_containing, components, grid_triangulation,
                         is_acyclic_with_slack, max_components, nerve,
@@ -119,6 +120,30 @@ class TestRegionBetti:
     def test_empty_region(self):
         F = box_family(1, [[box((0, 1))], [box((2, 3))]])
         assert region_betti(F, (0, 1))[-1] == 1
+
+    # a repeated member: every region holds the same box more than once
+    REPEATED = [[box((0, 2)), box((1, 3))], [box((0, 2)), box((1, 3))],
+                [box((Fraction(3, 2), 4))]]
+
+    def test_box_nerve_gets_distinct_boxes(self, monkeypatch):
+        real, seen = multinerve.families._box_nerve, []
+
+        def spy(boxes):
+            seen.append(boxes)
+            return real(boxes)
+        monkeypatch.setattr(multinerve.families, "_box_nerve", spy)
+        F = box_family(1, self.REPEATED)
+        for A in ((), (0, 1), (0, 1, 2)):
+            region_betti(F, A)
+        assert len(seen) == 3
+        assert all(len(set(boxes)) == len(boxes) for boxes in seen)
+
+    def test_repeated_member_against_oracle(self):
+        F = box_family(1, self.REPEATED)
+        for size in range(len(F) + 1):
+            for A in itertools.combinations(range(len(F)), size):
+                assert dict(region_betti(F, A).items()) == \
+                    family_region_betti(F, A), A
 
     def test_component_count_agrees_with_betti(self):
         # union-find and homology count components independently

@@ -1,6 +1,9 @@
 """Nerve, multinerve, reduced multinerve, projections, and map validation."""
 
+import importlib
+
 import pytest
+from helpers import family_reduced_multinerve, small_family
 
 from multinerve import (SimplicialComplex, box, box_family,
                         canonical_projection, components, j_index,
@@ -11,6 +14,9 @@ from multinerve.fixtures import (blown_tetrahedron_family,
                                  double_edge_poset,
                                  interval_union_double_edge_family,
                                  two_arc_circle_family)
+
+# the package exports the function multinerve.nerve, so fetch the module
+nerve_module = importlib.import_module("multinerve.nerve")
 
 
 class TestNerve:
@@ -153,6 +159,43 @@ class TestReducedMultinerve:
         R, _ = reduced_multinerve(F, 2)
         pi = canonical_projection(R)
         assert pi.max_fiber == 2
+
+
+def _tag(tag):
+    return tag.subset, None if tag.component is None else tag.component.canon
+
+
+class TestTower:
+    """M, R_t and the nerve's face poset, built as quotients of M's tags,
+    against the nerve complex and an oracle from the family alone."""
+
+    @pytest.mark.parametrize("seed,backend",
+                             [(seed, backend) for seed in range(40)
+                              for backend in ("box", "subcomplex")])
+    def test_against_oracle(self, seed, backend):
+        F = small_family(seed, backend)
+        N = nerve(F).as_poset().export_records()
+        for t in (None, *range(1, len(F) + 2)):
+            X = multinerve(F) if t is None else reduced_multinerve(F, t)[0]
+            P = X.poset
+            cells = {_tag(X.tags[c]): tuple(_tag(X.tags[f])
+                                            for f in P.faces_of(c))
+                     for c in P.cells()}
+            assert len(cells) == P.n_cells, t
+            assert cells == family_reduced_multinerve(F, t), t
+            assert canonical_projection(X).target.export_records() == N, t
+
+    def test_reduced_multinerve_walks_the_family_once(self, monkeypatch):
+        real, calls = nerve_module._nerve_walk, []
+
+        def walk(F):
+            calls.append(F)
+            return real(F)
+        monkeypatch.setattr(nerve_module, "_nerve_walk", walk)
+        F = two_arc_circle_family()
+        for t in (1, 2, 3):
+            canonical_projection(reduced_multinerve(F, t)[0])
+        assert calls == [F] * 3
 
 
 class TestValidateMap:

@@ -1,8 +1,11 @@
 """Helly numbers, bound reports, and the random-instance harness."""
 
+import collections
+
 import pytest
 from helpers import family_helly, family_region, small_family
 
+import multinerve.verify
 from multinerve import (PreconditionError, SimplicialComplex, box, box_family,
                         helly_number, instance_id, random_family,
                         subcomplex_family, verify_helly_bound,
@@ -117,6 +120,19 @@ class TestProjectionBound:
         rep = verify_projection_bound(two_arc_circle_family(), t=2,
                                       artifacts_dir=tmp_path)
         assert rep.all_pass
+
+    def test_l_and_j_run_once_per_distinct_poset(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("j_index", "leray_number"):
+            def spy(*args, _name=name, _real=getattr(multinerve.verify, name),
+                    **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(multinerve.verify, name, spy)
+        # R_1 is the multinerve, a double edge here, not the nerve's edge
+        rep = verify_projection_bound(two_arc_circle_family(), t=1)
+        assert calls == {"j_index": 2, "leray_number": 2}
+        assert rep.quantities["J_reduced"] == rep.quantities["J_multinerve"]
 
     def test_random_instances_all_pass(self):
         for seed in range(12):
