@@ -24,57 +24,39 @@ SparseRow = dict[int, int]
 
 
 def sparse_rank(rows: Iterable[SparseRow]) -> int:
-    """Rank over Q of an integer matrix given as sparse rows.
+    """Rank over Q of an integer matrix given as sparse rows (column ->
+    nonzero entry).
 
-    Fraction-free elimination; the pivot column is the active column with the
-    fewest nonzeros (ties to the smallest index), likewise for the pivot row,
-    so the result is deterministic.  Rows are gcd-normalized after each step
-    to keep entries small.
+    Each row is reduced against pivots keyed by their largest column (the
+    column algorithm of persistent homology, Zomorodian-Carlsson 2005): while
+    the row is nonzero and its largest column c holds a pivot p, the row
+    becomes p[c]*row - row[c]*p, divided by the gcd of its entries, so its
+    largest column falls below c; a row whose largest column has no pivot
+    becomes that column's pivot.  The kept rows have distinct largest
+    columns, so they are independent, and every other row reduced to zero
+    within their span: the rank is the number of pivots whatever the row
+    order, and so is every Betti number, bound and witness built on it.
+    Input rows are never written to.
     """
-    work = [dict(r) for r in rows if r]
-    if not work:
-        return 0
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(work):
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    active = set(col_rows)
-    rank = 0
-    while active:
-        c = min(active, key=lambda j: (len(col_rows[j]), j))
-        holders = col_rows[c]
-        if not holders:
-            active.discard(c)
-            continue
-        r = min(holders, key=lambda i: (len(work[i]), i))
-        piv_row = work[r]
-        piv = piv_row[c]
-        rank += 1
-        for i in list(holders):
-            if i == r:
-                continue
-            row = work[i]
-            v = row[c]
-            new: SparseRow = {}
-            for j in row.keys() | piv_row.keys():
-                val = piv * row.get(j, 0) - v * piv_row.get(j, 0)
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        while row:
+            c = max(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            a, b = piv[c], row[c]
+            new = {j: a * v for j, v in row.items()}
+            for j, v in piv.items():
+                val = new.get(j, 0) - b * v
                 if val:
                     new[j] = val
-            if new:
-                g = 0
-                for val in new.values():
-                    g = gcd(g, val)
-                if g > 1:
-                    new = {j: val // g for j, val in new.items()}
-            for j in row.keys() - new.keys():
-                col_rows[j].discard(i)
-            for j in new.keys() - row.keys():
-                col_rows.setdefault(j, set()).add(i)
-            work[i] = new
-        for j in piv_row:
-            col_rows[j].discard(r)
-        active.discard(c)
-    return rank
+                else:
+                    del new[j]
+            g = gcd(*new.values())
+            row = {j: v // g for j, v in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -143,12 +125,12 @@ class ChainComplex:
 
 def chain_complex(X: Space) -> ChainComplex:
     """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i,
-    checked for d o d = 0; a complex's simplices are numbered in sorted order."""
+    checked for d o d = 0; a complex's simplices are numbered as in
+    ``ordered_simplices``, the cell ids of its face poset."""
     if isinstance(X, SimplicialComplex):
-        simplices = sorted(tuple(sorted(s)) for s in X.simplices)
+        simplices = X.ordered_simplices()
         index = {s: i for i, s in enumerate(simplices)}
-        faces = [[index[s[:i] + s[i + 1:]] for i in range(len(s))]
-                 for s in simplices]
+        faces = [[index[s - {v}] for v in sorted(s)] for s in simplices]
         dims = [len(s) - 1 for s in simplices]
     elif isinstance(X, SimplicialPoset):
         faces, dims = X._faces, X._dims

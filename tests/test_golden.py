@@ -1,22 +1,28 @@
 """Report bytes pinned: the stdout and exit code of in-process ``mnv`` calls.
 
 Reports, witnesses and exit codes stay byte-identical unless a change says
-why they differ.  Each input runs ``verify projection --t 1|2|3``,
-``verify helly`` and ``multinerve --t 1|2|3``; the sha256 of the exit codes
-and stdout of those calls is compared with the digest recorded here.  The
-inputs are the fixture families and ``mnv gen --n 5`` seeds 0-5 of each
-backend.  To re-record after a deliberate change, print ``digest(input)``
-for every input and say in the change why the bytes moved.
+why they differ.  Each family runs ``verify projection --t 1|2|3``,
+``verify helly`` and ``multinerve --t 1|2|3``; each space (a poset) runs
+``homology``, and ``leray`` and ``j-index`` exact and sampled.  The sha256 of
+the exit codes and stdout of those calls is compared with the digest
+recorded here.  The families are the fixture families and ``mnv gen --n 5``
+seeds 0-5 of each backend; the spaces are ``double_edge.poset`` and
+``helpers.random_poset`` seeds 0-5.  To re-record after a deliberate
+change, print ``digest(input)`` or ``space_digest(input)`` for every input
+and say in the change why the bytes moved.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import pytest
+from helpers import random_poset
 
 from multinerve.cli import main
+from multinerve.formats import write_poset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,6 +54,22 @@ GOLDEN = {
     "gen-subcomplex-5": "e2e6cd00fb1a7187989e3630783c5e1d00200b842a19bfd12b67b0bee3f17433",
 }
 
+SPACE_CALLS = [("homology", "{input}"),
+               ("leray", "{input}"),
+               ("leray", "{input}", "--sample", "25", "--seed", "1"),
+               ("j-index", "{input}"),
+               ("j-index", "{input}", "--sample", "25", "--seed", "1")]
+
+SPACE_GOLDEN = {
+    "double_edge.poset": "4a401292e93dbbe397cd9b889493be861b6f3ea82ad5a94b727805abe04793aa",
+    "random-0": "dba263e47007203f4ef622ce126c40f496dc877ac317c3ab241c9b0806ee7e19",
+    "random-1": "9259ed4cdf53c6ee37cf230ae3a30e57f7a8062e71d3ed978155e3ee303cd223",
+    "random-2": "5746bc1cd85bcf4d2761557c1774f05fe781ddf33d70280cca3ae0cc2537ecd5",
+    "random-3": "668da70d5c0f64ab760812c811d28abb9b084a3e321ab9e0c16a305dc532383d",
+    "random-4": "c95568fdcc9d3458692d4d2317d29059f00cdee23e4d2b6588527049ff87b69e",
+    "random-5": "e1c344589a5dc83acab26a2eb9b411974045bec439bc1ec989e3efcfabf69d87",
+}
+
 
 def _run(argv: list) -> tuple[int, str]:
     out = io.StringIO()
@@ -68,15 +90,37 @@ def _input_path(name: str, directory: Path) -> str:
     return str(path)
 
 
-def digest(name: str, directory: Path) -> str:
-    path = _input_path(name, directory)
+def _space_path(name: str, directory: Path) -> str:
+    """A fixture poset, or ``random-<seed>`` written to ``directory``."""
+    if not name.startswith("random-"):
+        return str(FIXTURES / name)
+    seed = int(name.split("-")[1])
+    path = directory / f"{name}.poset"
+    path.write_text(write_poset(random_poset(random.Random(seed))))
+    return str(path)
+
+
+def _digest(path: str, calls: list) -> str:
     h = hashlib.sha256()
-    for call in CALLS:
+    for call in calls:
         code, out = _run([path if a == "{input}" else a for a in call])
         h.update(f"{' '.join(call)}\n{code}\n{out}\n".encode())
     return h.hexdigest()
 
 
+def digest(name: str, directory: Path) -> str:
+    return _digest(_input_path(name, directory), CALLS)
+
+
+def space_digest(name: str, directory: Path) -> str:
+    return _digest(_space_path(name, directory), SPACE_CALLS)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes(name, tmp_path):
     assert digest(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_GOLDEN))
+def test_space_report_bytes(name, tmp_path):
+    assert space_digest(name, tmp_path) == SPACE_GOLDEN[name]

@@ -30,15 +30,40 @@ class TestSparseRank:
         rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1, 2: -1}]
         assert sparse_rank(rows) == 2
 
+    @staticmethod
+    def _random_matrix(rng):
+        """Up to 12x12: random rows with entries in -3..3, and rows that
+        are sums or multiples of earlier rows, so reductions take several steps and
+        the gcd division is exercised."""
+        nr, nc = rng.randrange(1, 13), rng.randrange(1, 13)
+        dense = []
+        for _ in range(nr):
+            if dense and rng.random() < 0.4:
+                a, b = rng.choice(dense), rng.choice(dense)
+                k, m = rng.choice((-2, -1, 1, 2, 3)), rng.choice((-1, 0, 1))
+                dense.append([k * x + m * y for x, y in zip(a, b)])
+            else:
+                dense.append([rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3))
+                              for _ in range(nc)])
+        return dense
+
     def test_matches_dense_oracle_on_random_matrices(self):
         from helpers import gauss_jordan_rank
         rng = random.Random(3)
-        for _ in range(60):
-            nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
-            dense = [[rng.choice((-1, 0, 0, 1)) for _ in range(nc)]
-                     for _ in range(nr)]
+        for _ in range(300):
+            dense = self._random_matrix(rng)
             sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
             assert sparse_rank(sparse) == gauss_jordan_rank(dense)
+
+    def test_rows_are_not_mutated(self):
+        import copy
+        rng = random.Random(5)
+        for _ in range(100):
+            sparse = [{j: x for j, x in enumerate(row) if x}
+                      for row in self._random_matrix(rng)]
+            before = copy.deepcopy(sparse)
+            sparse_rank(sparse)
+            assert sparse == before
 
 
 class TestChainComplex:
