@@ -3,7 +3,7 @@
 Two backends realize the oracle:
 
 * ``subcomplex``: members are face-closed sets of simplices of one ambient
-  triangulation; intersections are set intersections and components come
+  triangulation T; intersections are set intersections and components come
   from union-find over the face relation.
 * ``box``: members are finite unions of open axis-aligned boxes with
   rational endpoints; intersections are enumerated box overlaps and
@@ -16,6 +16,17 @@ next to its components and Betti vector.  Scans over subfamilies (slack,
 component counts, the nerve, Helly numbers) walk only the index sets whose
 facets all intersect, level by level in (size, lexicographic) order, so an
 empty intersection ends the walk above it.
+
+A subcomplex family numbers T's simplices once, in ``ordered_simplices``
+order, builds their signed rows and checks d o d = 0 on them; its
+components, ``component_containing`` and ``region_betti`` select from those
+rows by simplex id.  Regions stay sets of simplices, so emptiness, the
+nerve walk and Helly numbers never build that index.  Selecting is sound:
+every member is face-closed (``subcomplex_family`` checks it), so every
+region, a union or an intersection of members, is closed downward in T; a
+selection closed downward from checked rows takes them whole, so d o d = 0
+holds on it; and ranks do not depend on how cells are numbered (see
+``sparse_rank``), so neither do Betti vectors.
 """
 
 from __future__ import annotations
@@ -25,7 +36,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .homology import BettiVector, reduced_betti
+from .homology import (BettiVector, ChainComplex, _check_dd, _signed_rows,
+                       reduced_betti)
 from .poset import SimplicialComplex
 
 
@@ -110,6 +122,7 @@ class SetFamily:
         self._region_cache: dict[tuple, frozenset | tuple] = {}
         self._components_cache: dict[tuple, tuple] = {}
         self._betti_cache: dict[tuple, BettiVector] = {}
+        self._ambient_index: _AmbientIndex | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -201,6 +214,29 @@ def _simplex_key(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
+class _AmbientIndex:
+    """The ambient triangulation's simplices numbered by ``ordered_simplices``
+    (the empty simplex is id 0, and id order is ``_simplex_key`` order),
+    with their dimensions and signed rows, checked for d o d = 0."""
+
+    __slots__ = ("simplices", "ids", "dims", "rows")
+
+    def __init__(self, T: SimplicialComplex):
+        self.simplices = T.ordered_simplices()
+        self.ids = {s: i for i, s in enumerate(self.simplices)}
+        self.dims = [len(s) - 1 for s in self.simplices]
+        self.rows = _signed_rows([[self.ids[s - {v}] for v in sorted(s)]
+                                  for s in self.simplices])
+        _check_dd(self.rows)
+
+
+def _ambient(F: SetFamily) -> _AmbientIndex:
+    """The subcomplex family's ambient index, built on first use."""
+    if F._ambient_index is None:
+        F._ambient_index = _AmbientIndex(F.ambient)
+    return F._ambient_index
+
+
 def _region(F: SetFamily, A: tuple[int, ...]) -> frozenset | tuple[Box, ...]:
     """The region over the sorted index set A (the union when A is empty).
 
@@ -228,15 +264,19 @@ def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
     """Connected components of the intersection over A (of the union if A is empty).
 
     The cache keeps, next to the labels, the label of each region element:
-    a simplex -> label dict, or a list of (box, label) pairs.
+    a simplex id -> label dict, or a list of (box, label) pairs.
     """
-    A = F.check_index_set(A)
+    return _component_entry(F, F.check_index_set(A))[0]
+
+
+def _component_entry(F: SetFamily, A: tuple[int, ...]) -> tuple:
+    """The cached (labels, owner) pair of the checked index set A."""
     if A not in F._components_cache:
         if F.backend == "subcomplex":
             F._components_cache[A] = _subcomplex_components(F, A)
         else:
             F._components_cache[A] = _box_components(F, A)
-    return F._components_cache[A][0]
+    return F._components_cache[A]
 
 
 def _sorted_labels(A: tuple[int, ...], groups, canon_of, rep_of) -> tuple:
@@ -251,14 +291,17 @@ def _sorted_labels(A: tuple[int, ...], groups, canon_of, rep_of) -> tuple:
 
 
 def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    sims = _region(F, A)
-    uf = _UnionFind(sims)
-    for s in sims:
-        if len(s) > 1:
-            for v in s:
-                uf.union(s, s - {v})
+    """Union-find over the region's simplex ids, each cell joined to the
+    faces in its row; the smallest id of a group is its smallest simplex."""
+    T = _ambient(F)
+    cells = [T.ids[s] for s in _region(F, A)]
+    uf = _UnionFind(cells)
+    for c in cells:
+        if T.dims[c] > 0:
+            for f in T.rows[c]:
+                uf.union(c, f)
     return _sorted_labels(A, uf.groups().values(),
-                          lambda g: min(_simplex_key(s) for s in g),
+                          lambda g: _simplex_key(T.simplices[min(g)]),
                           lambda canon: canon[1])
 
 
@@ -308,14 +351,13 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     ``rep`` is a simplex (iterable of vertices) for the subcomplex backend or
     a Box lying inside the region for the box backend.
     """
-    A = F.check_index_set(A)
-    components(F, A)  # fills the cache
-    owner = F._components_cache[A][1]
+    owner = _component_entry(F, F.check_index_set(A))[1]
     if F.backend == "subcomplex":
         s = frozenset(rep)
-        if s not in owner:
+        label = owner.get(_ambient(F).ids.get(s))
+        if label is None:
             raise FamilyError(f"representative {sorted(s)} lies outside the region")
-        return owner[s]
+        return label
     if not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
     hits = {label for b, label in owner if b.overlaps(rep)}
@@ -329,8 +371,8 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     """Reduced Betti vector of the intersection over A (union when A is empty).
 
-    Subcomplex regions, closed downward as unions or intersections of
-    subcomplexes, are handed to the homology core directly.  Box regions
+    A subcomplex region is ranked on T's rows: the empty simplex and the
+    region's simplices, by id (see the module docstring).  Box regions
     go through the nerve of their distinct open boxes, which is exact for
     a good cover (all box intersections are open boxes or empty); a
     repeated box covers nothing more, but would make its nerve a cone.
@@ -342,7 +384,10 @@ def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     if not region:
         out = BettiVector.from_dict({-1: 1})
     elif F.backend == "subcomplex":
-        out = reduced_betti(SimplicialComplex(region, closed=True))
+        T = _ambient(F)
+        out = reduced_betti(ChainComplex([0, *map(T.ids.__getitem__, region)],
+                                         T.dims.__getitem__,
+                                         T.rows.__getitem__))
     else:
         out = reduced_betti(_box_nerve(tuple(dict.fromkeys(region))))
     F._betti_cache[A] = out

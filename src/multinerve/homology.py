@@ -9,7 +9,8 @@ Betti vector {-1: 1} and nothing else.
 A boundary row maps each face's cell id to +1 or -1, so a cell set closed
 downward in a complex keeps its rows unchanged, and with them d o d = 0.
 ``chain_complex`` checks d o d; ``leray`` checks it once on X and once on
-each full link, then selects from those rows.
+each full link, and ``families`` once on a subcomplex family's ambient
+triangulation, then each selects from those rows.
 """
 
 from __future__ import annotations
@@ -25,35 +26,44 @@ SparseRow = dict[int, int]
 
 def sparse_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over Q of an integer matrix given as sparse rows (column ->
-    nonzero entry).
+    entry; a zero entry counts as absent).
 
     Each row is reduced against pivots keyed by their largest column (the
     column algorithm of persistent homology, Zomorodian-Carlsson 2005): while
     the row is nonzero and its largest column c holds a pivot p, the row
-    becomes p[c]*row - row[c]*p, divided by the gcd of its entries, so its
-    largest column falls below c; a row whose largest column has no pivot
-    becomes that column's pivot.  The kept rows have distinct largest
-    columns, so they are independent, and every other row reduced to zero
-    within their span: the rank is the number of pivots whatever the row
-    order, and so is every Betti number, bound and witness built on it.
-    Input rows are never written to.
+    becomes p[c]*row - row[c]*p (row - p[c]*row[c]*p when p[c] is +1 or -1,
+    the same up to sign), divided by the gcd of its entries, so its largest
+    column falls below c; a row whose largest column has no pivot becomes
+    that column's pivot.  The kept rows have distinct largest columns, so
+    they are independent, and every other row reduced to zero within their
+    span: the rank is the number of pivots whatever the row order, and so
+    is every Betti number, bound and witness built on it.  A row whose
+    largest column holds a zero drops its zeros; a zero in any other column
+    adds nothing to a reduction.  Input rows are never written to.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
         while row:
             c = max(row)
+            b = row[c]
+            if not b:
+                row = {j: v for j, v in row.items() if v}
+                continue
             piv = pivots.get(c)
             if piv is None:
                 pivots[c] = row
                 break
-            a, b = piv[c], row[c]
-            new = {j: a * v for j, v in row.items()}
+            a = piv[c]
+            if a == 1 or a == -1:
+                new, b = dict(row), a * b
+            else:
+                new = {j: a * v for j, v in row.items()}
             for j, v in piv.items():
                 val = new.get(j, 0) - b * v
                 if val:
                     new[j] = val
                 else:
-                    del new[j]
+                    new.pop(j, None)
             g = gcd(*new.values())
             row = {j: v // g for j, v in new.items()} if g > 1 else new
     return len(pivots)
@@ -166,9 +176,9 @@ def _check_dd(rows: Mapping[int, SparseRow]) -> None:
             raise AssertionError(f"boundary of boundary nonzero at cell {c}")
 
 
-def reduced_betti(X: Space) -> BettiVector:
+def reduced_betti(X: Space | ChainComplex) -> BettiVector:
     """Exact reduced Betti numbers over Q."""
-    cc = chain_complex(X)
+    cc = X if isinstance(X, ChainComplex) else chain_complex(X)
     ranks: dict[int, int] = {}
     for n in range(0, cc.top + 1):
         ranks[n] = cc.rank_boundary(n)

@@ -10,7 +10,7 @@ from helpers import (family_component_maxima, family_components,
                      family_slack_violation, small_family)
 
 import multinerve.families
-from multinerve import (Box, FamilyError, box, box_family,
+from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         component_containing, components, grid_triangulation,
                         is_acyclic_with_slack, max_components, nerve,
                         random_family, region_betti, region_is_empty,
@@ -19,6 +19,7 @@ from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
                                  interval_union_double_edge_family,
                                  two_arc_circle_family)
+from multinerve.verify import helly_number, verify_multinerve_theorem
 
 
 class TestBox:
@@ -185,6 +186,60 @@ class TestRegionBetti:
                 for A in itertools.combinations(range(3), size):
                     assert region_betti(boxes, A) == region_betti(subs, A), \
                         (intervals, A)
+
+
+class TestAmbientIndex:
+    """Subcomplex regions are ranked and split into components on the rows
+    of T's simplices, numbered and checked for d o d = 0 once per family;
+    emptiness and Helly queries never build that index."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        real, calls = getattr(multinerve.families, name), []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(multinerve.families, name, spy)
+        return calls
+
+    def test_flipped_sign_is_caught(self, monkeypatch):
+        real = multinerve.families._signed_rows
+
+        def flipped(faces):
+            rows = real(faces)
+            for c, fs in enumerate(faces):
+                if len(fs) >= 3:
+                    f = fs[0]
+                    rows[c][f] = -rows[c][f]
+            return rows
+        monkeypatch.setattr(multinerve.families, "_signed_rows", flipped)
+        T = SimplicialComplex([(0, 1, 2)])
+        F = subcomplex_family(T, [T.simplices])
+        with pytest.raises(AssertionError):
+            region_betti(F, (0,))
+
+    def test_checked_once_per_verify_and_no_region_complex(self, monkeypatch):
+        F = random_family("subcomplex", 5, 2)
+        checks = self._spy(monkeypatch, "_check_dd")
+        complexes = self._spy(monkeypatch, "SimplicialComplex")
+        verify_multinerve_theorem(F, 0)
+        assert len(F._betti_cache) > len(F)  # many regions were ranked
+        assert len(checks) == 1
+        assert complexes == []
+
+    def test_emptiness_and_helly_do_not_build_it(self, monkeypatch):
+        T = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+        F = subcomplex_family(T, [[(0,), (1,), (0, 1)], [(1,), (2,), (1, 2)],
+                                  [(0,), (2,), (0, 2)]])
+        builds = self._spy(monkeypatch, "_AmbientIndex")
+        assert helly_number(F).h == 3
+        assert region_is_empty(F, (0, 1, 2))
+        assert not region_is_empty(F, (0, 1))
+        assert builds == []
+        components(F, (0, 1))
+        component_containing(F, (0,), (1,))
+        assert len(builds) == 1
 
 
 class TestSlack:

@@ -3,12 +3,14 @@
 Reports, witnesses and exit codes stay byte-identical unless a change says
 why they differ.  Each family runs ``verify projection --t 1|2|3``,
 ``verify helly`` and ``multinerve --t 1|2|3``; each space (a poset) runs
-``homology``, and ``leray`` and ``j-index`` exact and sampled.  The sha256 of
-the exit codes and stdout of those calls is compared with the digest
-recorded here.  The families are the fixture families and ``mnv gen --n 5``
-seeds 0-5 of each backend; the spaces are ``double_edge.poset`` and
+``homology``, and ``leray`` and ``j-index`` exact and sampled.  The slack
+checks run apart, ``verify multinerve --s 0|1`` and ``check-acyclic --s 0|1``,
+on the same families and one larger subcomplex family.  The sha256 of the
+exit codes and stdout of those calls is compared with the digest recorded
+here.  The families are the fixture families and ``mnv gen --n 5`` seeds
+0-5 of each backend; the spaces are ``double_edge.poset`` and
 ``helpers.random_poset`` seeds 0-5.  To re-record after a deliberate
-change, print ``digest(input)`` or ``space_digest(input)`` for every input
+change, print ``digest``, ``slack_digest`` or ``space_digest`` of every input
 and say in the change why the bytes moved.
 """
 
@@ -54,6 +56,36 @@ GOLDEN = {
     "gen-subcomplex-5": "e2e6cd00fb1a7187989e3630783c5e1d00200b842a19bfd12b67b0bee3f17433",
 }
 
+SLACK_CALLS = [("verify", "multinerve", "{input}", "--s", "0"),
+               ("verify", "multinerve", "{input}", "--s", "1"),
+               ("check-acyclic", "{input}", "--s", "0"),
+               ("check-acyclic", "{input}", "--s", "1")]
+
+# ``gen`` options of the families not made with ``--n 5``
+GEN_OPTIONS = {"gen-subcomplex-0-n8": ("--n", "8", "--grid", "5",
+                                       "--stars-per-member", "3")}
+
+SLACK_GOLDEN = {
+    "blown_tetrahedron.family": "19b89ee49701d261b04fb3593a4b4078a32f57d850440f0810139bf4ff2d1317",
+    "corridor.family": "b55a6f14059050c46b264269eb7583a54b14e1c61c31fc68b9d58597c18c5f88",
+    "interval_union_h3.family": "0075da9a27ae4a13a0b0987ed3d86394cc2807a417644170a079bc10ad979c0d",
+    "intervals.family": "a72e6d18530706b49d81880c35459ad68471009a558d8055bd5f4ab7788e16f1",
+    "two_arcs.family": "9d31a24f14fab2817cc7a6836dc8eeb852198d9a1214e81791e90de3108a5eda",
+    "gen-box-0": "8c8dc874ae3975a43a5348a840f666c08e26449705349ac6ab97d06417240802",
+    "gen-box-1": "ebba58355b3514f76993e71ae9f5775dda6d4d77da88fb7c05279b2571db4ac8",
+    "gen-box-2": "c1f92f816b7442db797b953b939fa4db0707228b4c6f64fe8b68158f245fe565",
+    "gen-box-3": "a748b1cb7cda7c69e3886036647200afbe6be6a6265dcad4b83a5b720d901609",
+    "gen-box-4": "2af1fb2b2e02521ede82fd5f665ecabc2a80d1f12aca0b40e4124dd272942001",
+    "gen-box-5": "350f42f70130d2ff97ff333022aa6865defed4b285f10b0111c18cd81f1e0a32",
+    "gen-subcomplex-0": "214cf2e868f435a9a2249de6f5852baa427bc02a5fbf8051433656115657ce0c",
+    "gen-subcomplex-1": "5541f4d57b3d4b0bc364a8f442baac7853477b9a490d0155eaaed97455ec1608",
+    "gen-subcomplex-2": "4af42fa8c489f7f759237d77abe4a93784e4c33697b156f01839f0431ab75238",
+    "gen-subcomplex-3": "5d73dd2e7e3c69c4371fb7a3df9a5c07f232479c2d9f1a9db2b25a00cbc7c242",
+    "gen-subcomplex-4": "05e36dd36174b5d7bb795fd87ba695997c24f368a61e1aac272699386deab230",
+    "gen-subcomplex-5": "2486d19643b300fa184e5418654c43b23aa91d817326aa7b007a25a990fea74e",
+    "gen-subcomplex-0-n8": "1efa0c3a5bdc775b50024705795275febf5b77bfa181fcfad31b65a10a1152d7",
+}
+
 SPACE_CALLS = [("homology", "{input}"),
                ("leray", "{input}"),
                ("leray", "{input}", "--sample", "25", "--seed", "1"),
@@ -83,9 +115,10 @@ def _input_path(name: str, directory: Path) -> str:
     """A fixture file, or ``gen-<backend>-<seed>`` written to ``directory``."""
     if not name.startswith("gen-"):
         return str(FIXTURES / name)
-    _, backend, seed = name.split("-")
+    _, backend, seed = name.split("-")[:3]
     path = directory / f"{name}.family"
-    assert _run(["gen", "--backend", backend, "--n", "5", "--seed", seed,
+    options = GEN_OPTIONS.get(name, ("--n", "5"))
+    assert _run(["gen", "--backend", backend, "--seed", seed, *options,
                  "--out", str(path)])[0] == 0
     return str(path)
 
@@ -112,6 +145,10 @@ def digest(name: str, directory: Path) -> str:
     return _digest(_input_path(name, directory), CALLS)
 
 
+def slack_digest(name: str, directory: Path) -> str:
+    return _digest(_input_path(name, directory), SLACK_CALLS)
+
+
 def space_digest(name: str, directory: Path) -> str:
     return _digest(_space_path(name, directory), SPACE_CALLS)
 
@@ -119,6 +156,11 @@ def space_digest(name: str, directory: Path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes(name, tmp_path):
     assert digest(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SLACK_GOLDEN))
+def test_slack_report_bytes(name, tmp_path):
+    assert slack_digest(name, tmp_path) == SLACK_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SPACE_GOLDEN))

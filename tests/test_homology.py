@@ -30,6 +30,11 @@ class TestSparseRank:
         rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1, 2: -1}]
         assert sparse_rank(rows) == 2
 
+    def test_zero_entries_count_as_absent(self):
+        assert sparse_rank([{0: 0}]) == 0
+        assert sparse_rank([{1: 1}, {0: 0, 1: 1}]) == 1
+        assert sparse_rank([{0: 0, 1: 1}, {1: 1}]) == 1
+
     @staticmethod
     def _random_matrix(rng):
         """Up to 12x12: random rows with entries in -3..3, and rows that
@@ -54,16 +59,20 @@ class TestSparseRank:
             dense = self._random_matrix(rng)
             sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
             assert sparse_rank(sparse) == gauss_jordan_rank(dense)
+            padded = [dict(enumerate(row)) for row in dense]
+            assert sparse_rank(padded) == gauss_jordan_rank(dense)
 
     def test_rows_are_not_mutated(self):
         import copy
         rng = random.Random(5)
         for _ in range(100):
-            sparse = [{j: x for j, x in enumerate(row) if x}
-                      for row in self._random_matrix(rng)]
-            before = copy.deepcopy(sparse)
-            sparse_rank(sparse)
-            assert sparse == before
+            dense = self._random_matrix(rng)
+            for sparse in ([{j: x for j, x in enumerate(row) if x}
+                            for row in dense],
+                           [dict(enumerate(row)) for row in dense]):
+                before = copy.deepcopy(sparse)
+                sparse_rank(sparse)
+                assert sparse == before
 
 
 class TestChainComplex:
