@@ -5,7 +5,7 @@ from .poset import (CellRecord, PosetError, SimplicialComplex,
                     SimplicialPoset, barycentric_subdivision, build_poset,
                     complexes_isomorphic, order_complex, poset_isomorphic,
                     upper_complexes)
-from .homology import (BettiVector, ChainComplex, chain_complex,
+from .homology import (BettiVector, Boundary, ChainComplex, chain_complex,
                        euler_characteristic, reduced_betti, sparse_rank)
 from .leray import (CapExceeded, LerayReport, Witness, is_simplex, j_index,
                     leray_number)

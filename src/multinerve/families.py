@@ -17,16 +17,12 @@ component counts, the nerve, Helly numbers) walk only the index sets whose
 facets all intersect, level by level in (size, lexicographic) order, so an
 empty intersection ends the walk above it.
 
-A subcomplex family numbers T's simplices once, in ``ordered_simplices``
-order, builds their signed rows and checks d o d = 0 on them; its
-components, ``component_containing`` and ``region_betti`` select from those
-rows by simplex id.  Regions stay sets of simplices, so emptiness, the
-nerve walk and Helly numbers never build that index.  Selecting is sound:
-every member is face-closed (``subcomplex_family`` checks it), so every
-region, a union or an intersection of members, is closed downward in T; a
-selection closed downward from checked rows takes them whole, so d o d = 0
-holds on it; and ranks do not depend on how cells are numbered (see
-``sparse_rank``), so neither do Betti vectors.
+A subcomplex family builds one ``Boundary`` on T's simplices, and its
+components, ``component_containing`` and ``region_betti`` select from it
+by simplex id; emptiness, the nerve walk and Helly numbers never build
+it.  Every member is face-closed (``subcomplex_family`` checks it), so
+every region, a union or an intersection of members, is closed downward
+in T, and selecting it is sound (see ``Boundary``).
 """
 
 from __future__ import annotations
@@ -36,8 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .homology import (BettiVector, ChainComplex, _check_dd, _signed_rows,
-                       reduced_betti)
+from .homology import BettiVector, Boundary, reduced_betti
 from .poset import SimplicialComplex
 
 
@@ -215,19 +210,15 @@ def _simplex_key(s: frozenset) -> tuple:
 
 
 class _AmbientIndex:
-    """The ambient triangulation's simplices numbered by ``ordered_simplices``
-    (the empty simplex is id 0, and id order is ``_simplex_key`` order),
-    with their dimensions and signed rows, checked for d o d = 0."""
+    """T's simplices by id (``numbering``: the empty simplex is id 0, and id
+    order is ``_simplex_key`` order) and their ``Boundary``."""
 
-    __slots__ = ("simplices", "ids", "dims", "rows")
+    __slots__ = ("simplices", "ids", "boundary")
 
     def __init__(self, T: SimplicialComplex):
-        self.simplices = T.ordered_simplices()
-        self.ids = {s: i for i, s in enumerate(self.simplices)}
-        self.dims = [len(s) - 1 for s in self.simplices]
-        self.rows = _signed_rows([[self.ids[s - {v}] for v in sorted(s)]
-                                  for s in self.simplices])
-        _check_dd(self.rows)
+        self.ids, faces = T.numbering()
+        self.simplices = list(self.ids)
+        self.boundary = Boundary.of_faces(faces)
 
 
 def _ambient(F: SetFamily) -> _AmbientIndex:
@@ -294,11 +285,12 @@ def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
     """Union-find over the region's simplex ids, each cell joined to the
     faces in its row; the smallest id of a group is its smallest simplex."""
     T = _ambient(F)
+    rows = T.boundary.rows
     cells = [T.ids[s] for s in _region(F, A)]
     uf = _UnionFind(cells)
     for c in cells:
-        if T.dims[c] > 0:
-            for f in T.rows[c]:
+        if len(rows[c]) > 1:  # not a vertex, whose face is the empty simplex
+            for f in rows[c]:
                 uf.union(c, f)
     return _sorted_labels(A, uf.groups().values(),
                           lambda g: _simplex_key(T.simplices[min(g)]),
@@ -371,11 +363,12 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     """Reduced Betti vector of the intersection over A (union when A is empty).
 
-    A subcomplex region is ranked on T's rows: the empty simplex and the
-    region's simplices, by id (see the module docstring).  Box regions
-    go through the nerve of their distinct open boxes, which is exact for
-    a good cover (all box intersections are open boxes or empty); a
-    repeated box covers nothing more, but would make its nerve a cone.
+    A subcomplex region is selected from T's boundary, with the empty
+    simplex.  Box regions go through the nerve of their distinct open
+    boxes, which is exact for a good cover (all box intersections are open
+    boxes or empty).  A repeated box would keep the homotopy type, as its
+    vertex's link is the closed star of its twin, which is contractible;
+    it is dropped only to keep the nerve small.
     """
     A = F.check_index_set(A)
     if A in F._betti_cache:
@@ -385,36 +378,39 @@ def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
         out = BettiVector.from_dict({-1: 1})
     elif F.backend == "subcomplex":
         T = _ambient(F)
-        out = reduced_betti(ChainComplex([0, *map(T.ids.__getitem__, region)],
-                                         T.dims.__getitem__,
-                                         T.rows.__getitem__))
+        out = reduced_betti(
+            T.boundary.select([0, *map(T.ids.__getitem__, region)]))
     else:
-        out = reduced_betti(_box_nerve(tuple(dict.fromkeys(region))))
+        nerve = _box_nerve(tuple(dict.fromkeys(region)))
+        out = reduced_betti(nerve.select(nerve.rows))
     F._betti_cache[A] = out
     return out
 
 
-def _box_nerve(boxes: Sequence[Box]) -> SimplicialComplex:
-    """Nerve of a list of open boxes.
+def _box_nerve(boxes: Sequence[Box]) -> Boundary:
+    """Boundary of the nerve of a list of open boxes.
 
-    Alive index sets are grown by sorted-prefix extension; since box
-    intersections shrink monotonically this enumerates each nonempty
-    intersection exactly once, with its intersection box in hand, and the
-    alive sets are closed downward.
+    Alive index sets are grown by sorted-prefix extension from the empty
+    one; since box intersections shrink monotonically this enumerates each
+    nonempty intersection once, with its intersection box in hand, and the
+    alive sets are closed downward: a set's faces are numbered before it.
     """
-    sims: list[frozenset] = [frozenset()]
-    layer = [((i,), b) for i, b in enumerate(boxes)]
-    sims.extend(frozenset(key) for key, _ in layer)
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    faces: list[list[int]] = [[]]
+    layer: list[tuple[tuple[int, ...], Box | None]] = [((), None)]
     while layer:
         nxt = []
         for key, cur in layer:
-            for j in range(key[-1] + 1, len(boxes)):
-                met = cur.meet(boxes[j])
+            for j in range(key[-1] + 1 if key else 0, len(boxes)):
+                met = boxes[j] if cur is None else cur.meet(boxes[j])
                 if met is not None:
-                    nxt.append((key + (j,), met))
-                    sims.append(frozenset(key + (j,)))
+                    new = key + (j,)
+                    ids[new] = len(faces)
+                    faces.append([ids[new[:i] + new[i + 1:]]
+                                  for i in range(len(new))])
+                    nxt.append((new, met))
         layer = nxt
-    return SimplicialComplex(sims, closed=True)
+    return Boundary.of_faces(faces)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,8 @@ number is exact.  The (-1)-dimensional cell doubles as the augmentation,
 which makes reduced homology the uniform default: the empty space has
 Betti vector {-1: 1} and nothing else.
 
-A boundary row maps each face's cell id to +1 or -1, so a cell set closed
-downward in a complex keeps its rows unchanged, and with them d o d = 0.
-``chain_complex`` checks d o d; ``leray`` checks it once on X and once on
-each full link, and ``families`` once on a subcomplex family's ambient
-triangulation, then each selects from those rows.
+Every chain complex is selected from a ``Boundary``, which says why its
+rows are checked for d o d = 0 only once and why a row gives a dimension.
 """
 
 from __future__ import annotations
@@ -103,21 +100,13 @@ Space = Union[SimplicialPoset, SimplicialComplex]
 
 
 class ChainComplex:
-    """Augmented rational chain complex of a poset, a complex or a cell set.
-
-    Built on ``cells``, cell c in dimension ``dim_of(c)`` with the row
-    ``row_of(c)``, taken as it is: ``boundary[n]`` maps each n-cell id to
-    its signed row in C_{n-1}; dimension -1 holds the augmentation, whose
-    row is empty.  Unchecked: the rows come from checked ones (see the
-    module docstring).
-    """
+    """Augmented rational chain complex, built by ``Boundary.select``:
+    ``boundary[n]`` maps each n-cell id to its signed row in C_{n-1};
+    dimension -1 holds the augmentation, whose row is empty."""
 
     __slots__ = ("sizes", "boundary")
 
-    def __init__(self, cells: Iterable[int], dim_of, row_of):
-        boundary: dict[int, dict[int, SparseRow]] = {}
-        for c in cells:
-            boundary.setdefault(dim_of(c), {})[c] = row_of(c)
+    def __init__(self, boundary: dict[int, dict[int, SparseRow]]):
         self.boundary = boundary
         self.sizes = {d: len(rows) for d, rows in boundary.items()}
 
@@ -133,22 +122,61 @@ class ChainComplex:
         return max(self.sizes)
 
 
+class Boundary:
+    """Signed rows keyed by cell id, checked for d o d = 0, that chain
+    complexes are selected from.
+
+    A row maps each face's cell id to +1 or -1, so a cell set closed
+    downward takes its rows whole, and with them d o d = 0; and ranks do
+    not depend on how cells are numbered (see ``sparse_rank``), so neither
+    do Betti vectors.  ``select`` files each cell under dimension
+    ``len(row) - 1``, its dimension in every boundary built here: a
+    simplicial n-cell has n + 1 distinct faces, and the augmentation none.
+    In the link of sigma (``leray``), the row of tau > sigma keeps the
+    faces of tau that are >= sigma.  [least, tau] is Boolean, so they are
+    tau less one vertex outside sigma: dim tau - dim sigma of them, one
+    more than tau's link dimension; sigma's row is empty.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict[int, SparseRow]):
+        for c, row in rows.items():
+            acc: SparseRow = {}
+            for f, a in row.items():
+                for g, b in rows[f].items():
+                    acc[g] = acc.get(g, 0) + a * b
+            if any(acc.values()):
+                raise AssertionError(f"boundary of boundary nonzero at cell {c}")
+        self.rows = rows
+
+    @classmethod
+    def of_faces(cls, faces) -> "Boundary":
+        """The boundary of the cells whose face ids are given in order."""
+        return cls(_signed_rows(faces))
+
+    def select(self, cells: Iterable[int]) -> ChainComplex:
+        """The chain complex of ``cells``, a set closed downward here."""
+        rows = self.rows
+        boundary: dict[int, dict[int, SparseRow]] = {}
+        for c in cells:
+            row = rows[c]
+            boundary.setdefault(len(row) - 1, {})[c] = row
+        return ChainComplex(boundary)
+
+
 def chain_complex(X: Space) -> ChainComplex:
     """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i,
-    checked for d o d = 0; a complex's simplices are numbered as in
-    ``ordered_simplices``, the cell ids of its face poset."""
+    checked for d o d = 0; a complex's simplices are numbered by
+    ``SimplicialComplex.numbering``, the cell ids of its face poset."""
     if isinstance(X, SimplicialComplex):
-        simplices = X.ordered_simplices()
-        index = {s: i for i, s in enumerate(simplices)}
-        faces = [[index[s - {v}] for v in sorted(s)] for s in simplices]
-        dims = [len(s) - 1 for s in simplices]
+        faces = X.numbering()[1]
     elif isinstance(X, SimplicialPoset):
-        faces, dims = X._faces, X._dims
+        faces = X._faces
     else:
         raise TypeError(f"expected a poset or complex, got {type(X).__name__}")
-    rows = _signed_rows(faces)
-    _check_dd(rows)
-    return ChainComplex(rows, dims.__getitem__, rows.__getitem__)
+    boundary = Boundary.of_faces(faces)
+    return boundary.select(boundary.rows)
 
 
 def _signed_rows(faces) -> dict[int, SparseRow]:
@@ -163,17 +191,6 @@ def _signed_rows(faces) -> dict[int, SparseRow]:
             row[f] = sign
             sign = -sign
     return rows
-
-
-def _check_dd(rows: Mapping[int, SparseRow]) -> None:
-    """Assert d o d = 0 on rows closed under taking faces."""
-    for c, row in rows.items():
-        acc: SparseRow = {}
-        for f, a in row.items():
-            for g, b in rows[f].items():
-                acc[g] = acc.get(g, 0) + a * b
-        if any(acc.values()):
-            raise AssertionError(f"boundary of boundary nonzero at cell {c}")
 
 
 def reduced_betti(X: Space | ChainComplex) -> BettiVector:

@@ -6,22 +6,20 @@ upper intervals in all induced subposets (the least element included, whose
 upper interval complex is the barycentric subdivision).  L <= J always; on
 simplicial complexes they agree.
 
-Neither builds a new poset, complex or boundary.  ``_enumerate`` builds
-X's signed rows once, keyed by cell id, and checks d o d = 0 on them.  X[S]
-is X's cells whose vertices all lie in S (by vertex bitmask), on X's rows.
+Neither builds a new poset or complex: each selects from a ``Boundary``,
+which says why a selection needs no second d o d check.  X[S], the cells
+whose vertices all lie in S (by vertex bitmask), is selected from X's.
 For J, the cells tau >= sigma of X[S] are the face poset of a regular CW
 complex, the link of sigma (Bjorner 1984), whose barycentric subdivision
-is the order complex of (sigma, .); so the link's cellular chain complex
-has the reduced homology J needs.  Its rows, built and checked once per
-sigma, are X's rows of the cells tau > sigma less the faces not >= sigma,
-sigma the augmentation: C(X, X - st sigma) shifted down by dim sigma + 1.
-A selection closed downward in checked rows takes them whole and keeps
-d o d = 0: X[S] in X, and the link of sigma in X[S] in the full link.
+is the order complex of (sigma, .); so its cellular chain complex has the
+reduced homology J needs.  It is selected from sigma's link boundary:
+X's rows of the cells tau > sigma less the faces not >= sigma, sigma the
+augmentation, C(X, X - st sigma) shifted down by dim sigma + 1.
 
 Both come from one subset enumerator, ``_enumerate``.  It prepares X once
-per call: cell vertex masks and X's rows, read from P's validated tuples
-with no per-call id check (every id comes from P itself), and for J the
-link rows of each sigma and the vertex mask of its closed star.  What
+per call: cell vertex masks and X's boundary, read from P's validated
+tuples with no per-call id check (every id comes from P itself), and for
+J each sigma's link boundary and the vertex mask of its closed star.  What
 differs is the hit function: given the cells of X[S], the mask of S and a
 floor, it yields the rising dimensions j >= floor at which a reduced Betti
 number is nonzero, of X[S] for L and of a link (with its cell) for J.
@@ -50,8 +48,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .homology import (ChainComplex, Space, _check_dd, _signed_rows,
-                       top_nonzero_betti)
+from .homology import Boundary, Space, top_nonzero_betti
 from .poset import SimplicialComplex, SimplicialPoset
 
 
@@ -107,43 +104,39 @@ def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
     return Witness(S, j, sigma)
 
 
-def _leray_hits(P: SimplicialPoset, masks: list, rows: dict):
+def _leray_hits(P: SimplicialPoset, masks: list, X: Boundary):
     """L's hit function on P: the top nonzero reduced Betti dimension of
-    the cells of X[S] on X's rows, if >= floor.  ``S`` and ``rng`` are
+    the cells of X[S], selected from X, if >= floor.  ``S`` and ``rng`` are
     unused: distinct vertex sets give distinct X[S], and sampled L draws
     nothing beyond the subset."""
     dims = P._dims
 
     def hits(cells: list, S: int, floor: int, rng=None):
         if max(dims[c] for c in cells) >= floor:
-            j = top_nonzero_betti(
-                ChainComplex(cells, dims.__getitem__, rows.__getitem__), floor)
+            j = top_nonzero_betti(X.select(cells), floor)
             if j is not None:
                 yield j, None
     return hits
 
 
-def _j_hits(P: SimplicialPoset, masks: list, rows: dict):
+def _j_hits(P: SimplicialPoset, masks: list, X: Boundary):
     """J's hit function on P: rising top nonzero dimensions >= floor over
     the links of the cells of X[S], each with its cell; with ``rng``, of
     one random cell.
 
-    The link of sigma is sigma and the cells above it whose vertex masks
-    lie in S, in dimension dim tau - dim sigma - 1, sigma the augmentation,
-    on sigma's link rows.  Its reduced homology is that of the order
-    complex of (sigma, .), which subdivides it.  Its answer is kept by
-    sigma, S & star[sigma] and the floor.  The cell is drawn before any
-    pruning, so the random stream does not depend on the floor."""
+    The link of sigma in X[S] is sigma and the cells above it whose vertex
+    masks lie in S.  Its answer is kept by sigma, S & star[sigma] and the
+    floor.  The cell is drawn before any pruning, so the random stream
+    does not depend on the floor."""
     dims = P._dims
     lower_sets = P._lower_sets()
-    links: list[dict[int, dict]] = [{sigma: {}} for sigma in range(len(dims))]
+    rows: list[dict[int, dict]] = [{sigma: {}} for sigma in range(len(dims))]
     for t, lower in enumerate(lower_sets):
         for sigma in lower - {t}:
-            links[sigma][t] = {f: a for f, a in rows[t].items()
-                               if sigma in lower_sets[f]}
-    for link in links:
-        _check_dd(link)
-    star = [reduce(or_, map(masks.__getitem__, link)) for link in links]
+            rows[sigma][t] = {f: a for f, a in X.rows[t].items()
+                              if sigma in lower_sets[f]}
+    links = [Boundary(r) for r in rows]
+    star = [reduce(or_, map(masks.__getitem__, r)) for r in rows]
     memo: dict[tuple[int, int, int], int | None] = {}
 
     def hits(cells: list, S: int, floor: int, rng=None):
@@ -158,17 +151,14 @@ def _j_hits(P: SimplicialPoset, masks: list, rows: dict):
             return
         outside = ~S
         for sigma in sigmas:
-            shift = dims[sigma] + 1
-            # the link has dimension at most top - shift
-            if top - shift < floor:
+            # the link has dimension at most top - dim sigma - 1
+            if top - dims[sigma] <= floor:
                 continue
             key = (sigma, S & star[sigma], floor)
             if key not in memo:
                 link = links[sigma]
-                memo[key] = top_nonzero_betti(
-                    ChainComplex((t for t in link if not masks[t] & outside),
-                                 lambda t: dims[t] - shift, link.__getitem__),
-                    floor)
+                memo[key] = top_nonzero_betti(link.select(
+                    t for t in link.rows if not masks[t] & outside), floor)
             j = memo[key]
             if j is not None:
                 yield j, sigma
@@ -190,9 +180,7 @@ def _enumerate(X: Space, prepare, cap: int, sample: int | None,
         raise CapExceeded(len(V), cap)
     bit = {v: 1 << i for i, v in enumerate(V)}
     masks = [sum(bit[v] for v in vs) for vs in P._verts]
-    rows = _signed_rows(P._faces)
-    _check_dd(rows)
-    hits = prepare(P, masks, rows)
+    hits = prepare(P, masks, Boundary.of_faces(P._faces))
 
     def induced(S: tuple) -> tuple[list, int]:
         """The ids of the cells all of whose vertices lie in S, ascending,

@@ -311,17 +311,12 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> list[frozenset]:
-        non_max = set()
-        for s in self.simplices:
-            for v in s:
-                non_max.add(s - {v})
-        return [s for s in self.ordered_simplices()
-                if s and s not in non_max]
+        ids, faces = self.numbering()
+        below = {f for fs in faces for f in fs}
+        return [s for s, i in ids.items() if s and i not in below]
 
     def ordered_simplices(self) -> list[frozenset]:
-        """Every simplex, by dimension and then sorted vertex list; the
-        position of a simplex is its cell id in ``as_poset()`` (the empty
-        simplex is cell 0)."""
+        """Every simplex, by dimension and then sorted vertex list."""
         return sorted(self.simplices, key=lambda s: (len(s), sorted(s)))
 
     def simplices_of_dim(self, d: int) -> list[tuple]:
@@ -332,13 +327,17 @@ class SimplicialComplex:
         return SimplicialComplex((s for s in self.simplices if set(s) <= S),
                                  closed=True)
 
+    def numbering(self) -> tuple[dict[frozenset, int], list[tuple[int, ...]]]:
+        """Each simplex's id, its place in ``ordered_simplices``, and the face
+        ids of each, face i dropping the i-th smallest vertex: the cells of
+        ``as_poset()``."""
+        ids = {s: i for i, s in enumerate(self.ordered_simplices())}
+        return ids, [tuple(ids[s - {v}] for v in sorted(s)) for s in ids]
+
     def as_poset(self) -> SimplicialPoset:
-        """Face poset of the complex; cell ids follow ``ordered_simplices``."""
-        ordered = self.ordered_simplices()
-        idx = {s: i for i, s in enumerate(ordered)}
-        return build_poset(
-            CellRecord(len(s) - 1, tuple(idx[s - {v}] for v in sorted(s)))
-            for s in ordered)
+        """Face poset of the complex; cell ids follow ``numbering``."""
+        return build_poset(CellRecord(len(fs) - 1, fs)
+                           for fs in self.numbering()[1])
 
 
 def order_complex(elements: Iterable, leq: Callable[[object, object], bool]) -> SimplicialComplex:

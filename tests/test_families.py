@@ -203,30 +203,27 @@ class TestAmbientIndex:
         monkeypatch.setattr(multinerve.families, name, spy)
         return calls
 
-    def test_flipped_sign_is_caught(self, monkeypatch):
-        real = multinerve.families._signed_rows
-
-        def flipped(faces):
-            rows = real(faces)
-            for c, fs in enumerate(faces):
-                if len(fs) >= 3:
-                    f = fs[0]
-                    rows[c][f] = -rows[c][f]
-            return rows
-        monkeypatch.setattr(multinerve.families, "_signed_rows", flipped)
-        T = SimplicialComplex([(0, 1, 2)])
-        F = subcomplex_family(T, [T.simplices])
-        with pytest.raises(AssertionError):
-            region_betti(F, (0,))
-
     def test_checked_once_per_verify_and_no_region_complex(self, monkeypatch):
-        F = random_family("subcomplex", 5, 2)
-        checks = self._spy(monkeypatch, "_check_dd")
-        complexes = self._spy(monkeypatch, "SimplicialComplex")
-        verify_multinerve_theorem(F, 0)
-        assert len(F._betti_cache) > len(F)  # many regions were ranked
-        assert len(checks) == 1
-        assert complexes == []
+        # a subcomplex family checks d o d once, on T, a box family once
+        # per ranked region's nerve, and the multinerve once; neither
+        # family builds a region complex
+        from multinerve.homology import Boundary
+        from multinerve.poset import SimplicialComplex as Complex
+        checks, complexes = [], []
+        for cls, calls in ((Boundary, checks), (Complex, complexes)):
+            def spy(self, *args, real=cls.__init__, calls=calls, **kwargs):
+                calls.append(args)
+                real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", spy)
+        for backend in ("subcomplex", "box"):
+            F = random_family(backend, 5, 2)
+            del checks[:], complexes[:]
+            verify_multinerve_theorem(F, 0)
+            assert len(F._betti_cache) > len(F)  # many regions were ranked
+            ranked = sum(not b[-1] for b in F._betti_cache.values())
+            regions = 1 if backend == "subcomplex" else ranked
+            assert len(checks) == regions + 1
+            assert complexes == []
 
     def test_emptiness_and_helly_do_not_build_it(self, monkeypatch):
         T = SimplicialComplex([(0, 1), (1, 2), (0, 2)])

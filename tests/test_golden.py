@@ -2,14 +2,16 @@
 
 Reports, witnesses and exit codes stay byte-identical unless a change says
 why they differ.  Each family runs ``verify projection --t 1|2|3``,
-``verify helly`` and ``multinerve --t 1|2|3``; each space (a poset) runs
-``homology``, and ``leray`` and ``j-index`` exact and sampled.  The slack
+``verify helly`` and ``multinerve --t 1|2|3``; each space (a poset or a
+complex) runs ``homology``, and ``leray`` and ``j-index`` exact and
+sampled.  The slack
 checks run apart, ``verify multinerve --s 0|1`` and ``check-acyclic --s 0|1``,
 on the same families and one larger subcomplex family.  The sha256 of the
 exit codes and stdout of those calls is compared with the digest recorded
 here.  The families are the fixture families and ``mnv gen --n 5`` seeds
-0-5 of each backend; the spaces are ``double_edge.poset`` and
-``helpers.random_poset`` seeds 0-5.  To re-record after a deliberate
+0-5 of each backend; the spaces are ``double_edge.poset``,
+``helpers.random_poset`` seeds 0-5 and ``helpers.random_complex`` seeds 0-3
+(complex inputs pin the witness labels, read from the simplex numbering).  To re-record after a deliberate
 change, print ``digest``, ``slack_digest`` or ``space_digest`` of every input
 and say in the change why the bytes moved.
 """
@@ -21,10 +23,10 @@ import random
 from pathlib import Path
 
 import pytest
-from helpers import random_poset
+from helpers import random_complex, random_poset
 
 from multinerve.cli import main
-from multinerve.formats import write_poset
+from multinerve.formats import write_complex, write_poset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,6 +102,10 @@ SPACE_GOLDEN = {
     "random-3": "668da70d5c0f64ab760812c811d28abb9b084a3e321ab9e0c16a305dc532383d",
     "random-4": "c95568fdcc9d3458692d4d2317d29059f00cdee23e4d2b6588527049ff87b69e",
     "random-5": "e1c344589a5dc83acab26a2eb9b411974045bec439bc1ec989e3efcfabf69d87",
+    "complex-0": "4153dd8beae935c49be9377e232336c84c33fb58a930728650287c75b7c50ed7",
+    "complex-1": "4a90d0e3047175f533747c26772f7c85b768d4b31d81b3bfe167f20d0d8d5d37",
+    "complex-2": "141091b8872fcf16faf59d2a060d6659da9ccf0b93e381388f4d4c2903f34cb0",
+    "complex-3": "4a90d0e3047175f533747c26772f7c85b768d4b31d81b3bfe167f20d0d8d5d37",
 }
 
 
@@ -124,12 +130,17 @@ def _input_path(name: str, directory: Path) -> str:
 
 
 def _space_path(name: str, directory: Path) -> str:
-    """A fixture poset, or ``random-<seed>`` written to ``directory``."""
-    if not name.startswith("random-"):
+    """A fixture poset, or ``random-<seed>`` (a poset) or ``complex-<seed>``
+    written to ``directory``."""
+    kind, _, seed = name.partition("-")
+    if kind == "random":
+        text = write_poset(random_poset(random.Random(int(seed))))
+    elif kind == "complex":
+        text = write_complex(random_complex(random.Random(int(seed))))
+    else:
         return str(FIXTURES / name)
-    seed = int(name.split("-")[1])
-    path = directory / f"{name}.poset"
-    path.write_text(write_poset(random_poset(random.Random(seed))))
+    path = directory / name
+    path.write_text(text)
     return str(path)
 
 

@@ -98,9 +98,9 @@ class TestChainComplex:
     def test_dd_zero_is_asserted(self):
         # hand-built rows violating d o d = 0 must be rejected: the least
         # cell 0, vertices 1 and 2, and an edge 3 with entries +1, +1
-        from multinerve.homology import _check_dd
+        from multinerve.homology import Boundary
         with pytest.raises(AssertionError):
-            _check_dd({0: {}, 1: {0: 1}, 2: {0: 1}, 3: {1: 1, 2: 1}})
+            Boundary({0: {}, 1: {0: 1}, 2: {0: 1}, 3: {1: 1, 2: 1}})
 
 
 class TestReducedBetti:

@@ -7,10 +7,11 @@ import pytest
 from helpers import (cone_poset, j_oracle, leray_oracle, random_poset,
                      upper_interval_betti, with_isolated_vertices)
 
-from multinerve import (CapExceeded, SimplicialComplex, build_poset,
-                        chain_complex, j_index, leray_number, is_simplex,
-                        multinerve, random_family, reduced_betti,
-                        reduced_multinerve, upper_complexes)
+from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
+                        build_poset, chain_complex, j_index, leray_number,
+                        is_simplex, multinerve, random_family, reduced_betti,
+                        reduced_multinerve, region_betti, subcomplex_family,
+                        upper_complexes)
 from multinerve.fixtures import double_edge_poset
 from multinerve.leray import Witness
 from multinerve.poset import order_complex
@@ -194,14 +195,25 @@ class TestJOracle:
         assert checked >= 5
 
 
+def subcomplex_region_betti(K):
+    return region_betti(subcomplex_family(K, [K.simplices]), (0,))
+
+
+def box_region_betti(K):
+    # three pairwise-overlapping intervals: their nerve is K, a 2-simplex
+    return region_betti(box_family(1, [[box((0, 3)), box((1, 4)),
+                                        box((2, 5))]]), (0,))
+
+
 class TestDDChecked:
-    """d o d is checked on the rows the L/J enumeration selects from: a
-    sign flipped by the signed-row builder on cells of dimension >= 2 must
-    be caught by ``chain_complex``, ``leray_number`` and ``j_index``."""
+    """d o d is checked on every boundary chain complexes are selected
+    from: a sign flipped by the one signed-row builder on cells of
+    dimension >= 2 must be caught by ``chain_complex``, ``leray_number``,
+    ``j_index`` and both backends' ``region_betti``."""
 
     @pytest.fixture
     def flipped_signs(self, monkeypatch):
-        from multinerve import homology, leray
+        from multinerve import homology
         real = homology._signed_rows
 
         def flipped(faces):
@@ -212,13 +224,55 @@ class TestDDChecked:
                     rows[c][f] = -rows[c][f]
             return rows
 
-        for module in (homology, leray):
-            monkeypatch.setattr(module, "_signed_rows", flipped)
+        monkeypatch.setattr(homology, "_signed_rows", flipped)
 
-    @pytest.mark.parametrize("fn", [chain_complex, leray_number, j_index])
+    @pytest.mark.parametrize("fn", [chain_complex, leray_number, j_index,
+                                    subcomplex_region_betti,
+                                    box_region_betti])
     def test_flipped_sign_is_caught(self, flipped_signs, fn):
         with pytest.raises(AssertionError):
             fn(SimplicialComplex([(0, 1, 2)]))
+
+
+class TestBoundary:
+    """One ``Boundary`` (one d o d check) per space and per link, and a
+    cell's dimension in a selection is its row length."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from multinerve.homology import Boundary
+        real, rows = Boundary.__init__, []
+
+        def spy(self, r):
+            rows.append(r)
+            real(self, r)
+        monkeypatch.setattr(Boundary, "__init__", spy)
+        return rows
+
+    def test_one_per_leray_and_one_per_link(self, built):
+        P = random_poset(random.Random(3))
+        leray_number(P)
+        assert len(built) == 1
+        j_index(P)
+        assert len(built) == 2 + P.n_cells
+
+    def test_link_rows_give_link_dimensions(self, built):
+        from multinerve.homology import Boundary
+        rng = random.Random(8)
+        for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
+            del built[:]
+            j_index(P)
+            assert len(built) == 1 + P.n_cells
+            dims, lower = P._dims, P._lower_sets()
+            for rows in built[1:]:
+                # sigma, the link's augmentation, is its one empty row
+                [sigma] = [c for c, row in rows.items() if not row]
+                assert set(rows) == {t for t in P.cells() if sigma in lower[t]}
+                cc = Boundary(rows).select(rows)
+                for n, cells in cc.boundary.items():
+                    for t in cells:
+                        assert n == dims[t] - dims[sigma] - 1
+                assert cc.boundary[-1] == {sigma: {}}
 
 
 class TestLJRelations:
