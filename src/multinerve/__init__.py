@@ -8,7 +8,7 @@ from .poset import (CellRecord, PosetError, SimplicialComplex,
 from .homology import (BettiVector, Boundary, ChainComplex, chain_complex,
                        euler_characteristic, reduced_betti, sparse_rank)
 from .leray import (CapExceeded, LerayReport, Witness, is_simplex, j_index,
-                    leray_number)
+                    leray_and_j, leray_number)
 from .families import (Box, BoxUnionMember, ComponentLabel, FamilyError,
                        SetFamily, SubcomplexMember, box, box_family,
                        component_containing, components, is_acyclic_with_slack,

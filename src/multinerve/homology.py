@@ -222,8 +222,6 @@ def top_nonzero_betti(X: Space | ChainComplex, floor: int = 0) -> int | None:
         return ranks[n]
 
     for n in range(cc.top, floor - 1, -1):
-        if n < 0:
-            break
         if cc.size(n) - rank(n) - rank(n + 1):
             return n
     return None
@@ -234,15 +232,3 @@ def euler_characteristic(X: Space) -> int:
     cc = chain_complex(X)
     return sum((-1) ** n * cc.size(n) for n in range(0, cc.top + 1))
 
-
-def betti_sum_check(X: Space) -> bool:
-    """Euler characteristic equals the alternating sum of unreduced Betti numbers."""
-    b = reduced_betti(X)
-    if b[-1]:
-        # empty space: chi = 0 and no unreduced homology at all
-        return euler_characteristic(X) == 0
-    dims = [d for d, _ in b.items() if d >= 0]
-    top = max(dims) if dims else 0
-    unreduced = sum((-1) ** n * (b[n] + (1 if n == 0 else 0))
-                    for n in range(0, top + 1))
-    return euler_characteristic(X) == unreduced

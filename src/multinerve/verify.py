@@ -18,7 +18,7 @@ from .families import (SetFamily, _nerve_walk, box, box_family,
                        is_acyclic_with_slack, max_components, region_betti,
                        region_is_empty, subcomplex_family)
 from .homology import BettiVector, reduced_betti
-from .leray import CapExceeded, j_index, leray_number
+from .leray import CapExceeded, leray_and_j, leray_number
 from .nerve import canonical_projection, multinerve, nerve, reduced_multinerve
 from .poset import SimplicialComplex
 
@@ -160,9 +160,9 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     Also checks L <= J on the posets in play, the quotient bound
     J(M_red) <= max(J(M), t), the slack bound J(M) <= max(d_Gamma, s) when a
     verified slack is supplied, and the Helly-Leray link when the family has
-    empty intersection.  L and J run once per distinct poset among M, M_red
-    and the nerve's face poset.  Posets found with L < J are archived as
-    counterexample candidates rather than asserted either way.
+    empty intersection.  One walk gives L and J of each distinct poset among
+    M, M_red and the nerve's face poset.  Posets found with L < J are
+    archived as counterexample candidates rather than asserted either way.
     """
     R, f = reduced_multinerve(F, t)
     pi = canonical_projection(R)
@@ -171,12 +171,12 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     M, N = f.source, pi.target  # N: the nerve's face poset, same L and J
     r = pi.max_fiber
 
-    # J and L once per distinct poset: R is M at t = 1, and N for t > |F|
+    # one L and J walk per distinct poset: R is M at t = 1, and N for t > |F|
     posets = (M, R.poset, N)
     keys = [tuple(P.export_records()) for P in posets]
-    jl = {k: (j_index(P, cap=cap).value, leray_number(P, cap=cap).value)
+    lj = {k: tuple(rep.value for rep in leray_and_j(P, cap=cap))
           for k, P in dict(zip(keys, posets)).items()}
-    (j_m, l_m), (j_r, l_r), (j_n, l_n) = map(jl.__getitem__, keys)
+    (l_m, j_m), (l_r, j_r), (l_n, j_n) = map(lj.__getitem__, keys)
 
     report = BoundReport(instance_id(F))
     q = report.quantities

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from multinerve import (SimplicialComplex, SimplicialPoset, box_family,
-                        build_poset, random_family, subcomplex_family)
+                        build_poset, euler_characteristic, random_family,
+                        reduced_betti, subcomplex_family)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,23 @@ def betti_oracle_lattice(K: SimplicialComplex) -> dict[int, int]:
         if z - b:
             out[d] = z - b
     return out
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristic against the library's Betti numbers
+
+
+def betti_sum_check(X) -> bool:
+    """Euler characteristic equals the alternating sum of unreduced Betti numbers."""
+    b = reduced_betti(X)
+    if b[-1]:
+        # empty space: chi = 0 and no unreduced homology at all
+        return euler_characteristic(X) == 0
+    dims = [d for d, _ in b.items() if d >= 0]
+    top = max(dims) if dims else 0
+    unreduced = sum((-1) ** n * (b[n] + (1 if n == 0 else 0))
+                    for n in range(0, top + 1))
+    return euler_characteristic(X) == unreduced
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import betti_oracle_gj, betti_oracle_lattice, random_poset
+from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
+                     random_complex, random_poset)
 
 from multinerve import (BettiVector, SimplicialComplex, build_poset,
                         chain_complex, euler_characteristic, reduced_betti,
                         sparse_rank)
 from multinerve.fixtures import cycle_complex, double_edge_poset
-from multinerve.homology import betti_sum_check, top_nonzero_betti
+from multinerve.homology import top_nonzero_betti
 
 
 def bv(d):
@@ -145,6 +146,24 @@ class TestReducedBetti:
         assert top_nonzero_betti(K, floor=2) is None
         full = SimplicialComplex([(0, 1, 2)])
         assert top_nonzero_betti(full, floor=0) is None
+
+    def test_top_nonzero_reaches_dimension_minus_one(self):
+        assert top_nonzero_betti(SimplicialComplex([]), -1) == -1
+        assert top_nonzero_betti(build_poset([]), -1) == -1
+        assert top_nonzero_betti(SimplicialComplex([]), 0) is None
+
+    def test_top_nonzero_matches_reduced_betti_at_every_floor(self):
+        rng = random.Random(14)
+        spaces = [random_poset(rng) for _ in range(20)]
+        spaces += [random_complex(rng) for _ in range(20)]
+        spaces.append(SimplicialComplex([]))
+        for X in spaces:
+            support = [n for n, _ in reduced_betti(X).items()]
+            top = chain_complex(X).top
+            for floor in range(-1, top + 2):
+                above = [n for n in support if n >= floor]
+                assert top_nonzero_betti(X, floor) == \
+                    (max(above) if above else None)
 
 
 class TestEuler:

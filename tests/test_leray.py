@@ -8,7 +8,8 @@ from helpers import (cone_poset, j_oracle, leray_oracle, random_poset,
                      upper_interval_betti, with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
-                        build_poset, chain_complex, j_index, leray_number,
+                        build_poset, chain_complex, j_index, leray_and_j,
+                        leray_number,
                         is_simplex, multinerve, random_family, reduced_betti,
                         reduced_multinerve, region_betti, subcomplex_family,
                         upper_complexes)
@@ -195,6 +196,90 @@ class TestJOracle:
         assert checked >= 5
 
 
+class TestLerayAndJ:
+    """One walk gives exactly (leray_number(X), j_index(X)): values, modes
+    and witnesses."""
+
+    @staticmethod
+    def check(X):
+        both = leray_and_j(X)
+        assert both == (leray_number(X), j_index(X))
+        return both
+
+    def test_random_posets_with_duplicated_cells(self):
+        rng = random.Random(21)
+        duplicated = 0
+        for _ in range(30):
+            P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=4)
+            duplicated += P.n_cells > len({P.vertices_of(c) for c in P.cells()})
+            self.check(P)
+        assert duplicated
+
+    def test_double_edge_cones_and_isolated_vertices(self):
+        L, J = self.check(double_edge_poset())
+        assert L.value == J.value == 2
+        rng = random.Random(22)
+        for k in (1, 2, 3):
+            for _ in range(3):
+                P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+                self.check(cone_poset(P))
+                self.check(with_isolated_vertices(P, k))
+
+    def test_complexes_give_witnesses_in_vertex_labels(self):
+        K = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c"), ("d",)])
+        L, J = self.check(K)
+        assert L.witness == Witness(("a", "b", "c"), 1)
+        assert J.witness == Witness(("a", "b", "c"), 1, ())
+        rng = random.Random(23)
+        for _ in range(15):
+            facets = [rng.sample("uvwxy", rng.randrange(1, 4))
+                      for _ in range(rng.randrange(6))]
+            self.check(SimplicialComplex(facets))
+
+    @pytest.mark.parametrize("backend,kw", [
+        ("box", {"ambient_dim": 2}),
+        ("subcomplex", {"grid": 4, "stars_per_member": 1}),
+    ])
+    def test_six_vertex_multinerves(self, backend, kw):
+        for seed in range(4):
+            F = random_family(backend, 6, seed, boxes_per_member=1, **kw)
+            self.check(multinerve(F).poset)
+
+    def test_links_asked_as_by_j_alone(self, monkeypatch):
+        # J's own links decide J wherever L < J, so the walk must ask them
+        # just as a lone j_index does, even where L = J
+        from multinerve.homology import Boundary
+        real, asked = Boundary.select, []
+
+        def spy(self, cells):
+            cells = list(cells)
+            [sigma] = [c for c, row in self.rows.items() if not row]
+            if sigma != 0:
+                asked.append((sigma, tuple(cells)))
+            return real(self, cells)
+        monkeypatch.setattr(Boundary, "select", spy)
+        rng, links = random.Random(24), 0
+        for _ in range(10):
+            P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=4)
+            del asked[:]
+            j_index(P)
+            alone = list(asked)
+            del asked[:]
+            leray_and_j(P)
+            assert asked == alone
+            links += len(alone)
+        assert links
+
+    def test_cap_refusal(self):
+        K = SimplicialComplex([(i,) for i in range(6)])
+        with pytest.raises(CapExceeded) as both:
+            leray_and_j(K, cap=4)
+        for index in (leray_number, j_index):
+            with pytest.raises(CapExceeded) as alone:
+                index(K, cap=4)
+            assert str(both.value) == str(alone.value)
+
+
 def subcomplex_region_betti(K):
     return region_betti(subcomplex_family(K, [K.simplices]), (0,))
 
@@ -250,11 +335,14 @@ class TestBoundary:
         return rows
 
     def test_one_per_leray_and_one_per_link(self, built):
+        # the least cell's link is X itself, so it takes X's boundary
         P = random_poset(random.Random(3))
         leray_number(P)
         assert len(built) == 1
         j_index(P)
-        assert len(built) == 2 + P.n_cells
+        assert len(built) == 1 + P.n_cells
+        leray_and_j(P)
+        assert len(built) == 1 + 2 * P.n_cells
 
     def test_link_rows_give_link_dimensions(self, built):
         from multinerve.homology import Boundary
@@ -262,7 +350,7 @@ class TestBoundary:
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
             del built[:]
             j_index(P)
-            assert len(built) == 1 + P.n_cells
+            assert len(built) == P.n_cells
             dims, lower = P._dims, P._lower_sets()
             for rows in built[1:]:
                 # sigma, the link's augmentation, is its one empty row

@@ -123,7 +123,7 @@ class TestProjectionBound:
 
     def test_l_and_j_run_once_per_distinct_poset(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("j_index", "leray_number"):
+        for name in ("leray_and_j", "leray_number"):
             def spy(*args, _name=name, _real=getattr(multinerve.verify, name),
                     **kwargs):
                 calls[_name] += 1
@@ -131,7 +131,7 @@ class TestProjectionBound:
             monkeypatch.setattr(multinerve.verify, name, spy)
         # R_1 is the multinerve, a double edge here, not the nerve's edge
         rep = verify_projection_bound(two_arc_circle_family(), t=1)
-        assert calls == {"j_index": 2, "leray_number": 2}
+        assert calls == {"leray_and_j": 2}
         assert rep.quantities["J_reduced"] == rep.quantities["J_multinerve"]
 
     def test_random_instances_all_pass(self):
