@@ -93,14 +93,11 @@ def parse_poset(text: str, path: str = "<string>") -> SimplicialPoset:
 
 def write_complex(K: SimplicialComplex) -> str:
     """complex.v1: one nonempty simplex per line, sorted; line order is the
-    simplex id used by family.v1 member lists."""
+    simplex id used by family.v1 member lists, ``simplex_ids`` less one
+    (the empty simplex, id 0, is not listed)."""
     out = ["complex v1"]
     out.extend(" ".join(map(str, sorted(s))) for s in K.ordered_simplices()[1:])
     return "\n".join(out) + "\n"
-
-
-def complex_simplex_ids(K: SimplicialComplex) -> dict[frozenset, int]:
-    return {s: i for i, s in enumerate(K.ordered_simplices()[1:])}
 
 
 def parse_complex(text: str, path: str = "<string>") -> SimplicialComplex:
@@ -149,11 +146,11 @@ def write_family(F: SetFamily) -> str:
         out = [f"family v1 subcomplex {F.ambient.dim}"]
         if F.gamma_dim_assumed:
             out.append(f"gamma-dim {F.gamma_dim}")
-        ids = complex_simplex_ids(F.ambient)
+        ids = F.ambient.simplex_ids()
         out.append(write_complex(F.ambient).rstrip("\n"))
         out.append("end complex")
         for m in F.members:
-            sids = sorted(ids[s] for s in m.simplices)
+            sids = sorted(ids[s] - 1 for s in m.simplices)
             out.append(("member " + " ".join(str(i) for i in sids)).rstrip())
         return "\n".join(out) + "\n"
     out = [f"family v1 box {F.ambient}"]
@@ -247,7 +244,7 @@ def parse_family(text: str, path: str = "<string>",
         raise ParseError(path, lines[pos][0],
                          f"triangulation dimension {T.dim} != declared {ambient}")
     pos += 1
-    by_id = {i: s for s, i in complex_simplex_ids(T).items()}
+    by_id = {i - 1: s for s, i in T.simplex_ids().items() if s}
     member_lists = []
     for lineno, line in lines[pos:]:
         toks = line.split()

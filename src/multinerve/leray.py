@@ -10,34 +10,88 @@ Neither builds a new poset or complex: each selects from a ``Boundary``,
 which says why a selection needs no second d o d check.  X[S], the cells
 whose vertices all lie in S (by vertex bitmask), is selected from X's.
 For J, the cells tau >= sigma of X[S] are the face poset of a regular CW
-complex, the link of sigma (Bjorner 1984), whose barycentric subdivision
-is the order complex of (sigma, .); so its cellular chain complex has the
-reduced homology J needs.  It is selected from sigma's link boundary:
-X's rows of the cells tau > sigma less the faces not >= sigma, sigma the
-augmentation, C(X, X - st sigma) shifted down by dim sigma + 1.  At the
-least cell (dimension -1, and id 0, as faces have smaller ids) nothing is
-left out and the shift is 0: the link is X[S] with X's rows.  So L is J's
-term at the least cell, and one walk serves both.
+complex, the link Lk(sigma, X[S]) (Bjorner 1984), whose barycentric
+subdivision is the order complex of (sigma, .); so its cellular chain
+complex has the reduced homology J needs.  It is selected from sigma's
+link boundary: X's rows of the cells tau > sigma less the faces not
+>= sigma, sigma the augmentation, C(X, X - st sigma) shifted down by
+dim sigma + 1.  At the least cell (dimension -1, and id 0, as faces have
+smaller ids) nothing is left out and the shift is 0: the link is X[S]
+with X's rows.  So L is J's term at the least cell, and one walk serves
+both.
 
-``_enumerate`` is that walk, told which indices are wanted.  It prepares X
-once per call: cell vertex masks and X's boundary, read from P's validated
-tuples with no per-call id check (every id comes from P itself), and for
-J each other cell's link boundary and the vertex mask of its closed star.
-A hit is a dimension j >= floor at which a reduced Betti number is
-nonzero: of X[S] (the least cell's answer, L's hit), or of the link of a
-cell of X[S] above the least, which J also asks.  Link answers are
-memoized for the call by (sigma, S & star sigma, floor): the link holds
-only cells above sigma, whose vertices lie in star sigma, so two vertex
-sets that agree on star sigma give the same link.  An index's value is
-one more than its largest hit.  The walk has three passes:
+Most queries need no rank, because a smaller subset gives the same
+homology.
+
+Lemma.  Take x, y in S, outside vert(sigma).  Suppose every cell
+tau > sigma of X[S] with x and without y has exactly one cover tau + y
+with vertex set vert(tau) + y.  Then Lk(sigma, X[S]) and
+Lk(sigma, X[S - x]) have the same reduced homology.
+
+Proof.  Let C be the link's chain complex and C' its subcomplex on the
+cells without x, the chain complex of Lk(sigma, X[S - x]); D = C / C' has
+the cells with x as a basis.  A cell rho of D with y has one face tau
+without y (its Boolean interval [least, rho] holds one cell per vertex
+subset), and tau is in D, so rho = tau + y; each other face of rho in D is
+phi + y for a face phi of tau in D, again by Boolean intervals and the
+uniqueness of covers by y.  Let h send tau in D without y to
+e(tau) (tau + y), e(tau) = +-1 the entry of tau in the row of tau + y,
+and the cells with y to 0.  d o d = 0 on the square phi < tau,
+phi + y < tau + y gives e(tau) [tau + y : phi + y] = -e(phi) [tau : phi],
+so dh + hd = 1 on D.  D is contractible, and the long exact sequence of
+0 -> C' -> C -> D -> 0 gives H(C') = H(C).  The pairs (tau, tau + y)
+form an acyclic matching (Forman 1998); for complexes at the least cell
+this is the strong collapse of a dominated vertex (Barmak-Minian 2012).
+
+At the least cell the cells with x are those >= the vertex x.  Above it,
+when sigma has one cover a with vertex set vert(sigma) + x, they are the
+cells >= a ([sigma, tau] is Boolean too); when it has two, a and a', the
+cells >= a' must be matched as well.  Take a vertex sigma joined to x by
+two edges a, a' and to y by an edge b, with an edge xy and one triangle,
+on a, b and xy.  Every cell >= a is matched by y, yet
+Lk(sigma, X[{sigma, x, y}]), the edge a-b and the point a', has two
+components, and Lk(sigma, X[{sigma, y}]), the point b, has one; a' has
+no cover by y, so the lemma does not apply.  "Exactly one" is needed too:
+in the double edge, x and y joined by two edges, x has two covers by y,
+and X[{x, y}] is a circle while X[{y}] is a point.
+
+The lemma's data depend on S only through vertex masks.  One pass over
+the faces notes, for each cell, the vertices by which it has exactly one
+cover.  On sigma's first query the walk keeps its pairs (x, y), each with
+the minimal vertex masks of its bad cells: the cells > sigma with x and
+without y whose cover by y is missing or not unique.  x is dominated in S
+at sigma when x and y are in S and no bad mask lies inside S; then
+(sigma, S) is not asked.  (sigma, S - x) has the same answer at every
+floor: the exact pass visits it later at a floor no lower, so a hit it
+gives is counted there or is below a hit already counted, and a witness
+pass visits it earlier at the same floor, so the first hit of a pass is
+never dominated.  Values and witnesses are those of the walk without
+pruning.  The sampled pass does not prune: it need never draw the smaller
+subset, so pruning would lower its bound and move its witness.
+
+``_enumerate`` is that walk, told which indices are wanted.  It prepares
+X once per call: cell vertex masks, unique covers and X's boundary, read
+from P's validated tuples with no per-call id check (every id comes from
+P itself); per cell, on its first query, the cells above it, the vertex
+mask of its closed star and its pairs, and on its first rank its link
+boundary.  A hit is a dimension j >= floor at which a reduced Betti
+number is nonzero: of X[S] (the least cell's answer, L's hit), or of the
+link of a cell of X[S] above the least, which J also asks.  Link answers
+are memoized for the call by (sigma, S & star sigma, floor): the link
+holds only cells above sigma, whose vertices lie in star sigma, so two
+vertex sets that agree on star sigma give the same link (and the same
+pairs).  An index's value is one more than its largest hit.  The walk has
+three passes:
 
 * exact: every vertex subset, largest first, with each floor raised past
   each hit, until every wanted value reaches dim + 1.  X[S] is asked once,
   at L's floor when L is wanted and at J's otherwise; J counts its answer
   when it is >= J's floor;
-* witness, per index: the subsets of the sorted vertices, smallest first,
-  at floor value - 1; nothing is alive above that, so the first hit is a
-  nonzero Betti number in dimension value - 1;
+* witness: the subsets of the sorted vertices, smallest first, at floor
+  value - 1; nothing is alive above that, so the first hit is a nonzero
+  Betti number in dimension value - 1.  When L = J one pass finds both:
+  X[S] is asked before S's links, so J's witness is found by L's, and
+  S's links are asked only until it is;
 * sampled, instead of both, for one index: random subsets (and for J one
   random cell each), which give a labeled lower bound.
 
@@ -109,37 +163,69 @@ def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
     return Witness(S, j, sigma)
 
 
-def _link_tops(P: SimplicialPoset, masks: list, X: Boundary):
-    """J's answers on P above the least cell (id 0, as faces have smaller
-    ids): the top nonzero reduced Betti dimension >= floor of the link of
-    sigma in X[S], or None.
+def _vertex_masks(P: SimplicialPoset) -> tuple[dict, list, list]:
+    """Each vertex's bit (the i-th of P's vertex order has bit i), each
+    cell's vertex mask, and each cell's unique covers: the bits y for which
+    it has exactly one cover with vertex set vert + y; one pass over the
+    faces."""
+    bit = {v: 1 << i for i, v in enumerate(P.vertex_order)}
+    masks: list[int] = []
+    once: list[int] = []
+    twice: list[int] = []
+    for c, fs in enumerate(P._faces):
+        m = reduce(or_, map(masks.__getitem__, fs), bit.get(c, 0))
+        masks.append(m)
+        once.append(0)
+        twice.append(0)
+        for f in fs:
+            y = m & ~masks[f]
+            twice[f] |= once[f] & y
+            once[f] |= y
+    return bit, masks, [a & ~b for a, b in zip(once, twice)]
 
-    The link of sigma in X[S] is sigma and the cells above it whose vertex
-    masks lie in S.  Its answer is kept by sigma, S & star[sigma] and the
-    floor."""
-    dims = P._dims
-    lower_sets = P._lower_sets()
-    rows: list[dict[int, dict]] = [{sigma: {}} for sigma in range(len(dims))]
-    for t, lower in enumerate(lower_sets):
-        for sigma in lower - {0, t}:
-            rows[sigma][t] = {f: a for f, a in X.rows[t].items()
-                              if sigma in lower_sets[f]}
-    links = {sigma: Boundary(rows[sigma]) for sigma in range(1, len(dims))}
-    star = {sigma: reduce(or_, map(masks.__getitem__, link.rows))
-            for sigma, link in links.items()}
-    memo: dict[tuple[int, int, int], int | None] = {}
 
-    def link_top(sigma: int, S: int, top: int, floor: int) -> int | None:
-        # the link has dimension at most top - dim sigma - 1
-        if top - dims[sigma] <= floor:
-            return None
-        key = (sigma, S & star[sigma], floor)
-        if key not in memo:
-            link, outside = links[sigma], ~S
-            memo[key] = top_nonzero_betti(link.select(
-                t for t in link.rows if not masks[t] & outside), floor)
-        return memo[key]
-    return link_top
+def _bits(m: int):
+    while m:
+        b = m & -m
+        yield b
+        m ^= b
+
+
+def _pairs(sigma: int, above: list, masks: list, unique: list) -> list:
+    """The lemma's pairs at sigma, as (the bits of x and y, x's bit, the
+    minimal vertex masks of the bad cells): the cells > sigma with x and
+    without y whose cover by y is missing or not unique.  ``above``: the
+    cells > sigma.  A pair is left out when a cover of sigma by x is bad,
+    as X[S] holds it whenever x is in S."""
+    pairs = []
+    base = masks[sigma]
+    for x in _bits(reduce(or_, map(masks.__getitem__, above), 0) & ~base):
+        up = [t for t in above if masks[t] & x]
+        near = base | x
+        for y in _bits(reduce(or_, map(masks.__getitem__, up)) & ~near):
+            bad = {masks[t] for t in up if not (masks[t] | unique[t]) & y}
+            if near in bad:
+                continue
+            kept: list[int] = []
+            for m in sorted(bad, key=int.bit_count):
+                if all(k & ~m for k in kept):
+                    kept.append(m)
+            pairs.append((x | y, x, kept))
+    return pairs
+
+
+def _dominated(pairs: list, S: int) -> int:
+    """The bit of a vertex x dominated in the vertex mask S by one of
+    ``pairs`` (x and y in S, no bad cell in X[S]), or 0."""
+    outside = ~S
+    for need, x, bad in pairs:
+        if not need & outside:
+            for m in bad:
+                if not m & outside:
+                    break
+            else:
+                return x
+    return 0
 
 
 def _subsets(V: list, sizes: range):
@@ -153,19 +239,61 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
     V = list(P.vertex_order)
     if sample is None and len(V) > cap:
         raise CapExceeded(len(V), cap)
-    bit = {v: 1 << i for i, v in enumerate(V)}
-    masks = [sum(bit[v] for v in vs) for vs in P._verts]
-    dims = P._dims
+    bit, masks, unique = _vertex_masks(P)
+    dims, lower_sets = P._dims, P._lower_sets()
     boundary = Boundary.of_faces(P._faces)
-    link_top = _link_tops(P, masks, boundary) if want_j else None
+    stars: dict[int, tuple[int, list, list]] = {}
+    links: dict[int, Boundary] = {}
+    memo: dict[tuple[int, int, int], int | None] = {}
 
-    def induced(S: tuple) -> tuple[list, int, int]:
-        """The ids of the cells all of whose vertices lie in S, ascending,
-        the vertex mask of S and the top cell dimension."""
-        inside = sum(bit[v] for v in S)
-        outside = ~inside
+    def star(sigma: int) -> tuple[int, list, list]:
+        """The vertex mask of sigma's closed star, the cells above sigma
+        and the lemma's pairs at sigma (none when sampling), built on
+        sigma's first query."""
+        if sigma not in stars:
+            above = [t for t in range(sigma + 1, len(dims))
+                     if sigma in lower_sets[t]]
+            stars[sigma] = (reduce(or_, map(masks.__getitem__, above),
+                                   masks[sigma]), above,
+                            [] if sample is not None
+                            else _pairs(sigma, above, masks, unique))
+        return stars[sigma]
+
+    def link_top(sigma: int, S: int, top: int, floor: int) -> int | None:
+        """J's answer above the least cell: the top nonzero reduced Betti
+        dimension >= floor of the link of sigma in X[S], or None; None too
+        when the link is dominated.  The link of sigma in X[S] is sigma and
+        the cells above it whose vertex masks lie in S, selected from
+        sigma's link boundary, built on its first rank.  Its answer is kept
+        by sigma, S & star[sigma] and the floor."""
+        # the link has dimension at most top - dim sigma - 1
+        if top - dims[sigma] <= floor:
+            return None
+        key = (sigma, S & star(sigma)[0], floor)
+        if key not in memo:
+            if _dominated(star(sigma)[2], S):
+                memo[key] = None
+            else:
+                rows, outside = link(sigma).rows, ~S
+                memo[key] = top_nonzero_betti(links[sigma].select(
+                    t for t in rows if not masks[t] & outside), floor)
+        return memo[key]
+
+    def link(sigma: int) -> Boundary:
+        if sigma not in links:
+            rows = {sigma: {}}
+            for t in star(sigma)[1]:
+                rows[t] = {f: a for f, a in boundary.rows[t].items()
+                           if sigma in lower_sets[f]}
+            links[sigma] = Boundary(rows)
+        return links[sigma]
+
+    def induced(S: int) -> tuple[list, int]:
+        """The ids of the cells all of whose vertices lie in the vertex
+        mask S, ascending, and the top cell dimension."""
+        outside = ~S
         cells = [c for c, m in enumerate(masks) if not m & outside]
-        return cells, inside, max(dims[c] for c in cells)
+        return cells, max(dims[c] for c in cells)
 
     def least(cells: list, top: int, floor: int) -> int | None:
         """L's answer on X[S], which is J's at the least cell."""
@@ -173,15 +301,25 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
             return top_nonzero_betti(boundary.select(cells), floor)
         return None
 
-    def hits(cells: list, S: int, top: int, floor: int, a: int | None,
-             links: bool):
-        """Rising hits >= floor in X[S], each with its cell (None for L):
-        ``a``, the least cell's answer asked at a floor <= floor, then with
-        ``links`` those of the links of the cells above it."""
+    def visit(S: tuple, floor: int, links_wanted: bool):
+        """X[S]'s vertex mask, cells, top dimension and least cell's answer
+        at floor, None when X[S] is dominated; or None when it is and its
+        links are not wanted, so that it is not even induced."""
+        inside = sum(bit[v] for v in S)
+        pruned = _dominated(star(0)[2], inside)
+        if pruned and not links_wanted:
+            return None
+        cells, top = induced(inside)
+        return inside, cells, top, None if pruned else least(cells, top, floor)
+
+    def hits(cells: list, S: int, top: int, floor: int, a: int | None):
+        """J's rising hits >= floor in X[S], each with its cell: ``a``, the
+        least cell's answer asked at a floor <= floor, then those of the
+        links of the cells above it."""
         if a is not None and a >= floor:
-            yield a, 0 if links else None
+            yield a, 0
             floor = a + 1
-        for sigma in cells[1:] if links else ():
+        for sigma in cells[1:]:
             j = link_top(sigma, S, top, floor)
             if j is not None:
                 yield j, sigma
@@ -194,7 +332,8 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
         best, witness = 0, None
         for _ in range(sample):
             S = tuple(v for v in V if rng.random() < 0.5)
-            cells, inside, top = induced(S)
+            inside = sum(bit[v] for v in S)
+            cells, top = induced(inside)
             sigma = None  # L's; for J, 0 is the least cell, asked as L
             if want_j:
                 if len(cells) < 2:
@@ -213,29 +352,49 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
         floor = L if want_l else J
         if floor == ceiling:
             break
-        cells, inside, top = induced(S)
-        a = least(cells, top, floor)
+        links_wanted = want_j and J < ceiling
+        seen = visit(S, floor, links_wanted)
+        if seen is None:
+            continue
+        inside, cells, top, a = seen
         if want_l and a is not None:
             L = a + 1
-        if want_j and J < ceiling:
-            for j, _ in hits(cells, inside, top, J, a, True):
+        if links_wanted:
+            for j, _ in hits(cells, inside, top, J, a):
                 J = j + 1
 
-    def report(value: int, links: bool) -> LerayReport:
-        if value == 0:
-            return LerayReport(0, "exact", None)
-        # nothing is alive at or above dimension value, so the first hit at
-        # floor value - 1 is a nonzero Betti number in that dimension
-        floor = value - 1
+    def first_hits(floor: int, want_l: bool, want_j: bool) -> tuple:
+        """The witnesses of L's first hit at floor (when wanted) and of J's
+        (when wanted), over the subsets of the sorted vertices, smallest
+        first.  X[S] is asked before S's links, so J's is found by the time
+        L's is."""
+        wj = None
         for S in _subsets(sorted(V), range(len(V) + 1)):
-            cells, inside, top = induced(S)
-            a = least(cells, top, floor)
-            for j, sigma in hits(cells, inside, top, floor, a, links):
-                return LerayReport(value, "exact", _witness(X, S, j, sigma))
+            links_wanted = want_j and wj is None
+            seen = visit(S, floor, links_wanted)
+            if seen is None:
+                continue
+            inside, cells, top, a = seen
+            if links_wanted:
+                hit = next(hits(cells, inside, top, floor, a), None)
+                if hit is not None:
+                    wj = _witness(X, S, *hit)
+            if want_l and a is not None:
+                return _witness(X, S, a, None), wj
+            if wj is not None and not want_l:
+                return None, wj
         raise AssertionError("no witness found for the computed value")
 
-    return tuple(report(value, links) for want, value, links
-                 in ((want_l, L, False), (want_j, J, True)) if want)
+    # nothing is alive at or above dimension value, so the first hit at
+    # floor value - 1 is a nonzero Betti number in that dimension; when
+    # L = J one pass finds both
+    if want_l and want_j and L == J:
+        wl, wj = first_hits(L - 1, True, True) if L else (None, None)
+    else:
+        wl = first_hits(L - 1, True, False)[0] if want_l and L else None
+        wj = first_hits(J - 1, False, True)[1] if want_j and J else None
+    return tuple(LerayReport(value, "exact", w) for want, value, w
+                 in ((want_l, L, wl), (want_j, J, wj)) if want)
 
 
 def leray_number(X: Space, cap: int = 16,

@@ -327,11 +327,16 @@ class SimplicialComplex:
         return SimplicialComplex((s for s in self.simplices if set(s) <= S),
                                  closed=True)
 
+    def simplex_ids(self) -> dict[frozenset, int]:
+        """Each simplex's id, its place in ``ordered_simplices``: the cell
+        ids of ``as_poset()``.  family.v1 lists a nonempty simplex under
+        its id less one."""
+        return {s: i for i, s in enumerate(self.ordered_simplices())}
+
     def numbering(self) -> tuple[dict[frozenset, int], list[tuple[int, ...]]]:
-        """Each simplex's id, its place in ``ordered_simplices``, and the face
-        ids of each, face i dropping the i-th smallest vertex: the cells of
-        ``as_poset()``."""
-        ids = {s: i for i, s in enumerate(self.ordered_simplices())}
+        """``simplex_ids`` and the face ids of each simplex, face i dropping
+        the i-th smallest vertex: the cells of ``as_poset()``."""
+        ids = self.simplex_ids()
         return ids, [tuple(ids[s - {v}] for v in sorted(s)) for s in ids]
 
     def as_poset(self) -> SimplicialPoset:

@@ -143,6 +143,45 @@ def leray_oracle(K: SimplicialComplex) -> int:
     return best
 
 
+def poset_betti_gj(P: SimplicialPoset, cells) -> dict[int, int]:
+    """Reduced Betti numbers of the cells ``cells`` of P, a set closed
+    downward, via dense Gauss-Jordan ranks: face i of a cell enters its
+    boundary row as (-1)^i."""
+    by_dim: dict[int, list] = {}
+    for c in sorted(cells):
+        by_dim.setdefault(P.dim_of(c), []).append(c)
+    index = {d: {c: i for i, c in enumerate(cs)} for d, cs in by_dim.items()}
+    ranks = {}
+    for d, cs in by_dim.items():
+        if d >= 0:
+            rows = []
+            for c in cs:
+                row = [0] * len(by_dim[d - 1])
+                for i, f in enumerate(P.faces_of(c)):
+                    row[index[d - 1][f]] += (-1) ** i
+                rows.append(row)
+            ranks[d] = gauss_jordan_rank(rows)
+    out = {}
+    for d, cs in by_dim.items():
+        b = len(cs) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if b:
+            out[d] = b
+    return out
+
+
+def poset_leray_oracle(P: SimplicialPoset) -> int:
+    """L(P) from the definition: one more than the largest dimension >= 0
+    with nonzero reduced homology of an induced subposet, else 0."""
+    best = 0
+    for size in range(len(P.vertex_order) + 1):
+        for S in combinations(P.vertex_order, size):
+            cells = [c for c in P.cells() if P.vertices_of(c) <= set(S)]
+            for d in poset_betti_gj(P, cells):
+                if d >= 0:
+                    best = max(best, d + 1)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # classical barycentric subdivision of a complex, built from subsets
 

@@ -1,11 +1,13 @@
 """Leray number and J index: exact values, witnesses, caps, sampling."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import (cone_poset, j_oracle, leray_oracle, random_poset,
-                     upper_interval_betti, with_isolated_vertices)
+from helpers import (cone_poset, j_oracle, leray_oracle, poset_betti_gj,
+                     poset_leray_oracle, random_poset, upper_interval_betti,
+                     with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
                         build_poset, chain_complex, j_index, leray_and_j,
@@ -14,7 +16,7 @@ from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
                         reduced_multinerve, region_betti, subcomplex_family,
                         upper_complexes)
 from multinerve.fixtures import double_edge_poset
-from multinerve.leray import Witness
+from multinerve.leray import LerayReport, Witness
 from multinerve.poset import order_complex
 
 
@@ -280,6 +282,126 @@ class TestLerayAndJ:
             assert str(both.value) == str(alone.value)
 
 
+class TestDomination:
+    """The walk skips each X[S] and link query whose homology a smaller
+    subset gives (the lemma in ``leray``): values and witnesses against
+    oracles that ask every induced subposet and every link."""
+
+    @staticmethod
+    def check(P):
+        L, J = leray_and_j(P)
+        assert (L, J) == (leray_number(P), j_index(P))
+        assert L.value == poset_leray_oracle(P)
+        if L.witness is not None:
+            w = L.witness
+            cells = [c for c in P.cells() if P.vertices_of(c) <= set(w.S)]
+            assert poset_betti_gj(P, cells).get(L.value - 1)
+        # past about 20 cells the J oracle's chain enumeration takes seconds
+        if P.n_cells <= 20:
+            assert J.value == j_oracle(P)
+        if J.witness is not None:
+            w = J.witness
+            assert upper_interval_betti(P, w.S, w.sigma).get(J.value - 1)
+        return L, J
+
+    def test_lemma_against_link_homology(self):
+        # wherever the test finds x dominated in S at sigma, the link of
+        # sigma in X[S] has the homology of its link in X[S - x]: on the
+        # double edge, on sigma with two covers by x (one matched by y, see
+        # the ``leray`` docstring), and on random posets and cones
+        from multinerve.leray import _dominated, _pairs, _vertex_masks
+        rng = random.Random(33)
+        randoms = [random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+                   for _ in range(30)]
+        two_covers = build_poset([(-1, []), (0, [0]), (0, [0]), (0, [0]),
+                                  (1, [2, 1]), (1, [2, 1]), (1, [3, 1]),
+                                  (1, [3, 2]), (2, [7, 6, 4])])
+        skipped = 0
+        for P in ([double_edge_poset(), two_covers] + randoms
+                  + [cone_poset(P) for P in randoms[:10]]):
+            bit, masks, unique = _vertex_masks(P)
+            lower = P._lower_sets()
+            V = P.vertex_order
+            for sigma in P.cells():
+                above = [t for t in P.cells()
+                         if t != sigma and sigma in lower[t]]
+                pairs = _pairs(sigma, above, masks, unique)
+                for size in range(len(V) + 1):
+                    for S in combinations(V, size):
+                        if not P.vertices_of(sigma) <= set(S):
+                            continue
+                        x = _dominated(pairs, sum(bit[v] for v in S))
+                        if x:
+                            [v] = [v for v in S if bit[v] == x]
+                            rest = [u for u in S if u != v]
+                            assert (upper_interval_betti(P, S, sigma)
+                                    == upper_interval_betti(P, rest, sigma))
+                            skipped += 1
+        assert skipped > 300
+
+    def test_random_posets_with_duplicated_cells(self):
+        rng = random.Random(31)
+        duplicated = 0
+        for _ in range(300):
+            P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=3)
+            duplicated += P.n_cells > len({P.vertices_of(c) for c in P.cells()})
+            self.check(P)
+        assert duplicated >= 100
+
+    def test_cones_and_isolated_vertices(self):
+        rng = random.Random(32)
+        for k in (1, 2, 3):
+            for _ in range(10):
+                P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+                self.check(cone_poset(P))
+                self.check(with_isolated_vertices(P, k))
+
+    @pytest.mark.parametrize("backend,kw", [
+        ("box", {"ambient_dim": 1}),
+        ("box", {"ambient_dim": 2}),
+        ("subcomplex", {"grid": 4, "stars_per_member": 1}),
+    ])
+    def test_six_to_eight_vertex_multinerves(self, backend, kw):
+        sizes = set()
+        for n in (6, 7, 8):
+            for seed in range(4):
+                F = random_family(backend, n, seed, boxes_per_member=1, **kw)
+                for P in (multinerve(F).poset, reduced_multinerve(F, 2)[0].poset):
+                    sizes.add(len(P.vertex_order))
+                    self.check(P)
+        assert {6, 7, 8} <= sizes
+
+    def test_double_edge_is_not_pruned(self):
+        # x has two covers by y, so X[{x, y}], a circle, is asked
+        P = double_edge_poset()
+        L, J = self.check(P)
+        assert L.witness == Witness((1, 2), 1)
+        assert J.witness == Witness((1, 2), 1, 0)
+        # the cone over it is contractible, and in it x is dominated by the
+        # apex but not by y: the witness is still the double edge
+        L, J = self.check(cone_poset(P))
+        assert L.value == J.value == 2
+        assert L.witness == Witness((1, 2), 1)
+        assert J.witness == Witness((1, 2), 1, 0)
+
+    def test_sixteen_vertex_box_multinerve(self, monkeypatch):
+        from multinerve.homology import Boundary
+        P = multinerve(random_family("box", 8, 1, ambient_dim=2,
+                                     boxes_per_member=2)).poset
+        assert len(P.vertex_order) == 16
+        real, asked = Boundary.select, []
+
+        def spy(self, cells):
+            asked.append(cells)
+            return real(self, cells)
+        monkeypatch.setattr(Boundary, "select", spy)
+        L = leray_number(P)
+        assert L == LerayReport(1, "exact", Witness((1, 2), 0))
+        # of 2^16 subsets, few X[S] are not dominated
+        assert len(asked) <= 100
+        assert j_index(P) == LerayReport(1, "exact", Witness((1, 2), 0, 0))
+
+
 def subcomplex_region_betti(K):
     return region_betti(subcomplex_family(K, [K.simplices]), (0,))
 
@@ -320,8 +442,8 @@ class TestDDChecked:
 
 
 class TestBoundary:
-    """One ``Boundary`` (one d o d check) per space and per link, and a
-    cell's dimension in a selection is its row length."""
+    """One ``Boundary`` (one d o d check) per space and per link ranked,
+    and a cell's dimension in a selection is its row length."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -334,23 +456,45 @@ class TestBoundary:
         monkeypatch.setattr(Boundary, "__init__", spy)
         return rows
 
-    def test_one_per_leray_and_one_per_link(self, built):
-        # the least cell's link is X itself, so it takes X's boundary
-        P = random_poset(random.Random(3))
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        # the cell whose link each selection is taken from: its one empty
+        # row, the augmentation (0, the least cell, for X's boundary)
+        from multinerve.homology import Boundary
+        real, sigmas = Boundary.select, []
+
+        def spy(self, cells):
+            [sigma] = [c for c, row in self.rows.items() if not row]
+            sigmas.append(sigma)
+            return real(self, cells)
+        monkeypatch.setattr(Boundary, "select", spy)
+        return sigmas
+
+    def test_one_per_leray_and_one_per_link(self, built, ranked):
+        # the least cell's link is X itself, so it takes X's boundary; a
+        # link boundary is built on the first rank of its link, and only
+        # then (every link of random_poset(Random(3)) is dominated, so this
+        # poset, whose J ranks eight links)
+        P = random_poset(random.Random(9))
         leray_number(P)
         assert len(built) == 1
-        j_index(P)
-        assert len(built) == 1 + P.n_cells
-        leray_and_j(P)
-        assert len(built) == 1 + 2 * P.n_cells
+        for index in (j_index, leray_and_j):
+            del built[:], ranked[:]
+            index(P)
+            links = set(ranked) - {0}
+            assert links
+            assert len(built) == 1 + len(links)
+            assert [[c for c, row in rows.items() if not row][0]
+                    for rows in built[1:]] == sorted(links, key=ranked.index)
 
-    def test_link_rows_give_link_dimensions(self, built):
+    def test_link_rows_give_link_dimensions(self, built, ranked):
         from multinerve.homology import Boundary
         rng = random.Random(8)
+        seen = 0
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
-            del built[:]
+            del built[:], ranked[:]
             j_index(P)
-            assert len(built) == P.n_cells
+            assert len(built) == 1 + len(set(ranked) - {0})
             dims, lower = P._dims, P._lower_sets()
             for rows in built[1:]:
                 # sigma, the link's augmentation, is its one empty row
@@ -361,6 +505,8 @@ class TestBoundary:
                     for t in cells:
                         assert n == dims[t] - dims[sigma] - 1
                 assert cc.boundary[-1] == {sigma: {}}
+                seen += 1
+        assert seen
 
 
 class TestLJRelations:
