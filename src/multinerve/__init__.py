@@ -3,12 +3,11 @@ Leray numbers, and verification of the associated Helly-type bounds."""
 
 from .poset import (CellRecord, PosetError, SimplicialComplex,
                     SimplicialPoset, barycentric_subdivision, build_poset,
-                    complexes_isomorphic, order_complex, poset_isomorphic,
-                    upper_complexes)
+                    order_complex, upper_complexes)
 from .homology import (BettiVector, Boundary, ChainComplex, chain_complex,
                        euler_characteristic, reduced_betti, sparse_rank)
-from .leray import (CapExceeded, LerayReport, Witness, is_simplex, j_index,
-                    leray_and_j, leray_number)
+from .leray import (CapExceeded, LerayReport, Witness, j_index, leray_and_j,
+                    leray_number)
 from .families import (Box, BoxUnionMember, ComponentLabel, FamilyError,
                        SetFamily, SubcomplexMember, box, box_family,
                        component_containing, components, is_acyclic_with_slack,

@@ -61,13 +61,12 @@ cover.  On sigma's first query the walk keeps its pairs (x, y), each with
 the minimal vertex masks of its bad cells: the cells > sigma with x and
 without y whose cover by y is missing or not unique.  x is dominated in S
 at sigma when x and y are in S and no bad mask lies inside S; then
-(sigma, S) is not asked.  (sigma, S - x) has the same answer at every
-floor: the exact pass visits it later at a floor no lower, so a hit it
-gives is counted there or is below a hit already counted, and a witness
-pass visits it earlier at the same floor, so the first hit of a pass is
-never dominated.  Values and witnesses are those of the walk without
-pruning.  The sampled pass does not prune: it need never draw the smaller
-subset, so pruning would lower its bound and move its witness.
+(sigma, S) is not asked.  (sigma, S - x) has the same homology, and the
+walk visits it earlier, at a floor no higher; the floor then rose past
+every dimension it has alive, so (sigma, S) would answer None.  Values
+and witnesses are those of the walk without pruning.  The sampled pass
+does not prune: it need never draw the smaller subset, so pruning would
+lower its bound and move its witness.
 
 ``_enumerate`` is that walk, told which indices are wanted.  It prepares
 X once per call: cell vertex masks, unique covers and X's boundary, read
@@ -81,19 +80,19 @@ are memoized for the call by (sigma, S & star sigma, floor): the link
 holds only cells above sigma, whose vertices lie in star sigma, so two
 vertex sets that agree on star sigma give the same link (and the same
 pairs).  An index's value is one more than its largest hit.  The walk has
-three passes:
+two passes:
 
-* exact: every vertex subset, largest first, with each floor raised past
-  each hit, until every wanted value reaches dim + 1.  X[S] is asked once,
-  at L's floor when L is wanted and at J's otherwise; J counts its answer
-  when it is >= J's floor;
-* witness: the subsets of the sorted vertices, smallest first, at floor
-  value - 1; nothing is alive above that, so the first hit is a nonzero
-  Betti number in dimension value - 1.  When L = J one pass finds both:
-  X[S] is asked before S's links, so J's witness is found by L's, and
-  S's links are asked only until it is;
-* sampled, instead of both, for one index: random subsets (and for J one
-  random cell each), which give a labeled lower bound.
+* exact, which also yields each witness: the subsets of the sorted
+  vertices, smallest first, with each floor raised past each hit, until
+  every wanted value reaches dim + 1.  X[S] is asked once, at L's floor
+  when L is wanted and at J's otherwise; J counts its answer when it is
+  >= J's floor.  Nothing is alive at or above an index's final value, so
+  the first hit in dimension value - 1 (first subset, then least cell
+  first) meets a floor at most value - 1 and raises the index to its
+  value, and no later hit raises it again: the hit that last raised an
+  index is its witness;
+* sampled, instead, for one index: random subsets (and for J one random
+  cell each), which give a labeled lower bound.
 
 Exact enumeration is exponential in the vertex count, so it refuses inputs
 past the vertex cap.
@@ -104,7 +103,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 
 from .homology import Boundary, Space, top_nonzero_betti
@@ -228,10 +227,6 @@ def _dominated(pairs: list, S: int) -> int:
     return 0
 
 
-def _subsets(V: list, sizes: range):
-    return (S for size in sizes for S in combinations(V, size))
-
-
 def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
                want_l: bool, want_j: bool) -> tuple[LerayReport, ...]:
     """Reports of the wanted indices, L's first, each with a witness."""
@@ -301,30 +296,6 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
             return top_nonzero_betti(boundary.select(cells), floor)
         return None
 
-    def visit(S: tuple, floor: int, links_wanted: bool):
-        """X[S]'s vertex mask, cells, top dimension and least cell's answer
-        at floor, None when X[S] is dominated; or None when it is and its
-        links are not wanted, so that it is not even induced."""
-        inside = sum(bit[v] for v in S)
-        pruned = _dominated(star(0)[2], inside)
-        if pruned and not links_wanted:
-            return None
-        cells, top = induced(inside)
-        return inside, cells, top, None if pruned else least(cells, top, floor)
-
-    def hits(cells: list, S: int, top: int, floor: int, a: int | None):
-        """J's rising hits >= floor in X[S], each with its cell: ``a``, the
-        least cell's answer asked at a floor <= floor, then those of the
-        links of the cells above it."""
-        if a is not None and a >= floor:
-            yield a, 0
-            floor = a + 1
-        for sigma in cells[1:]:
-            j = link_top(sigma, S, top, floor)
-            if j is not None:
-                yield j, sigma
-                floor = j + 1
-
     if sample is not None:
         # one index; for J, one random cell of X[S], drawn before any
         # pruning so that the random stream does not depend on the floor
@@ -346,55 +317,35 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
         return (LerayReport(best, "sampled", witness),)
 
     # L <= J throughout, as J takes each answer of L's at or above its own
-    # floor: so L's floor is the lower, and L at the ceiling finishes both
+    # floor: so L's floor is the lower, and L at the ceiling finishes both;
+    # each index's witness is the hit that last raised it
     ceiling, L, J = P.dim + 1, 0, 0
-    for S in _subsets(V, range(len(V), -1, -1)):
+    wl = wj = None
+    for S in chain.from_iterable(combinations(sorted(V), k)
+                                 for k in range(len(V) + 1)):
         floor = L if want_l else J
         if floor == ceiling:
             break
         links_wanted = want_j and J < ceiling
-        seen = visit(S, floor, links_wanted)
-        if seen is None:
+        inside = sum(bit[v] for v in S)
+        pruned = _dominated(star(0)[2], inside)
+        if pruned and not links_wanted:
             continue
-        inside, cells, top, a = seen
-        if want_l and a is not None:
-            L = a + 1
+        cells, top = induced(inside)
+        a = None if pruned else least(cells, top, floor)
+        if a is not None:
+            if want_l:
+                L, wl = a + 1, (S, a, None)
+            if want_j and a >= J:
+                J, wj = a + 1, (S, a, 0)
         if links_wanted:
-            for j, _ in hits(cells, inside, top, J, a):
-                J = j + 1
-
-    def first_hits(floor: int, want_l: bool, want_j: bool) -> tuple:
-        """The witnesses of L's first hit at floor (when wanted) and of J's
-        (when wanted), over the subsets of the sorted vertices, smallest
-        first.  X[S] is asked before S's links, so J's is found by the time
-        L's is."""
-        wj = None
-        for S in _subsets(sorted(V), range(len(V) + 1)):
-            links_wanted = want_j and wj is None
-            seen = visit(S, floor, links_wanted)
-            if seen is None:
-                continue
-            inside, cells, top, a = seen
-            if links_wanted:
-                hit = next(hits(cells, inside, top, floor, a), None)
-                if hit is not None:
-                    wj = _witness(X, S, *hit)
-            if want_l and a is not None:
-                return _witness(X, S, a, None), wj
-            if wj is not None and not want_l:
-                return None, wj
-        raise AssertionError("no witness found for the computed value")
-
-    # nothing is alive at or above dimension value, so the first hit at
-    # floor value - 1 is a nonzero Betti number in that dimension; when
-    # L = J one pass finds both
-    if want_l and want_j and L == J:
-        wl, wj = first_hits(L - 1, True, True) if L else (None, None)
-    else:
-        wl = first_hits(L - 1, True, False)[0] if want_l and L else None
-        wj = first_hits(J - 1, False, True)[1] if want_j and J else None
-    return tuple(LerayReport(value, "exact", w) for want, value, w
-                 in ((want_l, L, wl), (want_j, J, wj)) if want)
+            for sigma in cells[1:]:
+                j = link_top(sigma, inside, top, J)
+                if j is not None:
+                    J, wj = j + 1, (S, j, sigma)
+    return tuple(LerayReport(value, "exact", w and _witness(X, *w))
+                 for want, value, w in ((want_l, L, wl), (want_j, J, wj))
+                 if want)
 
 
 def leray_number(X: Space, cap: int = 16,
@@ -412,11 +363,6 @@ def j_index(X: Space, cap: int = 16,
 def leray_and_j(X: Space, cap: int = 16) -> tuple[LerayReport, LerayReport]:
     """Exact L(X) and J(X) from one walk: (leray_number(X), j_index(X))."""
     return _enumerate(X, cap, None, 0, True, True)
-
-
-def is_simplex(X: Space) -> bool:
-    """Whether the space is a (possibly empty) single simplex with its faces."""
-    return _as_poset(X).is_simplex()
 
 
 def format_leray(report: LerayReport, kind: str = "leray") -> str:

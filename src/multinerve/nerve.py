@@ -115,13 +115,6 @@ class MonotoneMap:
     segment_bijection: bool | None
     witnesses: dict
 
-    def fiber_sizes(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.source.cells():
-            y = self.mapping[c]
-            out[y] = out.get(y, 0) + 1
-        return out
-
     def bijective_on_dims_at_least(self, k: int) -> bool:
         """Bijection between source and target cells of dimension >= k."""
         src = [c for c in self.source.cells() if self.source.dim_of(c) >= k]

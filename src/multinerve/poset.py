@@ -10,7 +10,7 @@ from a simplicial complex, so faces are kept as explicit id sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 CellId = int
@@ -319,14 +319,6 @@ class SimplicialComplex:
         """Every simplex, by dimension and then sorted vertex list."""
         return sorted(self.simplices, key=lambda s: (len(s), sorted(s)))
 
-    def simplices_of_dim(self, d: int) -> list[tuple]:
-        return sorted(tuple(sorted(s)) for s in self.simplices if len(s) == d + 1)
-
-    def induced(self, S: Iterable) -> "SimplicialComplex":
-        S = set(S)
-        return SimplicialComplex((s for s in self.simplices if set(s) <= S),
-                                 closed=True)
-
     def simplex_ids(self) -> dict[frozenset, int]:
         """Each simplex's id, its place in ``ordered_simplices``: the cell
         ids of ``as_poset()``.  family.v1 lists a nonempty simplex under
@@ -382,63 +374,3 @@ def upper_complexes(X: SimplicialPoset, sigma: CellId) -> tuple[SimplicialComple
     D_dot = order_complex(up, X.leq)
     return D, D_dot
 
-
-# ---------------------------------------------------------------------------
-# isomorphism testing (desk scale)
-
-
-def _refine_colors(X: SimplicialPoset) -> list:
-    colors: list = [(X.dim_of(c),) for c in X.cells()]
-    while True:
-        sig = [(colors[c], tuple(colors[f] for f in X.faces_of(c))) for c in X.cells()]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            return new
-        colors = new
-
-
-def poset_isomorphic(X: SimplicialPoset, Y: SimplicialPoset) -> bool:
-    """Face-order-preserving isomorphism test by color refinement + backtracking."""
-    if X.n_cells != Y.n_cells or sorted(X._dims) != sorted(Y._dims):
-        return False
-    cx, cy = _refine_colors(X), _refine_colors(Y)
-    if sorted(cx) != sorted(cy):
-        return False
-    by_color: dict[int, list[int]] = {}
-    for c in Y.cells():
-        by_color.setdefault(cy[c], []).append(c)
-
-    order = sorted(X.cells(), key=lambda c: (X.dim_of(c), c))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(k: int) -> bool:
-        if k == len(order):
-            return True
-        c = order[k]
-        for d in by_color.get(cx[c], ()):
-            if d in used or Y.dim_of(d) != X.dim_of(c):
-                continue
-            if tuple(mapping[f] for f in X.faces_of(c)) != Y.faces_of(d):
-                continue
-            mapping[c] = d
-            used.add(d)
-            if assign(k + 1):
-                return True
-            del mapping[c]
-            used.discard(d)
-        return False
-
-    return assign(0)
-
-
-def complexes_isomorphic(K: SimplicialComplex, L: SimplicialComplex) -> bool:
-    """Brute-force isomorphism test; intended for small vertex counts."""
-    if len(K.vertices) != len(L.vertices) or len(K.simplices) != len(L.simplices):
-        return False
-    for perm in permutations(L.vertices):
-        relabel = dict(zip(K.vertices, perm))
-        if {frozenset(relabel[v] for v in s) for s in K.simplices} == set(L.simplices):
-            return True
-    return False

@@ -40,13 +40,10 @@ class HellyResult:
     witness: tuple[int, ...]
 
 
-def helly_number(F: SetFamily, cap: int = 16,
-                 max_size: int | None = None) -> HellyResult:
+def helly_number(F: SetFamily, cap: int = 16) -> HellyResult:
     """Largest inclusion-wise minimal subfamily with empty intersection.
 
-    Requires the whole family to have empty intersection.  ``max_size``
-    prunes the enumeration for callers that already trust an upper bound;
-    the default is bound-agnostic so bound checks stay non-circular.
+    Requires the whole family to have empty intersection.
     """
     n = len(F)
     if n > cap:
@@ -57,8 +54,6 @@ def helly_number(F: SetFamily, cap: int = 16,
     # it yields them by size, then lexicographically
     best, witness = 0, ()
     for G, hit in _nerve_walk(F):
-        if max_size is not None and len(G) > max_size:
-            break
         if not hit and len(G) > best:
             best, witness = len(G), G
     if best == 0:

@@ -19,6 +19,86 @@ from multinerve import (SimplicialComplex, SimplicialPoset, box_family,
 
 
 # ---------------------------------------------------------------------------
+# desk-scale views of complexes and maps, and isomorphism testing
+
+
+def simplices_of_dim(K: SimplicialComplex, d: int) -> list[tuple]:
+    return sorted(tuple(sorted(s)) for s in K.simplices if len(s) == d + 1)
+
+
+def induced(K: SimplicialComplex, S) -> SimplicialComplex:
+    S = set(S)
+    return SimplicialComplex((s for s in K.simplices if set(s) <= S),
+                             closed=True)
+
+
+def fiber_sizes(pi) -> dict[int, int]:
+    """The number of source cells over each target cell of a map."""
+    out: dict[int, int] = {}
+    for c in pi.source.cells():
+        y = pi.mapping[c]
+        out[y] = out.get(y, 0) + 1
+    return out
+
+
+def _refine_colors(X: SimplicialPoset) -> list:
+    colors: list = [(X.dim_of(c),) for c in X.cells()]
+    while True:
+        sig = [(colors[c], tuple(colors[f] for f in X.faces_of(c))) for c in X.cells()]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colors:
+            return new
+        colors = new
+
+
+def poset_isomorphic(X: SimplicialPoset, Y: SimplicialPoset) -> bool:
+    """Face-order-preserving isomorphism test by color refinement + backtracking."""
+    if X.n_cells != Y.n_cells or sorted(X._dims) != sorted(Y._dims):
+        return False
+    cx, cy = _refine_colors(X), _refine_colors(Y)
+    if sorted(cx) != sorted(cy):
+        return False
+    by_color: dict[int, list[int]] = {}
+    for c in Y.cells():
+        by_color.setdefault(cy[c], []).append(c)
+
+    order = sorted(X.cells(), key=lambda c: (X.dim_of(c), c))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def assign(k: int) -> bool:
+        if k == len(order):
+            return True
+        c = order[k]
+        for d in by_color.get(cx[c], ()):
+            if d in used or Y.dim_of(d) != X.dim_of(c):
+                continue
+            if tuple(mapping[f] for f in X.faces_of(c)) != Y.faces_of(d):
+                continue
+            mapping[c] = d
+            used.add(d)
+            if assign(k + 1):
+                return True
+            del mapping[c]
+            used.discard(d)
+        return False
+
+    return assign(0)
+
+
+def complexes_isomorphic(K: SimplicialComplex, L: SimplicialComplex) -> bool:
+    """Brute-force isomorphism test; intended for small vertex counts."""
+    if len(K.vertices) != len(L.vertices) or len(K.simplices) != len(L.simplices):
+        return False
+    for perm in permutations(L.vertices):
+        relabel = dict(zip(K.vertices, perm))
+        if {frozenset(relabel[v] for v in s) for s in K.simplices} == set(L.simplices):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # dense exact rank (independent of multinerve.homology.sparse_rank)
 
 
@@ -136,7 +216,7 @@ def leray_oracle(K: SimplicialComplex) -> int:
     best = 0
     for size in range(len(K.vertices) + 1):
         for S in combinations(K.vertices, size):
-            bet = betti_oracle_gj(K.induced(S))
+            bet = betti_oracle_gj(induced(K, S))
             for d, v in bet.items():
                 if d >= 0 and v:
                     best = max(best, d + 1)
@@ -350,6 +430,29 @@ def j_oracle(P: SimplicialPoset) -> int:
     return best
 
 
+def first_hit_witness(P: SimplicialPoset, value: int, links: bool):
+    """The witness of an index of P with the given value, from the
+    definition: the first vertex set S of the sorted vertices, smallest
+    first, with nonzero reduced homology in dimension value - 1, of the
+    induced subposet (L) or of the open upper interval of one of its cells,
+    least cell first (J).  (S, value - 1) for L, (S, value - 1, sigma) for
+    J, None when the value is 0."""
+    if value == 0:
+        return None
+    V = sorted(P.vertex_order)
+    for size in range(len(V) + 1):
+        for S in combinations(V, size):
+            cells = [c for c in P.cells() if P.vertices_of(c) <= set(S)]
+            if not links:
+                if poset_betti_gj(P, cells).get(value - 1):
+                    return S, value - 1
+                continue
+            for sigma in cells:
+                if upper_interval_betti(P, S, sigma).get(value - 1):
+                    return S, value - 1, sigma
+    raise AssertionError(f"no nonzero homology in dimension {value - 1}")
+
+
 # ---------------------------------------------------------------------------
 # brute-force family oracle: every region from scratch (the full product of
 # the members' boxes, or a set intersection), every scan over all 2^n
@@ -476,14 +579,12 @@ def family_reduced_multinerve(F, t: int | None) -> dict[tuple, tuple]:
     return cells
 
 
-def family_helly(F, max_size: int | None = None) -> tuple[int, tuple]:
-    """(h, witness): the largest empty subfamily of size <= max_size whose
-    facets all intersect (the empty subfamily always does), lex-first;
-    (0, ()) when there is none."""
+def family_helly(F) -> tuple[int, tuple]:
+    """(h, witness): the largest empty subfamily whose facets all intersect
+    (the empty subfamily always does), lex-first; (0, ()) when there is
+    none."""
     best = (0, ())
     for G in _subsets(len(F)):
-        if max_size is not None and len(G) > max_size:
-            break
         minimal = not family_region(F, G) and (
             len(G) == 1 or all(family_region(F, G[:i] + G[i + 1:])
                                for i in range(len(G))))

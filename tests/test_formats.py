@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import poset_isomorphic
+
 from multinerve import (PosetError, SimplicialComplex, box, box_family,
-                        poset_isomorphic, reduced_betti, subcomplex_family)
+                        reduced_betti, subcomplex_family)
 from multinerve.fixtures import double_edge_poset, two_arc_circle_family
 from multinerve.formats import (ParseError, load_text, parse_betti,
                                 parse_complex, parse_family, parse_poset,

@@ -5,14 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (cone_poset, j_oracle, leray_oracle, poset_betti_gj,
-                     poset_leray_oracle, random_poset, upper_interval_betti,
+from helpers import (cone_poset, first_hit_witness, induced, j_oracle,
+                     leray_oracle, poset_betti_gj, poset_leray_oracle,
+                     random_complex, random_poset, upper_interval_betti,
                      with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
                         build_poset, chain_complex, j_index, leray_and_j,
-                        leray_number,
-                        is_simplex, multinerve, random_family, reduced_betti,
+                        leray_number, multinerve, random_family, reduced_betti,
                         reduced_multinerve, region_betti, subcomplex_family,
                         upper_complexes)
 from multinerve.fixtures import double_edge_poset
@@ -53,7 +53,7 @@ class TestLerayNumber:
     def test_witness_reproduces_value(self):
         K = SimplicialComplex([(0, 1), (1, 2), (0, 2), (3,), (4,)])
         rep = leray_number(K)
-        sub = K.induced(rep.witness.S)
+        sub = induced(K, rep.witness.S)
         assert dict(reduced_betti(sub).items()).get(rep.value - 1)
 
     def test_witness_is_lexicographically_smallest(self):
@@ -116,9 +116,10 @@ class TestJIndex:
         assert rep.witness == Witness((2, 4), 1, 0)
 
     def test_witness_after_links_answered_at_other_floors(self):
-        # the witness pass asks at floor 1 for links that the exact pass
-        # answered at other floors, so a link answer kept without its
-        # floor gives a wrong witness here
+        # the walk asks links with the same S & star sigma again after J's
+        # floor has risen; every link answer here is None, so a memo keyed
+        # without the floor passes too (TestSampling pins a case where it
+        # does not)
         P = multinerve(random_family("box", 5, 795214, ambient_dim=2)).poset
         rep = j_index(P)
         assert rep.value == 2
@@ -402,6 +403,98 @@ class TestDomination:
         assert j_index(P) == LerayReport(1, "exact", Witness((1, 2), 0, 0))
 
 
+class TestWitnessOracle:
+    """Each witness is the first hit from the definition: the first vertex
+    set of the sorted vertices, smallest first, and in it the first cell
+    (least cell first), with nonzero reduced homology in dimension
+    value - 1 (``first_hit_witness``, which asks every induced subposet and
+    every upper interval)."""
+
+    @staticmethod
+    def check(X):
+        P = X.as_poset() if isinstance(X, SimplicialComplex) else X
+        L, J = leray_and_j(X)
+        assert (L, J) == (leray_number(X), j_index(X))
+        for rep, links in ((L, False), (J, True)):
+            want = first_hit_witness(P, rep.value, links)
+            if want is not None and isinstance(X, SimplicialComplex):
+                cell = X.ordered_simplices()
+                S, j, *sigma = want
+                want = (tuple(sorted(v for c in S for v in cell[c])), j,
+                        *(tuple(sorted(cell[c])) for c in sigma))
+            assert rep.witness == (None if want is None else Witness(*want))
+
+    def test_random_posets_with_duplicated_cells(self):
+        rng = random.Random(51)
+        duplicated = 0
+        for _ in range(200):
+            P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=3)
+            duplicated += P.n_cells > len({P.vertices_of(c) for c in P.cells()})
+            self.check(P)
+        assert duplicated >= 60
+
+    def test_cones_and_isolated_vertices(self):
+        rng = random.Random(52)
+        for k in (1, 2, 3):
+            for _ in range(8):
+                P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+                self.check(cone_poset(P))
+                self.check(with_isolated_vertices(P, k))
+
+    def test_random_complexes_in_vertex_labels(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            K = random_complex(rng, n_vertices=6, n_facets=6, max_facet=3)
+            self.check(SimplicialComplex(
+                [["uvwxyz"[v] for v in s] for s in K.simplices if s]))
+
+    @pytest.mark.parametrize("backend,kw", [
+        ("box", {"ambient_dim": 1}),
+        ("box", {"ambient_dim": 2}),
+        ("subcomplex", {"grid": 4, "stars_per_member": 1}),
+    ])
+    def test_six_to_eight_vertex_multinerves(self, backend, kw):
+        sizes = set()
+        for n in (6, 7, 8):
+            for seed in range(4):
+                F = random_family(backend, n, seed, boxes_per_member=1, **kw)
+                P = multinerve(F).poset
+                sizes.add(len(P.vertex_order))
+                self.check(P)
+        assert {6, 7, 8} <= sizes
+
+
+class TestOnePass:
+    """One walk gives values and witnesses: no subset is asked twice."""
+
+    def test_no_vertex_set_selected_twice(self, monkeypatch):
+        from multinerve.homology import Boundary
+        real, selected = Boundary.select, []
+
+        def spy(self, cells):
+            cells = tuple(cells)
+            # X's boundary; a link's holds only sigma and the cells above
+            if 0 in self.rows:
+                selected.append(cells)
+            return real(self, cells)
+        monkeypatch.setattr(Boundary, "select", spy)
+        rng, asked = random.Random(54), 0
+        for P in [double_edge_poset()] + [random_poset(rng) for _ in range(20)]:
+            for index in (leray_number, j_index, leray_and_j):
+                del selected[:]
+                index(P)
+                assert len(set(selected)) == len(selected)
+                asked += len(selected)
+        assert asked
+
+    def test_fifteen_vertex_subcomplex_multinerve(self):
+        P = multinerve(random_family("subcomplex", 9, 1, grid=5)).poset
+        assert len(P.vertex_order) == 15
+        assert leray_and_j(P) == (
+            LerayReport(2, "exact", Witness((1, 3, 14), 1)),
+            LerayReport(2, "exact", Witness((1, 3, 14), 1, 0)))
+
+
 def subcomplex_region_betti(K):
     return region_betti(subcomplex_family(K, [K.simplices]), (0,))
 
@@ -530,7 +623,7 @@ class TestLJRelations:
         for _ in range(30):
             P = random_poset(rng, n_vertices=4, n_facets=3)
             zero = leray_number(P).value == 0
-            assert zero == is_simplex(P)
+            assert zero == P.is_simplex()
             seen_nonsimplex |= not zero
         assert seen_nonsimplex
 
@@ -576,3 +669,12 @@ class TestSampling:
         K = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")])
         rep = leray_number(K, sample=30, seed=1)
         assert rep.witness.S == ("a", "b", "c")
+
+    def test_j_sampled_link_asked_again_at_a_higher_floor(self):
+        # a later draw asks a link with the same S & star sigma once the
+        # floor has risen past its answer, so a link answer kept without
+        # its floor moves the witness to (3, 4, 5, 6) at cell 3
+        P = random_poset(random.Random(37), n_vertices=6, n_facets=6,
+                         max_facet=4)
+        rep = j_index(P, sample=300, seed=2)
+        assert rep == LerayReport(2, "sampled", Witness((2, 4, 5, 6), 1, 0))

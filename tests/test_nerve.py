@@ -3,11 +3,12 @@
 import importlib
 
 import pytest
-from helpers import family_reduced_multinerve, small_family
+from helpers import (family_reduced_multinerve, fiber_sizes, poset_isomorphic,
+                     small_family)
 
 from multinerve import (SimplicialComplex, box, box_family,
                         canonical_projection, components, j_index,
-                        multinerve, nerve, poset_isomorphic, random_family,
+                        multinerve, nerve, random_family,
                         reduced_betti, reduced_multinerve, validate_map)
 from multinerve.fixtures import (blown_tetrahedron_family,
                                  box_circle_cover_family, corridor_box_family,
@@ -116,7 +117,7 @@ class TestCanonicalProjection:
     def test_fibers_cover_the_nerve(self):
         M = multinerve(corridor_box_family())
         pi = canonical_projection(M)
-        sizes = pi.fiber_sizes()
+        sizes = fiber_sizes(pi)
         assert set(sizes) == set(pi.target.cells())
         assert all(v >= 1 for v in sizes.values())
 

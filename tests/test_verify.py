@@ -45,10 +45,6 @@ class TestHellyNumber:
         with pytest.raises(CapExceeded):
             helly_number(F)
 
-    def test_max_size_pruning_agrees(self):
-        F = interval_union_h3_family()
-        assert helly_number(F).h == helly_number(F, max_size=4).h == 3
-
     def test_all_members_empty(self):
         # the empty subfamily intersects by convention, so each empty
         # member is a minimal empty subfamily on its own
@@ -65,11 +61,6 @@ class TestHellyNumber:
             checked += 1
             res = helly_number(F)
             assert (res.h, res.witness) == family_helly(F)
-            for m in range(1, len(F) + 1):
-                h, witness = family_helly(F, max_size=m)
-                if h:
-                    res = helly_number(F, max_size=m)
-                    assert (res.h, res.witness) == (h, witness)
         assert checked >= 15
 
 
