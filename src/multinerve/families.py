@@ -4,7 +4,8 @@ Two backends realize the oracle:
 
 * ``subcomplex``: members are face-closed sets of simplices of one ambient
   triangulation T; intersections are set intersections and components come
-  from union-find over the face relation.
+  from the 1-skeleton: union-find over the region's vertices, joined along
+  its edges.
 * ``box``: members are finite unions of open axis-aligned boxes with
   rational endpoints; intersections are enumerated box overlaps and
   components come from the strict-overlap graph.  Openness is modeled by
@@ -17,10 +18,10 @@ component counts, the nerve, Helly numbers) walk only the index sets whose
 facets all intersect, level by level in (size, lexicographic) order, so an
 empty intersection ends the walk above it.
 
-A subcomplex family builds one ``Boundary`` on T's simplices, and its
-components, ``component_containing`` and ``region_betti`` select from it
-by simplex id; emptiness, the nerve walk and Helly numbers never build
-it.  Every member is face-closed (``subcomplex_family`` checks it), so
+A subcomplex family builds one ``Boundary`` on T's simplices: components
+are read from its vertex ids and edge rows, and ``region_betti`` selects
+from it by simplex id; emptiness, the nerve walk and Helly numbers never
+build it.  Every member is face-closed (``subcomplex_family`` checks it), so
 every region, a union or an intersection of members, is closed downward
 in T, and selecting it is sound (see ``Boundary``).
 """
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .homology import BettiVector, Boundary, reduced_betti
+from .homology import BettiVector, Boundary, UnionFind, reduced_betti
 from .poset import SimplicialComplex
 
 
@@ -181,30 +182,6 @@ def box_family(dim: int, members: Sequence[Sequence[Box]],
 # region machinery
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = x
-        while self.parent[p] != p:
-            p = self.parent[p]
-        while x != p:
-            self.parent[x], x = p, self.parent[x]
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 def _simplex_key(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
@@ -254,8 +231,8 @@ def _region(F: SetFamily, A: tuple[int, ...]) -> frozenset | tuple[Box, ...]:
 def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
     """Connected components of the intersection over A (of the union if A is empty).
 
-    The cache keeps, next to the labels, the label of each region element:
-    a simplex id -> label dict, or a list of (box, label) pairs.
+    The cache keeps, next to the labels, the index of each region element's
+    label: a vertex id -> index dict, or a list of (box, index) pairs.
     """
     return _component_entry(F, F.check_index_set(A))[0]
 
@@ -271,27 +248,27 @@ def _component_entry(F: SetFamily, A: tuple[int, ...]) -> tuple:
 
 
 def _sorted_labels(A: tuple[int, ...], groups, canon_of, rep_of) -> tuple:
-    """One label per union-find group, sorted, and the label of each element."""
+    """One label per union-find group, sorted by canon (no two groups share
+    one), and the index of each element's label."""
     labels, owner = [], {}
-    for group in groups:
-        canon = canon_of(group)
-        label = ComponentLabel(A, canon, rep_of(canon))
-        labels.append(label)
-        owner.update(dict.fromkeys(group, label))
-    return tuple(sorted(labels, key=ComponentLabel.sort_key)), owner
+    for i, (canon, group) in enumerate(sorted((canon_of(g), g)
+                                              for g in groups)):
+        labels.append(ComponentLabel(A, canon, rep_of(canon)))
+        owner.update(dict.fromkeys(group, i))
+    return tuple(labels), owner
 
 
 def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """Union-find over the region's simplex ids, each cell joined to the
-    faces in its row; the smallest id of a group is its smallest simplex."""
+    """Union-find over the region's vertex ids, joined along its edges: a
+    simplex lies in the component of any of its vertices, so the smallest
+    id of a group, a vertex, is its smallest simplex."""
     T = _ambient(F)
-    rows = T.boundary.rows
-    cells = [T.ids[s] for s in _region(F, A)]
-    uf = _UnionFind(cells)
-    for c in cells:
-        if len(rows[c]) > 1:  # not a vertex, whose face is the empty simplex
-            for f in rows[c]:
-                uf.union(c, f)
+    ids, rows = T.ids, T.boundary.rows
+    region = _region(F, A)
+    uf = UnionFind(ids[s] for s in region if len(s) == 1)
+    for s in region:
+        if len(s) == 2:
+            uf.union(*rows[ids[s]])
     return _sorted_labels(A, uf.groups().values(),
                           lambda g: _simplex_key(T.simplices[min(g)]),
                           lambda canon: canon[1])
@@ -299,7 +276,7 @@ def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
 
 def _box_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
     boxes = _region(F, A)
-    uf = _UnionFind(range(len(boxes)))
+    uf = UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
             uf.union(i, j)
@@ -343,16 +320,25 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     ``rep`` is a simplex (iterable of vertices) for the subcomplex backend or
     a Box lying inside the region for the box backend.
     """
-    owner = _component_entry(F, F.check_index_set(A))[1]
+    A = F.check_index_set(A)
     if F.backend == "subcomplex":
         s = frozenset(rep)
-        label = owner.get(_ambient(F).ids.get(s))
-        if label is None:
+        if s not in _region(F, A):
             raise FamilyError(f"representative {sorted(s)} lies outside the region")
-        return label
-    if not isinstance(rep, Box):
+        rep = tuple(s)[:1]  # a simplex lies in the component of its vertices
+    elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
-    hits = {label for b, label in owner if b.overlaps(rep)}
+    return _component_entry(F, A)[0][_component_index(F, A, rep)]
+
+
+def _component_index(F: SetFamily, B: tuple[int, ...], rep) -> int:
+    """Index in ``components(F, B)`` of the component holding ``rep``, a
+    vertex (a 1-tuple) of the region over the checked index set B, or a box
+    inside it, which is found by scanning the region's boxes."""
+    owner = _component_entry(F, B)[1]
+    if F.backend == "subcomplex":
+        return owner[_ambient(F).ids[frozenset(rep)]]
+    hits = {i for b, i in owner if b.overlaps(rep)}
     if not hits:
         raise FamilyError("representative lies outside the region")
     if len(hits) != 1:

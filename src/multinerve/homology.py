@@ -1,7 +1,8 @@
 """Exact reduced simplicial homology over the rationals.
 
-Boundary matrices carry integer entries (always -1/0/+1 at construction) and
-ranks are computed by fraction-free integer elimination, so every Betti
+Boundary matrices carry integer entries (always -1/0/+1 at construction);
+the ranks of d_0 and d_1 are read off them (``ChainComplex.rank_boundary``)
+and the others come from fraction-free integer elimination, so every Betti
 number is exact.  The (-1)-dimensional cell doubles as the augmentation,
 which makes reduced homology the uniform default: the empty space has
 Betti vector {-1: 1} and nothing else.
@@ -99,6 +100,31 @@ class BettiVector:
 Space = Union[SimplicialPoset, SimplicialComplex]
 
 
+class UnionFind:
+    """Disjoint sets of hashable items, each named by one of its items."""
+
+    def __init__(self, items: Iterable):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; whether they were apart."""
+        a, b = self.find(a), self.find(b)
+        self.parent[b] = a
+        return a != b
+
+    def groups(self) -> dict:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 class ChainComplex:
     """Augmented rational chain complex, built by ``Boundary.select``:
     ``boundary[n]`` maps each n-cell id to its signed row in C_{n-1};
@@ -114,8 +140,28 @@ class ChainComplex:
         return self.sizes.get(n, 0)
 
     def rank_boundary(self, n: int) -> int:
+        """Rank of d_n, by elimination only for n >= 2.
+
+        ``select`` files a cell by its row length, and the one (-1)-cell,
+        the augmentation, has the empty row: each 0-cell's row is one +-1
+        entry in its column, so rank d_0 = 1 when there is a 0-cell.  A
+        1-cell's row has +-1 entries a, b on distinct 0-cells u, v, and
+        d o d = 0 (checked by ``Boundary``) gives a s_u + b s_v = 0, s_u and
+        s_v the entries of u's and v's rows.  Scaling each 0-cell's column
+        by its s makes d_1 the incidence matrix, up to row signs, of the
+        graph of 0- and 1-cells, of rank #0-cells - #components: one per
+        union that joins two components.  This holds for every boundary
+        built here: X[S], links, box nerves and subcomplex regions.
+        """
         rows = self.boundary.get(n)
-        return sparse_rank(rows.values()) if rows else 0
+        if not rows:
+            return 0
+        if n == 0:
+            return 1
+        if n == 1:
+            uf = UnionFind(self.boundary[0])
+            return sum(uf.union(*row) for row in rows.values())
+        return sparse_rank(rows.values())
 
     @property
     def top(self) -> int:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import (ComponentLabel, SetFamily, _nerve_walk,
-                       component_containing, components)
+from .families import (ComponentLabel, SetFamily, _component_entry,
+                       _component_index, _nerve_walk)
 from .poset import CellRecord, SimplicialComplex, SimplicialPoset, build_poset
 
 
@@ -55,24 +55,27 @@ def nerve(F: SetFamily) -> SimplicialComplex:
 
 
 def multinerve(F: SetFamily) -> LabeledPoset:
-    """Multinerve of the family as a validated labeled simplicial poset."""
-    cells: list[CellTag] = [CellTag((), None)]
-    for A, hit in _nerve_walk(F):
-        if hit:
-            cells.extend(CellTag(A, comp) for comp in components(F, A))
-    cells.sort(key=CellTag.sort_key)
-    index = {tag: i for i, tag in enumerate(cells)}
+    """Multinerve of the family as a validated labeled simplicial poset.
 
-    records = []
-    for tag in cells:
-        A = tag.subset
-        faces = []
-        for i in range(len(A)):
-            B = A[:i] + A[i + 1:]
-            comp = component_containing(F, B, tag.component.rep) if B else None
-            faces.append(index[CellTag(B, comp)])
-        records.append(CellRecord(len(A) - 1, tuple(faces)))
-    return LabeledPoset(build_poset(records), tuple(cells))
+    Cells are numbered as the walk yields index sets, in (size, lex) order,
+    each set's components sorted by canon: ``CellTag.sort_key`` order.  Face
+    i of a cell over A is B = A - A[i]'s cell of the component holding its
+    representative, by index from B's first cell ``base[B]``.
+    """
+    tags = [CellTag((), None)]
+    records = [CellRecord(-1, ())]
+    base = {}
+    for A, hit in _nerve_walk(F):
+        if not hit:
+            continue
+        base[A] = len(tags)
+        facets = [A[:i] + A[i + 1:] for i in range(len(A))]
+        for comp in _component_entry(F, A)[0]:
+            tags.append(CellTag(A, comp))
+            records.append(CellRecord(len(A) - 1, tuple(
+                base[B] + _component_index(F, B, comp.rep) if B else 0
+                for B in facets)))
+    return LabeledPoset(build_poset(records), tuple(tags))
 
 
 def _quotient(M: LabeledPoset, t: int | None) -> tuple[LabeledPoset, tuple[int, ...]]:
@@ -82,19 +85,22 @@ def _quotient(M: LabeledPoset, t: int | None) -> tuple[LabeledPoset, tuple[int, 
     Merged cells take the tag (A, None).  A merged cell's faces are the
     images of the faces of any of its preimages: those lie over smaller
     index sets, so they are merged too and every preimage gives the same.
+    M's tags are in sort order, so the cells over one A are consecutive and
+    the quotient's cells, numbered in M's order, are in sort order too.
     """
-    images = [CellTag(tag.subset, None)
-              if t is None or len(tag.subset) <= t - 1 else tag
-              for tag in M.tags]
-    tags = sorted(set(images), key=CellTag.sort_key)
-    index = {tag: i for i, tag in enumerate(tags)}
-    mapping = tuple(index[tag] for tag in images)
-    faces: dict[int, tuple[int, ...]] = {}
-    for c, y in enumerate(mapping):
-        faces.setdefault(y, tuple(mapping[f] for f in M.poset.faces_of(c)))
-    records = [CellRecord(len(tag.subset) - 1, faces[y])
-               for y, tag in enumerate(tags)]
-    return LabeledPoset(build_poset(records), tuple(tags)), mapping
+    tags, mapping, records = [], [], []
+    for c, tag in enumerate(M.tags):
+        A = tag.subset
+        if t is None or len(A) <= t - 1:
+            if tags and tags[-1].subset == A:
+                mapping.append(len(tags) - 1)
+                continue
+            tag = CellTag(A, None)
+        mapping.append(len(tags))
+        tags.append(tag)
+        records.append(CellRecord(len(A) - 1, tuple(
+            mapping[f] for f in M.poset.faces_of(c))))
+    return LabeledPoset(build_poset(records), tuple(tags)), tuple(mapping)
 
 
 @dataclass

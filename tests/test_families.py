@@ -92,6 +92,31 @@ class TestComponentContaining:
         F = box_family(1, [[box((0, 2))]])
         assert component_containing(F, (0,), box((0, 1))) == components(F, (0,))[0]
 
+    def test_any_simplex_names_its_vertices_component(self):
+        # an edge or a triangle as representative gives the component of
+        # its vertices, found by graph search over the region's simplices
+        for seed in range(4):
+            F = random_family("subcomplex", 4, seed, grid=4)
+            for A in [(), *(tuple(sorted(G)) for G in family_nerve(F))]:
+                found = family_components(F, A, with_elements=True)
+                for s in family_region(F, A):
+                    (canon,) = [c for c, _, elems in found if s in elems]
+                    label = component_containing(F, A, sorted(s))
+                    assert label.canon == canon
+                    assert label == component_containing(F, A, (min(s),))
+        assert max(len(s) for s in family_region(F, ())) == 3
+
+    def test_simplex_outside_the_region_rejected(self):
+        F = two_arc_circle_family()
+        region = set(family_region(F, (0,)))
+        outside = [s for s in family_region(F, ()) if s not in region]
+        assert outside
+        for s in [*outside, (), (99,)]:
+            with pytest.raises(FamilyError, match="outside"):
+                component_containing(F, (0,), s)
+        with pytest.raises(FamilyError, match="outside"):
+            component_containing(F, (0, 1), (1, 2))
+
     def test_refinement_consistency(self):
         # every component of a finer region lands in exactly one component
         # of every coarser region, found through its representative

@@ -6,13 +6,17 @@ why they differ.  Each family runs ``verify projection --t 1|2|3``,
 complex) runs ``homology``, and ``leray`` and ``j-index`` exact and
 sampled.  The slack
 checks run apart, ``verify multinerve --s 0|1`` and ``check-acyclic --s 0|1``,
-on the same families and one larger subcomplex family.  The sha256 of the
+on the same families and one larger subcomplex family.  Plain
+``multinerve`` and ``check-acyclic --s 0`` also run on two families of the
+benchmark's ``oracle`` size (``gen-box-3-n10``, ``gen-subcomplex-1-n12``).
+The sha256 of the
 exit codes and stdout of those calls is compared with the digest recorded
 here.  The families are the fixture families and ``mnv gen --n 5`` seeds
 0-5 of each backend; the spaces are ``double_edge.poset``,
 ``helpers.random_poset`` seeds 0-5 and ``helpers.random_complex`` seeds 0-3
 (complex inputs pin the witness labels, read from the simplex numbering).  To re-record after a deliberate
-change, print ``digest``, ``slack_digest`` or ``space_digest`` of every input
+change, print ``digest``, ``slack_digest``, ``oracle_digest`` or
+``space_digest`` of every input
 and say in the change why the bytes moved.
 """
 
@@ -65,7 +69,11 @@ SLACK_CALLS = [("verify", "multinerve", "{input}", "--s", "0"),
 
 # ``gen`` options of the families not made with ``--n 5``
 GEN_OPTIONS = {"gen-subcomplex-0-n8": ("--n", "8", "--grid", "5",
-                                       "--stars-per-member", "3")}
+                                       "--stars-per-member", "3"),
+               "gen-box-3-n10": ("--n", "10", "--ambient-dim", "2",
+                                 "--boxes-per-member", "2"),
+               "gen-subcomplex-1-n12": ("--n", "12", "--grid", "7",
+                                        "--stars-per-member", "3")}
 
 SLACK_GOLDEN = {
     "blown_tetrahedron.family": "19b89ee49701d261b04fb3593a4b4078a32f57d850440f0810139bf4ff2d1317",
@@ -86,6 +94,16 @@ SLACK_GOLDEN = {
     "gen-subcomplex-4": "05e36dd36174b5d7bb795fd87ba695997c24f368a61e1aac272699386deab230",
     "gen-subcomplex-5": "2486d19643b300fa184e5418654c43b23aa91d817326aa7b007a25a990fea74e",
     "gen-subcomplex-0-n8": "1efa0c3a5bdc775b50024705795275febf5b77bfa181fcfad31b65a10a1152d7",
+}
+
+# the multinerve build and the slack scan on families of the benchmark's
+# ``oracle`` size, one per backend
+ORACLE_CALLS = [("multinerve", "{input}"),
+                ("check-acyclic", "{input}", "--s", "0")]
+
+ORACLE_GOLDEN = {
+    "gen-box-3-n10": "071d98d39a16326159c9c8f0b7ea8d34be9f8d27d1317767b6e615e8b26eb559",
+    "gen-subcomplex-1-n12": "3aa860d2d1aedb3cbb87013a6df324c838dccabfcb69354940418d9d137c077e",
 }
 
 SPACE_CALLS = [("homology", "{input}"),
@@ -160,6 +178,10 @@ def slack_digest(name: str, directory: Path) -> str:
     return _digest(_input_path(name, directory), SLACK_CALLS)
 
 
+def oracle_digest(name: str, directory: Path) -> str:
+    return _digest(_input_path(name, directory), ORACLE_CALLS)
+
+
 def space_digest(name: str, directory: Path) -> str:
     return _digest(_space_path(name, directory), SPACE_CALLS)
 
@@ -172,6 +194,11 @@ def test_report_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SLACK_GOLDEN))
 def test_slack_report_bytes(name, tmp_path):
     assert slack_digest(name, tmp_path) == SLACK_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_size_report_bytes(name, tmp_path):
+    assert oracle_digest(name, tmp_path) == ORACLE_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SPACE_GOLDEN))

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
-                     random_complex, random_poset)
+                     gauss_jordan_rank, random_complex, random_poset,
+                     small_family, with_isolated_vertices)
 
 from multinerve import (BettiVector, SimplicialComplex, build_poset,
-                        chain_complex, euler_characteristic, reduced_betti,
+                        chain_complex, euler_characteristic,
+                        is_acyclic_with_slack, j_index, leray_and_j,
+                        random_family, reduced_betti, region_betti,
                         sparse_rank)
 from multinerve.fixtures import cycle_complex, double_edge_poset
-from multinerve.homology import top_nonzero_betti
+from multinerve.homology import ChainComplex, top_nonzero_betti
 
 
 def bv(d):
@@ -164,6 +167,78 @@ class TestReducedBetti:
                 above = [n for n in support if n >= floor]
                 assert top_nonzero_betti(X, floor) == \
                     (max(above) if above else None)
+
+
+def _dense_rank(cc: ChainComplex, n: int) -> int:
+    """Rank of d_n by dense Gauss-Jordan elimination over Q."""
+    rows = list(cc.boundary.get(n, {}).values())
+    cols = sorted({f for row in rows for f in row})
+    return gauss_jordan_rank([[row.get(f, 0) for f in cols] for row in rows])
+
+
+@pytest.fixture
+def low_ranks(monkeypatch):
+    """Check every rank of d_0 and d_1 asked while the fixture is on
+    against the dense rank; the list of (n, augmentation cell) asked."""
+    real, asked = ChainComplex.rank_boundary, []
+
+    def rank_boundary(cc, n):
+        out = real(cc, n)
+        if n <= 1:
+            assert out == _dense_rank(cc, n), (n, cc.boundary)
+            asked.append((n, *cc.boundary[-1]))
+        return out
+    monkeypatch.setattr(ChainComplex, "rank_boundary", rank_boundary)
+    return asked
+
+
+class TestLowRanks:
+    """rank d_0 and d_1 read off without elimination, against dense
+    Gauss-Jordan rank on every complex the program ranks."""
+
+    def test_double_edge(self):
+        # 2 vertices joined by 2 edges: one independent edge
+        cc = chain_complex(double_edge_poset())
+        assert cc.rank_boundary(0) == _dense_rank(cc, 0) == 1
+        assert cc.rank_boundary(1) == _dense_rank(cc, 1) == 1
+
+    def test_isolated_vertices(self):
+        discrete = SimplicialComplex([(0,), (1,), (2,)])
+        cc = chain_complex(discrete)
+        assert cc.rank_boundary(0) == 1 and cc.rank_boundary(1) == 0
+        assert reduced_betti(discrete) == bv({0: 2})
+        rng = random.Random(15)
+        for _ in range(20):
+            P = with_isolated_vertices(random_poset(rng), rng.randrange(1, 4))
+            cc = chain_complex(P)
+            for n in (0, 1):
+                assert cc.rank_boundary(n) == _dense_rank(cc, n)
+
+    def test_empty_complex(self):
+        for X in (SimplicialComplex([]), build_poset([])):
+            cc = chain_complex(X)
+            assert cc.rank_boundary(0) == cc.rank_boundary(1) == 0
+            assert reduced_betti(X) == bv({-1: 1})
+
+    def test_x_s_and_links_of_random_posets(self, low_ranks):
+        rng = random.Random(16)
+        for _ in range(60):
+            P = random_poset(rng, max_duplications=6)
+            leray_and_j(P)
+            j_index(P, sample=30, seed=1)
+        least = {n for n, aug in low_ranks if aug == 0}
+        link = {n for n, aug in low_ranks if aug != 0}
+        assert least == link == {0, 1}
+
+    def test_box_nerves_and_subcomplex_regions(self, low_ranks):
+        for backend in ("box", "subcomplex"):
+            low_ranks.clear()
+            for seed in range(25):
+                F = small_family(seed, backend)
+                region_betti(F, ())
+                is_acyclic_with_slack(F, 0)
+            is_acyclic_with_slack(random_family(backend, 5, 3), 0)
+            assert {n for n, _ in low_ranks} == {0, 1}, backend
 
 
 class TestEuler:

@@ -6,7 +6,7 @@ import pytest
 from helpers import (family_reduced_multinerve, fiber_sizes, poset_isomorphic,
                      small_family)
 
-from multinerve import (SimplicialComplex, box, box_family,
+from multinerve import (CellTag, SimplicialComplex, box, box_family,
                         canonical_projection, components, j_index,
                         multinerve, nerve, random_family,
                         reduced_betti, reduced_multinerve, validate_map)
@@ -166,6 +166,15 @@ def _tag(tag):
     return tag.subset, None if tag.component is None else tag.component.canon
 
 
+def _cells(X) -> dict:
+    """Each cell's tag mapped to its faces' tags."""
+    P = X.poset
+    cells = {_tag(X.tags[c]): tuple(_tag(X.tags[f]) for f in P.faces_of(c))
+             for c in P.cells()}
+    assert len(cells) == P.n_cells
+    return cells
+
+
 class TestTower:
     """M, R_t and the nerve's face poset, built as quotients of M's tags,
     against the nerve complex and an oracle from the family alone."""
@@ -178,13 +187,22 @@ class TestTower:
         N = nerve(F).as_poset().export_records()
         for t in (None, *range(1, len(F) + 2)):
             X = multinerve(F) if t is None else reduced_multinerve(F, t)[0]
-            P = X.poset
-            cells = {_tag(X.tags[c]): tuple(_tag(X.tags[f])
-                                            for f in P.faces_of(c))
-                     for c in P.cells()}
-            assert len(cells) == P.n_cells, t
-            assert cells == family_reduced_multinerve(F, t), t
+            assert _cells(X) == family_reduced_multinerve(F, t), t
             assert canonical_projection(X).target.export_records() == N, t
+
+    @pytest.mark.parametrize("backend,n,seeds,options", [
+        ("box", 5, range(6), {}),
+        ("subcomplex", 5, range(6), {}),
+        ("box", 10, range(1, 4), {"ambient_dim": 2, "boxes_per_member": 2}),
+        ("subcomplex", 12, range(1, 4), {"grid": 7, "stars_per_member": 3})])
+    def test_cells_numbered_in_sort_order(self, backend, n, seeds, options):
+        # ``mnv gen`` families, up to the benchmark's ``oracle`` size: M is
+        # numbered in tag order as it is built, with faces from the oracle
+        for seed in seeds:
+            F = random_family(backend, n, seed, **options)
+            M = multinerve(F)
+            assert list(M.tags) == sorted(M.tags, key=CellTag.sort_key)
+            assert _cells(M) == family_reduced_multinerve(F, None), seed
 
     def test_reduced_multinerve_walks_the_family_once(self, monkeypatch):
         real, calls = nerve_module._nerve_walk, []
