@@ -2,10 +2,11 @@
 
 L(X) is the first dimension from which every induced subposet is
 homologically silent.  J(X) asks the same of the order complexes of open
-upper intervals over all induced subposets; it dominates L and agrees with
-it on simplicial complexes, while on general posets whether L = J always
-holds is unknown.  Both are computed exactly by enumeration, with explicit
-refusal past the vertex cap and a sampling mode for lower bounds.
+upper intervals over all induced subposets.  The two are equal on every
+simplicial poset (the theorem in the ``multinerve.leray`` docstring), and
+J's witness is L's, at the least element.  Both are computed exactly by
+enumeration, with explicit refusal past the vertex cap and a sampling mode
+for lower bounds.
 """
 
 from multinerve import (CapExceeded, SimplicialComplex, j_index,

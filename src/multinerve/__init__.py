@@ -6,8 +6,7 @@ from .poset import (CellRecord, PosetError, SimplicialComplex,
                     order_complex, upper_complexes)
 from .homology import (BettiVector, Boundary, ChainComplex, chain_complex,
                        euler_characteristic, reduced_betti, sparse_rank)
-from .leray import (CapExceeded, LerayReport, Witness, j_index, leray_and_j,
-                    leray_number)
+from .leray import CapExceeded, LerayReport, Witness, j_index, leray_number
 from .families import (Box, BoxUnionMember, ComponentLabel, FamilyError,
                        SetFamily, SubcomplexMember, box, box_family,
                        component_containing, components, is_acyclic_with_slack,

@@ -130,9 +130,7 @@ def _verify(args) -> int:
     if args.what == "multinerve":
         report = verify_multinerve_theorem(F, args.s)
     elif args.what == "projection":
-        report = verify_projection_bound(F, t=args.t, s=args.s,
-                                         cap=args.cap,
-                                         artifacts_dir=args.artifacts_dir)
+        report = verify_projection_bound(F, t=args.t, s=args.s, cap=args.cap)
     else:
         report = verify_helly_bound(F, s=args.s if args.s is not None else 0,
                                     t=args.t, cap=args.cap)
@@ -217,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=_at_least(1), default=1)
     sp.add_argument("--cap", type=_at_least(0), default=16)
     sp.add_argument("--gamma-dim", type=_at_least(0), default=None)
-    sp.add_argument("--artifacts-dir", default=None,
-                    help="archive L<J counterexample candidates here")
 
     sp = sub.add_parser("gen", help="generate a reproducible random family")
     sp.set_defaults(run=_gen)

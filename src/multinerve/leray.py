@@ -3,25 +3,44 @@
 L(X) asks that every induced subposet has vanishing reduced homology from
 some dimension up.  J(X) asks the same of the order complexes of all open
 upper intervals in all induced subposets (the least element included, whose
-upper interval complex is the barycentric subdivision).  L <= J always; on
-simplicial complexes they agree.
+upper interval complex is the barycentric subdivision).  They are equal
+(the theorem below), so exact J is L's walk.
 
 Neither builds a new poset or complex: each selects from a ``Boundary``,
 which says why a selection needs no second d o d check.  X[S], the cells
 whose vertices all lie in S (by vertex bitmask), is selected from X's.
-For J, the cells tau >= sigma of X[S] are the face poset of a regular CW
-complex, the link Lk(sigma, X[S]) (Bjorner 1984), whose barycentric
-subdivision is the order complex of (sigma, .); so its cellular chain
-complex has the reduced homology J needs.  It is selected from sigma's
-link boundary: X's rows of the cells tau > sigma less the faces not
->= sigma, sigma the augmentation, C(X, X - st sigma) shifted down by
-dim sigma + 1.  At the least cell (dimension -1, and id 0, as faces have
-smaller ids) nothing is left out and the shift is 0: the link is X[S]
-with X's rows.  So L is J's term at the least cell, and one walk serves
-both.
+The cells tau >= sigma of X[S] are the face poset of a regular CW complex,
+the link Lk(sigma, X[S]) (Bjorner 1984), whose barycentric subdivision is
+the order complex of (sigma, .); so its cellular chain complex has the
+reduced homology J needs.  It is selected from sigma's link boundary: X's
+rows of the cells tau > sigma less the faces not >= sigma, sigma the
+augmentation, C(X, X - st sigma) shifted down by dim sigma + 1.  At the
+least cell (dimension -1, and id 0, as faces have smaller ids) nothing is
+left out and the shift is 0: the link is X[S] with X's rows.  So L is J's
+term at the least cell, and L <= J.
 
-Most queries need no rank, because a smaller subset gives the same
-homology.
+Theorem.  J(X) = L(X), and J's witness is L's, at the least cell.
+
+Proof.  Let H~_d(Lk(sigma, Y)) != 0 for Y = X[S], d >= 0 and sigma above
+the least cell, on the vertex set T, |T| = k + 1.  Let A be the union of
+the X[S - u], u in T: the cells of Y that miss a vertex of T.  A cell of
+Y - A has one face on T, as its lower interval is Boolean, and its faces
+outside A lie above that face.  So Y - A splits into the disjoint upper
+sets of sigma and its twins (the cells on T), and C(Y, A) is the direct
+sum of their link complexes, shifted up by k + 1.  Then H_{d+k+1}(Y, A)
+!= 0, and the exact sequence of the pair gives H~_{d+k+1}(Y) != 0 or
+H~_{d+k}(A) != 0.  The X[S - u] cover A, and each intersection of them is
+an induced X[S - U], U a nonempty subset of T.  All of them hold the least
+cell, so the Mayer-Vietoris spectral sequence of the cover works on
+augmented chains, with E^1_{p,q} the sum of H~_q(X[S - U]) over
+|U| = p + 1 <= k + 1.  So H~_{d+k}(A) != 0 gives H~_q(X[S - U]) != 0 for
+some U and q >= d.  Either way L >= d + 1, so J <= L.  At d = L - 1 the
+first case cannot occur, as nothing is alive at or above L; the hit is
+then in dimension d of some X[S - U], which the walk below visits before
+S.  So the first hit in dimension J - 1 is at the least cell.  On a
+complex sigma has no twins; twins only add summands.
+
+Most X[S] need no rank, because a smaller subset gives the same homology.
 
 Lemma.  Take x, y in S, outside vert(sigma).  Suppose every cell
 tau > sigma of X[S] with x and without y has exactly one cover tau + y
@@ -57,42 +76,35 @@ and X[{x, y}] is a circle while X[{y}] is a point.
 
 The lemma's data depend on S only through vertex masks.  One pass over
 the faces notes, for each cell, the vertices by which it has exactly one
-cover.  On sigma's first query the walk keeps its pairs (x, y), each with
-the minimal vertex masks of its bad cells: the cells > sigma with x and
-without y whose cover by y is missing or not unique.  x is dominated in S
-at sigma when x and y are in S and no bad mask lies inside S; then
-(sigma, S) is not asked.  (sigma, S - x) has the same homology, and the
-walk visits it earlier, at a floor no higher; the floor then rose past
-every dimension it has alive, so (sigma, S) would answer None.  Values
-and witnesses are those of the walk without pruning.  The sampled pass
-does not prune: it need never draw the smaller subset, so pruning would
-lower its bound and move its witness.
+cover.  The exact walk keeps the least cell's pairs (x, y), each with the
+minimal vertex masks of its bad cells: the cells with x and without y
+whose cover by y is missing or not unique.  x is dominated in S when x
+and y are in S and no bad mask lies inside S; then X[S] is not asked.
+X[S - x] has the same homology, and the walk visits it earlier, at a
+floor no higher; the floor then rose past every dimension it has alive,
+so X[S] would answer None.  Values and witnesses are those of the walk
+without pruning.
 
-``_enumerate`` is that walk, told which indices are wanted.  It prepares
-X once per call: cell vertex masks, unique covers and X's boundary, read
-from P's validated tuples with no per-call id check (every id comes from
-P itself); per cell, on its first query, the cells above it, the vertex
-mask of its closed star and its pairs, and on its first rank its link
-boundary.  A hit is a dimension j >= floor at which a reduced Betti
-number is nonzero: of X[S] (the least cell's answer, L's hit), or of the
-link of a cell of X[S] above the least, which J also asks.  Link answers
-are memoized for the call by (sigma, S & star sigma, floor): the link
-holds only cells above sigma, whose vertices lie in star sigma, so two
-vertex sets that agree on star sigma give the same link (and the same
-pairs).  An index's value is one more than its largest hit.  The walk has
-two passes:
+``_enumerate`` prepares X once per call: cell vertex masks, unique covers
+and X's boundary, read from P's validated tuples with no per-call id check
+(every id comes from P itself).  A hit is a dimension j >= floor at which
+a reduced Betti number is nonzero; an index's value is one more than its
+largest hit.  The walk has two passes:
 
-* exact, which also yields each witness: the subsets of the sorted
-  vertices, smallest first, with each floor raised past each hit, until
-  every wanted value reaches dim + 1.  X[S] is asked once, at L's floor
-  when L is wanted and at J's otherwise; J counts its answer when it is
-  >= J's floor.  Nothing is alive at or above an index's final value, so
-  the first hit in dimension value - 1 (first subset, then least cell
-  first) meets a floor at most value - 1 and raises the index to its
-  value, and no later hit raises it again: the hit that last raised an
-  index is its witness;
-* sampled, instead, for one index: random subsets (and for J one random
-  cell each), which give a labeled lower bound.
+* exact, which also yields the witness: the subsets of the sorted
+  vertices, smallest first, with the floor raised past each hit of X[S],
+  until it reaches dim + 1.  Nothing is alive at or above the final value,
+  so the first hit in dimension value - 1 meets a floor at most value - 1
+  and raises the index to its value, and no later hit raises it again:
+  the hit that last raised it is its witness;
+* sampled, instead: random subsets, and for J one random cell of each,
+  which give a labeled lower bound.  It does not prune: it need never draw
+  the smaller subset, so pruning would lower its bound and move its
+  witness.  A cell above the least is asked on its link boundary, built on
+  its first rank, and each answer is kept for the call by
+  (sigma, S & star sigma, floor): the link holds only cells above sigma,
+  whose vertices lie in star sigma, so two vertex sets that agree on
+  star sigma give the same link.
 
 Exact enumeration is exponential in the vertex count, so it refuses inputs
 past the vertex cap.
@@ -228,60 +240,15 @@ def _dominated(pairs: list, S: int) -> int:
 
 
 def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
-               want_l: bool, want_j: bool) -> tuple[LerayReport, ...]:
-    """Reports of the wanted indices, L's first, each with a witness."""
+               want_j: bool) -> LerayReport:
+    """L's report, or J's when ``want_j``, with a witness."""
     P = _as_poset(X)
     V = list(P.vertex_order)
     if sample is None and len(V) > cap:
         raise CapExceeded(len(V), cap)
     bit, masks, unique = _vertex_masks(P)
-    dims, lower_sets = P._dims, P._lower_sets()
+    dims = P._dims
     boundary = Boundary.of_faces(P._faces)
-    stars: dict[int, tuple[int, list, list]] = {}
-    links: dict[int, Boundary] = {}
-    memo: dict[tuple[int, int, int], int | None] = {}
-
-    def star(sigma: int) -> tuple[int, list, list]:
-        """The vertex mask of sigma's closed star, the cells above sigma
-        and the lemma's pairs at sigma (none when sampling), built on
-        sigma's first query."""
-        if sigma not in stars:
-            above = [t for t in range(sigma + 1, len(dims))
-                     if sigma in lower_sets[t]]
-            stars[sigma] = (reduce(or_, map(masks.__getitem__, above),
-                                   masks[sigma]), above,
-                            [] if sample is not None
-                            else _pairs(sigma, above, masks, unique))
-        return stars[sigma]
-
-    def link_top(sigma: int, S: int, top: int, floor: int) -> int | None:
-        """J's answer above the least cell: the top nonzero reduced Betti
-        dimension >= floor of the link of sigma in X[S], or None; None too
-        when the link is dominated.  The link of sigma in X[S] is sigma and
-        the cells above it whose vertex masks lie in S, selected from
-        sigma's link boundary, built on its first rank.  Its answer is kept
-        by sigma, S & star[sigma] and the floor."""
-        # the link has dimension at most top - dim sigma - 1
-        if top - dims[sigma] <= floor:
-            return None
-        key = (sigma, S & star(sigma)[0], floor)
-        if key not in memo:
-            if _dominated(star(sigma)[2], S):
-                memo[key] = None
-            else:
-                rows, outside = link(sigma).rows, ~S
-                memo[key] = top_nonzero_betti(links[sigma].select(
-                    t for t in rows if not masks[t] & outside), floor)
-        return memo[key]
-
-    def link(sigma: int) -> Boundary:
-        if sigma not in links:
-            rows = {sigma: {}}
-            for t in star(sigma)[1]:
-                rows[t] = {f: a for f, a in boundary.rows[t].items()
-                           if sigma in lower_sets[f]}
-            links[sigma] = Boundary(rows)
-        return links[sigma]
 
     def induced(S: int) -> tuple[list, int]:
         """The ids of the cells all of whose vertices lie in the vertex
@@ -296,73 +263,87 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
             return top_nonzero_betti(boundary.select(cells), floor)
         return None
 
-    if sample is not None:
-        # one index; for J, one random cell of X[S], drawn before any
-        # pruning so that the random stream does not depend on the floor
-        rng = random.Random(seed)
-        best, witness = 0, None
-        for _ in range(sample):
-            S = tuple(v for v in V if rng.random() < 0.5)
+    if sample is None:
+        # J = L, with J's witness at the least cell (the theorem)
+        pairs = _pairs(0, range(1, len(dims)), masks, unique)
+        ceiling, best, witness = P.dim + 1, 0, None
+        for S in chain.from_iterable(combinations(sorted(V), k)
+                                     for k in range(len(V) + 1)):
+            if best == ceiling:
+                break
             inside = sum(bit[v] for v in S)
-            cells, top = induced(inside)
-            sigma = None  # L's; for J, 0 is the least cell, asked as L
-            if want_j:
-                if len(cells) < 2:
-                    continue
-                sigma = cells[rng.randrange(len(cells))]
-            j = (link_top(sigma, inside, top, best) if sigma
-                 else least(cells, top, best))
-            if j is not None:
-                best, witness = j + 1, _witness(X, S, j, sigma)
-        return (LerayReport(best, "sampled", witness),)
+            if _dominated(pairs, inside):
+                continue
+            a = least(*induced(inside), best)
+            if a is not None:
+                best, witness = a + 1, (S, a, 0 if want_j else None)
+        return LerayReport(best, "exact", witness and _witness(X, *witness))
 
-    # L <= J throughout, as J takes each answer of L's at or above its own
-    # floor: so L's floor is the lower, and L at the ceiling finishes both;
-    # each index's witness is the hit that last raised it
-    ceiling, L, J = P.dim + 1, 0, 0
-    wl = wj = None
-    for S in chain.from_iterable(combinations(sorted(V), k)
-                                 for k in range(len(V) + 1)):
-        floor = L if want_l else J
-        if floor == ceiling:
-            break
-        links_wanted = want_j and J < ceiling
+    lower_sets = P._lower_sets()
+    links: dict[int, tuple[int, Boundary]] = {}
+    memo: dict[tuple[int, int, int], int | None] = {}
+
+    def link(sigma: int) -> tuple[int, Boundary]:
+        """The vertex mask of sigma's closed star and sigma's link boundary,
+        built on sigma's first query."""
+        if sigma not in links:
+            rows = {sigma: {}}
+            for t in range(sigma + 1, len(dims)):
+                if sigma in lower_sets[t]:
+                    rows[t] = {f: a for f, a in boundary.rows[t].items()
+                               if sigma in lower_sets[f]}
+            links[sigma] = (reduce(or_, map(masks.__getitem__, rows)),
+                            Boundary(rows))
+        return links[sigma]
+
+    def link_top(sigma: int, S: int, top: int, floor: int) -> int | None:
+        """J's answer above the least cell: the top nonzero reduced Betti
+        dimension >= floor of the link of sigma in X[S], or None.  The link
+        of sigma in X[S] is sigma and the cells above it whose vertex masks
+        lie in S, selected from sigma's link boundary.  Its answer is kept
+        by sigma, S & star sigma and the floor."""
+        # the link has dimension at most top - dim sigma - 1
+        if top - dims[sigma] <= floor:
+            return None
+        star, lk = link(sigma)
+        key = (sigma, S & star, floor)
+        if key not in memo:
+            outside = ~S
+            memo[key] = top_nonzero_betti(lk.select(
+                t for t in lk.rows if not masks[t] & outside), floor)
+        return memo[key]
+
+    # for J, one random cell of X[S] per draw, drawn before any cut-off so
+    # that the random stream does not depend on the floor
+    rng = random.Random(seed)
+    best, witness = 0, None
+    for _ in range(sample):
+        S = tuple(v for v in V if rng.random() < 0.5)
         inside = sum(bit[v] for v in S)
-        pruned = _dominated(star(0)[2], inside)
-        if pruned and not links_wanted:
-            continue
         cells, top = induced(inside)
-        a = None if pruned else least(cells, top, floor)
+        sigma = None  # L's; for J, 0 is the least cell, asked as L
+        if want_j:
+            if len(cells) < 2:
+                continue
+            sigma = cells[rng.randrange(len(cells))]
+        a = (link_top(sigma, inside, top, best) if sigma
+             else least(cells, top, best))
         if a is not None:
-            if want_l:
-                L, wl = a + 1, (S, a, None)
-            if want_j and a >= J:
-                J, wj = a + 1, (S, a, 0)
-        if links_wanted:
-            for sigma in cells[1:]:
-                j = link_top(sigma, inside, top, J)
-                if j is not None:
-                    J, wj = j + 1, (S, j, sigma)
-    return tuple(LerayReport(value, "exact", w and _witness(X, *w))
-                 for want, value, w in ((want_l, L, wl), (want_j, J, wj))
-                 if want)
+            best, witness = a + 1, _witness(X, S, a, sigma)
+    return LerayReport(best, "sampled", witness)
 
 
 def leray_number(X: Space, cap: int = 16,
                  sample: int | None = None, seed: int = 0) -> LerayReport:
     """Exact L(X), or a sampled lower bound when ``sample`` is given."""
-    return _enumerate(X, cap, sample, seed, True, False)[0]
+    return _enumerate(X, cap, sample, seed, False)
 
 
 def j_index(X: Space, cap: int = 16,
             sample: int | None = None, seed: int = 0) -> LerayReport:
-    """Exact J(X), or a sampled lower bound when ``sample`` is given."""
-    return _enumerate(X, cap, sample, seed, False, True)[0]
-
-
-def leray_and_j(X: Space, cap: int = 16) -> tuple[LerayReport, LerayReport]:
-    """Exact L(X) and J(X) from one walk: (leray_number(X), j_index(X))."""
-    return _enumerate(X, cap, None, 0, True, True)
+    """Exact J(X), which is L(X) with its witness at the least cell, or a
+    sampled lower bound when ``sample`` is given."""
+    return _enumerate(X, cap, sample, seed, True)
 
 
 def format_leray(report: LerayReport, kind: str = "leray") -> str:

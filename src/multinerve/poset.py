@@ -273,7 +273,7 @@ class SimplicialComplex:
     orderable (ints, strings, tuples of one kind).
     """
 
-    __slots__ = ("simplices", "vertices")
+    __slots__ = ("simplices", "vertices", "_order")
 
     def __init__(self, simplices: Iterable[Iterable] = (), *, closed: bool = False):
         sims = {frozenset(s) for s in simplices}
@@ -292,6 +292,7 @@ class SimplicialComplex:
                                          f"face of {sorted(s)!r}")
         self.simplices: frozenset = frozenset(sims)
         self.vertices: tuple = tuple(sorted({v for s in sims for v in s}))
+        self._order: tuple[frozenset, ...] | None = None
 
     def __contains__(self, s) -> bool:
         return frozenset(s) in self.simplices
@@ -315,9 +316,13 @@ class SimplicialComplex:
         below = {f for fs in faces for f in fs}
         return [s for s, i in ids.items() if s and i not in below]
 
-    def ordered_simplices(self) -> list[frozenset]:
-        """Every simplex, by dimension and then sorted vertex list."""
-        return sorted(self.simplices, key=lambda s: (len(s), sorted(s)))
+    def ordered_simplices(self) -> tuple[frozenset, ...]:
+        """Every simplex, by dimension and then sorted vertex list: sorted
+        on first use and kept, as the complex does not change."""
+        if self._order is None:
+            self._order = tuple(sorted(self.simplices,
+                                       key=lambda s: (len(s), sorted(s))))
+        return self._order
 
     def simplex_ids(self) -> dict[frozenset, int]:
         """Each simplex's id, its place in ``ordered_simplices``: the cell

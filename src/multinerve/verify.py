@@ -12,13 +12,12 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .families import (SetFamily, _nerve_walk, box, box_family,
                        is_acyclic_with_slack, max_components, region_betti,
                        region_is_empty, subcomplex_family)
 from .homology import BettiVector, reduced_betti
-from .leray import CapExceeded, leray_and_j, leray_number
+from .leray import CapExceeded, leray_number
 from .nerve import canonical_projection, multinerve, nerve, reduced_multinerve
 from .poset import SimplicialComplex
 
@@ -148,16 +147,15 @@ def verify_multinerve_theorem(F: SetFamily, s: int) -> BoundReport:
 
 
 def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
-                            cap: int = 16,
-                            artifacts_dir: str | Path | None = None) -> BoundReport:
+                            cap: int = 16) -> BoundReport:
     """Check the projection bound L(N) <= r J(M_red) + r - 1 and its lemmas.
 
     Also checks L <= J on the posets in play, the quotient bound
     J(M_red) <= max(J(M), t), the slack bound J(M) <= max(d_Gamma, s) when a
     verified slack is supplied, and the Helly-Leray link when the family has
-    empty intersection.  One walk gives L and J of each distinct poset among
-    M, M_red and the nerve's face poset.  Posets found with L < J are
-    archived as counterexample candidates rather than asserted either way.
+    empty intersection.  J = L on every simplicial poset (the theorem in
+    ``leray``), so one exact L walk gives both on each distinct poset among
+    M, M_red and the nerve's face poset, and the L <= J checks hold.
     """
     R, f = reduced_multinerve(F, t)
     pi = canonical_projection(R)
@@ -166,12 +164,13 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     M, N = f.source, pi.target  # N: the nerve's face poset, same L and J
     r = pi.max_fiber
 
-    # one L and J walk per distinct poset: R is M at t = 1, and N for t > |F|
+    # one L walk per distinct poset, its value also J's: R is M at t = 1,
+    # and N for t > |F|
     posets = (M, R.poset, N)
     keys = [tuple(P.export_records()) for P in posets]
-    lj = {k: tuple(rep.value for rep in leray_and_j(P, cap=cap))
+    lj = {k: leray_number(P, cap=cap).value
           for k, P in dict(zip(keys, posets)).items()}
-    (l_m, j_m), (l_r, j_r), (l_n, j_n) = map(lj.__getitem__, keys)
+    l_m, l_r, l_n = j_m, j_r, j_n = [lj[k] for k in keys]
 
     report = BoundReport(instance_id(F))
     q = report.quantities
@@ -204,14 +203,6 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
         h = helly_number(F, cap=cap).h
         q["h"] = h
         report.checks.append(Check("helly_leray", h, l_n + 1))
-
-    if artifacts_dir is not None:
-        if l_m < j_m:
-            _record_lj_candidate(M, l_m, j_m, artifacts_dir,
-                                 f"{report.instance}-multinerve")
-        if l_r < j_r:
-            _record_lj_candidate(R.poset, l_r, j_r, artifacts_dir,
-                                 f"{report.instance}-reduced")
     return report
 
 
@@ -240,18 +231,6 @@ def verify_helly_bound(F: SetFamily, s: int = 0, t: int = 1,
     report.checks.append(Check("helly_bound", h, bound))
     report.checks.append(Check("helly_leray", h, l_n + 1))
     return report
-
-
-def _record_lj_candidate(P, L: int, J: int, directory, name: str) -> Path:
-    from .formats import write_poset
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{name}.poset"
-    path.write_text(write_poset(P), encoding="utf-8")
-    note = directory / f"{name}.note"
-    note.write_text(f"counterexample candidate: L={L} < J={J}\n",
-                    encoding="utf-8")
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,33 @@ def random_poset(rng: random.Random, n_vertices: int = 5,
     return build_poset(records)
 
 
+def twin_poset(rng: random.Random, n_vertices: int = 5, n_facets: int = 5,
+               max_facet: int = 3) -> SimplicialPoset:
+    """A random complex's face poset with, twice, a cell c of dimension
+    >= 1 copied together with part of its upper star: a cell
+    above c is copied, on the copies of its faces above c, at random when
+    all those faces are copied (so each lower interval stays Boolean).
+    ``random_poset`` copies only top cells, so its twins have no cofaces;
+    here they often do."""
+    P = random_complex(rng, n_vertices, n_facets, max_facet).as_poset()
+    records = [(r.dim, list(r.faces)) for r in P.export_records()]
+    for _ in range(2):
+        Q = build_poset(records)
+        candidates = [c for c in Q.cells() if Q.dim_of(c) >= 1]
+        if not candidates:
+            break
+        c = rng.choice(candidates)
+        lower, copy = _lower_sets(Q), {c: len(records)}
+        records.append(records[c])
+        for t in range(c + 1, Q.n_cells):
+            above = [f for f in Q.faces_of(t) if c in lower[f]]
+            if above and all(f in copy for f in above) and rng.random() < 0.5:
+                copy[t] = len(records)
+                records.append((records[t][0],
+                                [copy.get(f, f) for f in records[t][1]]))
+    return build_poset(records)
+
+
 def cone_poset(P: SimplicialPoset) -> SimplicialPoset:
     """The cone over P with a new apex, last in the vertex order: cell c
     gains a copy c * apex whose faces are the copies of c's faces, then c."""

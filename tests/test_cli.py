@@ -212,6 +212,14 @@ class TestVerify:
         r = mnv("verify", "multinerve", str(FIXTURES / "blown_tetrahedron.family"))
         assert r.returncode == 2
 
+    def test_artifacts_dir_is_unknown(self, tmp_path):
+        # J = L, so there are no L < J candidates to archive
+        code, out, err = mnv_in_process(
+            "verify", "projection", str(FIXTURES / "two_arcs.family"),
+            "--artifacts-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --artifacts-dir" in err
+
     def test_precondition_failure_is_1(self, tmp_path):
         fam = tmp_path / "circle.family"
         from multinerve.fixtures import circle_member_family
@@ -326,7 +334,7 @@ _OPTIONS = {
     "j-index": ["--cap", "--sample", "--seed"],
     "nerve": ["--gamma-dim"], "multinerve": ["--t", "--gamma-dim"],
     "helly": ["--cap", "--gamma-dim"], "check-acyclic": ["--s", "--gamma-dim"],
-    "verify": ["--s", "--t", "--cap", "--gamma-dim", "--artifacts-dir"],
+    "verify": ["--s", "--t", "--cap", "--gamma-dim"],
     "gen": ["--backend", "--n", "--seed", "--ambient-dim",
             "--boxes-per-member", "--grid", "--stars-per-member"],
 }
@@ -348,7 +356,7 @@ def test_main_exits_with_a_contract_code(tmp_path_factory, data):
     def value(option):
         if option == "--backend":
             return st.sampled_from(["box", "subcomplex"])
-        if option in ("--out", "--artifacts-dir"):
+        if option == "--out":
             return st.sampled_from(paths)
         return number
 

@@ -11,7 +11,7 @@ from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
 
 from multinerve import (BettiVector, SimplicialComplex, build_poset,
                         chain_complex, euler_characteristic,
-                        is_acyclic_with_slack, j_index, leray_and_j,
+                        is_acyclic_with_slack, j_index, leray_number,
                         random_family, reduced_betti, region_betti,
                         sparse_rank)
 from multinerve.fixtures import cycle_complex, double_edge_poset
@@ -224,7 +224,7 @@ class TestLowRanks:
         rng = random.Random(16)
         for _ in range(60):
             P = random_poset(rng, max_duplications=6)
-            leray_and_j(P)
+            leray_number(P)
             j_index(P, sample=30, seed=1)
         least = {n for n, aug in low_ranks if aug == 0}
         link = {n for n, aug in low_ranks if aug != 0}

@@ -5,14 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (cone_poset, first_hit_witness, induced, j_oracle,
-                     leray_oracle, poset_betti_gj, poset_leray_oracle,
-                     random_complex, random_poset, upper_interval_betti,
-                     with_isolated_vertices)
+from helpers import (_lower_sets, cone_poset, first_hit_witness, induced,
+                     j_oracle, leray_oracle, poset_betti_gj,
+                     poset_leray_oracle, random_complex, random_poset,
+                     twin_poset, upper_interval_betti, with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
-                        build_poset, chain_complex, j_index, leray_and_j,
-                        leray_number, multinerve, random_family, reduced_betti,
+                        build_poset, chain_complex, j_index, leray_number,
+                        multinerve, random_family, reduced_betti,
                         reduced_multinerve, region_betti, subcomplex_family,
                         upper_complexes)
 from multinerve.fixtures import double_edge_poset
@@ -200,14 +200,17 @@ class TestJOracle:
 
 
 class TestLerayAndJ:
-    """One walk gives exactly (leray_number(X), j_index(X)): values, modes
-    and witnesses."""
+    """Exact J is L (the theorem in ``leray``): j_index gives leray_number's
+    value and mode, and its witness (S, j) with sigma the least cell."""
 
     @staticmethod
     def check(X):
-        both = leray_and_j(X)
-        assert both == (leray_number(X), j_index(X))
-        return both
+        L, J = leray_number(X), j_index(X)
+        assert (J.value, J.mode) == (L.value, L.mode)
+        least = () if isinstance(X, SimplicialComplex) else 0
+        w = L.witness
+        assert J.witness == (w and Witness(w.S, w.j, least))
+        return L, J
 
     def test_random_posets_with_duplicated_cells(self):
         rng = random.Random(21)
@@ -248,39 +251,51 @@ class TestLerayAndJ:
             F = random_family(backend, 6, seed, boxes_per_member=1, **kw)
             self.check(multinerve(F).poset)
 
-    def test_links_asked_as_by_j_alone(self, monkeypatch):
-        # J's own links decide J wherever L < J, so the walk must ask them
-        # just as a lone j_index does, even where L = J
+    def test_exact_calls_select_from_x_alone(self, monkeypatch):
+        # J = L, so an exact call selects every complex it ranks from X's
+        # boundary, whose augmentation is the least cell
         from multinerve.homology import Boundary
-        real, asked = Boundary.select, []
+        real, augmentations = Boundary.select, []
 
         def spy(self, cells):
-            cells = list(cells)
-            [sigma] = [c for c, row in self.rows.items() if not row]
-            if sigma != 0:
-                asked.append((sigma, tuple(cells)))
+            augmentations.extend(c for c, row in self.rows.items() if not row)
             return real(self, cells)
         monkeypatch.setattr(Boundary, "select", spy)
-        rng, links = random.Random(24), 0
+        rng = random.Random(24)
         for _ in range(10):
             P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=4)
-            del asked[:]
-            j_index(P)
-            alone = list(asked)
-            del asked[:]
-            leray_and_j(P)
-            assert asked == alone
-            links += len(alone)
-        assert links
+            for index in (leray_number, j_index):
+                index(P)
+        assert augmentations and set(augmentations) == {0}
 
     def test_cap_refusal(self):
         K = SimplicialComplex([(i,) for i in range(6)])
-        with pytest.raises(CapExceeded) as both:
-            leray_and_j(K, cap=4)
-        for index in (leray_number, j_index):
-            with pytest.raises(CapExceeded) as alone:
-                index(K, cap=4)
-            assert str(both.value) == str(alone.value)
+        with pytest.raises(CapExceeded) as L:
+            leray_number(K, cap=4)
+        with pytest.raises(CapExceeded) as J:
+            j_index(K, cap=4)
+        assert str(L.value) == str(J.value)
+
+    def test_twins_with_cofaces(self):
+        # cells copied with part of their upper star: the twins of the
+        # theorem's direct sum, against the J oracle and the first hit from
+        # the definition, which asks every upper interval
+        rng = random.Random(25)
+        with_coface = 0
+        for _ in range(40):
+            P = twin_poset(rng, n_vertices=rng.randrange(3, 6))
+            lower = _lower_sets(P)
+            twins = [c for c in P.cells() if P.dim_of(c) >= 1
+                     and any(P.vertices_of(t) == P.vertices_of(c)
+                             for t in P.cells() if t != c)]
+            with_coface += any(c in lower[t] for c in twins
+                               for t in P.cells() if t != c)
+            L, J = self.check(P)
+            assert J.value == j_oracle(P)
+            want = first_hit_witness(P, J.value, links=True)
+            assert J.witness == (want and Witness(*want))
+            assert want is None or want[2] == P.least
+        assert with_coface >= 10
 
 
 class TestDomination:
@@ -290,8 +305,7 @@ class TestDomination:
 
     @staticmethod
     def check(P):
-        L, J = leray_and_j(P)
-        assert (L, J) == (leray_number(P), j_index(P))
+        L, J = leray_number(P), j_index(P)
         assert L.value == poset_leray_oracle(P)
         if L.witness is not None:
             w = L.witness
@@ -413,8 +427,7 @@ class TestWitnessOracle:
     @staticmethod
     def check(X):
         P = X.as_poset() if isinstance(X, SimplicialComplex) else X
-        L, J = leray_and_j(X)
-        assert (L, J) == (leray_number(X), j_index(X))
+        L, J = leray_number(X), j_index(X)
         for rep, links in ((L, False), (J, True)):
             want = first_hit_witness(P, rep.value, links)
             if want is not None and isinstance(X, SimplicialComplex):
@@ -480,7 +493,7 @@ class TestOnePass:
         monkeypatch.setattr(Boundary, "select", spy)
         rng, asked = random.Random(54), 0
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(20)]:
-            for index in (leray_number, j_index, leray_and_j):
+            for index in (leray_number, j_index):
                 del selected[:]
                 index(P)
                 assert len(set(selected)) == len(selected)
@@ -490,7 +503,7 @@ class TestOnePass:
     def test_fifteen_vertex_subcomplex_multinerve(self):
         P = multinerve(random_family("subcomplex", 9, 1, grid=5)).poset
         assert len(P.vertex_order) == 15
-        assert leray_and_j(P) == (
+        assert (leray_number(P), j_index(P)) == (
             LerayReport(2, "exact", Witness((1, 3, 14), 1)),
             LerayReport(2, "exact", Witness((1, 3, 14), 1, 0)))
 
@@ -535,8 +548,8 @@ class TestDDChecked:
 
 
 class TestBoundary:
-    """One ``Boundary`` (one d o d check) per space and per link ranked,
-    and a cell's dimension in a selection is its row length."""
+    """One ``Boundary`` (one d o d check) per space and, in sampled J, per
+    link ranked, and a cell's dimension in a selection is its row length."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -563,22 +576,18 @@ class TestBoundary:
         monkeypatch.setattr(Boundary, "select", spy)
         return sigmas
 
-    def test_one_per_leray_and_one_per_link(self, built, ranked):
-        # the least cell's link is X itself, so it takes X's boundary; a
-        # link boundary is built on the first rank of its link, and only
-        # then (every link of random_poset(Random(3)) is dominated, so this
-        # poset, whose J ranks eight links)
-        P = random_poset(random.Random(9))
-        leray_number(P)
-        assert len(built) == 1
-        for index in (j_index, leray_and_j):
-            del built[:], ranked[:]
-            index(P)
-            links = set(ranked) - {0}
-            assert links
-            assert len(built) == 1 + len(links)
-            assert [[c for c, row in rows.items() if not row][0]
-                    for rows in built[1:]] == sorted(links, key=ranked.index)
+    def test_one_per_exact_call(self, built, ranked):
+        # the least cell's link is X itself, so it takes X's boundary, and
+        # J = L asks no other link
+        rng, asked = random.Random(9), 0
+        for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
+            for index in (leray_number, j_index):
+                del built[:], ranked[:]
+                index(P)
+                assert len(built) == 1 and built[0][0] == {}
+                assert set(ranked) <= {0}
+                asked += len(ranked)
+        assert asked
 
     def test_link_rows_give_link_dimensions(self, built, ranked):
         from multinerve.homology import Boundary
@@ -586,7 +595,8 @@ class TestBoundary:
         seen = 0
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
             del built[:], ranked[:]
-            j_index(P)
+            # a link boundary is built on the first rank of its link
+            j_index(P, sample=40, seed=1)
             assert len(built) == 1 + len(set(ranked) - {0})
             dims, lower = P._dims, P._lower_sets()
             for rows in built[1:]:
@@ -607,7 +617,7 @@ class TestLJRelations:
         rng = random.Random(4)
         for _ in range(25):
             P = random_poset(rng, n_vertices=4, n_facets=4)
-            assert leray_number(P).value <= j_index(P).value
+            assert leray_number(P).value == j_index(P).value
 
     def test_l_eq_j_on_random_complexes(self):
         rng = random.Random(5)

@@ -217,6 +217,31 @@ class TestUpperComplexes:
             assert reduced_betti(D).is_trivial
 
 
+class TestComplexNumbering:
+    def test_order_is_computed_once_per_complex(self, monkeypatch):
+        # a subcomplex family's triangulation T is numbered by parse_family,
+        # by write_family (the instance id) and by the family oracle; it is
+        # sorted on first use only
+        from multinerve import instance_id, poset, random_family, region_betti
+        from multinerve.formats import parse_family, write_family
+        text = write_family(random_family("subcomplex", 3, 0, grid=3))
+        sorted_sets = []
+
+        def spy(items, **kwargs):
+            sorted_sets.append(items)
+            return sorted(items, **kwargs)
+        monkeypatch.setattr(poset, "sorted", spy, raising=False)
+        F = parse_family(text)
+        T = F.ambient
+        instance_id(F)
+        region_betti(F, ())
+        T.as_poset()
+        assert sum(s is T.simplices for s in sorted_sets) == 1
+        order = T.ordered_simplices()
+        assert isinstance(order, tuple) and order is T.ordered_simplices()
+        assert T.simplex_ids() == {s: i for i, s in enumerate(order)}
+
+
 @st.composite
 def posets(draw):
     seed = draw(st.integers(0, 10 ** 6))

@@ -5,6 +5,7 @@ import collections
 import pytest
 from helpers import family_helly, family_region, small_family
 
+import multinerve.leray
 import multinerve.verify
 from multinerve import (PreconditionError, SimplicialComplex, box, box_family,
                         helly_number, instance_id, random_family,
@@ -105,24 +106,19 @@ class TestProjectionBound:
         assert rep.all_pass
         assert rep.check("helly_leray").passed
 
-    def test_lj_candidates_archived(self, tmp_path):
-        # the hook fires only if a gap is found; on these instances none is,
-        # so the directory stays empty but the call path is exercised
-        rep = verify_projection_bound(two_arc_circle_family(), t=2,
-                                      artifacts_dir=tmp_path)
-        assert rep.all_pass
-
     def test_l_and_j_run_once_per_distinct_poset(self, monkeypatch):
+        # J = L, so one exact L walk per distinct poset gives both, and no
+        # j_index walk is run
         calls = collections.Counter()
-        for name in ("leray_and_j", "leray_number"):
-            def spy(*args, _name=name, _real=getattr(multinerve.verify, name),
-                    **kwargs):
+        for module, name in ((multinerve.verify, "leray_number"),
+                             (multinerve.leray, "_enumerate")):
+            def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(multinerve.verify, name, spy)
+            monkeypatch.setattr(module, name, spy)
         # R_1 is the multinerve, a double edge here, not the nerve's edge
         rep = verify_projection_bound(two_arc_circle_family(), t=1)
-        assert calls == {"leray_and_j": 2}
+        assert calls == {"leray_number": 2, "_enumerate": 2}
         assert rep.quantities["J_reduced"] == rep.quantities["J_multinerve"]
 
     def test_random_instances_all_pass(self):
