@@ -151,7 +151,7 @@ class ChainComplex:
         by its s makes d_1 the incidence matrix, up to row signs, of the
         graph of 0- and 1-cells, of rank #0-cells - #components: one per
         union that joins two components.  This holds for every boundary
-        built here: X[S], links, box nerves and subcomplex regions.
+        built here: X[S], box nerves and subcomplex regions.
         """
         rows = self.boundary.get(n)
         if not rows:
@@ -178,10 +178,6 @@ class Boundary:
     do Betti vectors.  ``select`` files each cell under dimension
     ``len(row) - 1``, its dimension in every boundary built here: a
     simplicial n-cell has n + 1 distinct faces, and the augmentation none.
-    In the link of sigma (``leray``), the row of tau > sigma keeps the
-    faces of tau that are >= sigma.  [least, tau] is Boolean, so they are
-    tau less one vertex outside sigma: dim tau - dim sigma of them, one
-    more than tau's link dimension; sigma's row is empty.
     """
 
     __slots__ = ("rows",)

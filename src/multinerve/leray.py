@@ -4,20 +4,19 @@ L(X) asks that every induced subposet has vanishing reduced homology from
 some dimension up.  J(X) asks the same of the order complexes of all open
 upper intervals in all induced subposets (the least element included, whose
 upper interval complex is the barycentric subdivision).  They are equal
-(the theorem below), so exact J is L's walk.
+(the theorem below), so J is L's walk, exact or sampled.
 
-Neither builds a new poset or complex: each selects from a ``Boundary``,
-which says why a selection needs no second d o d check.  X[S], the cells
-whose vertices all lie in S (by vertex bitmask), is selected from X's.
-The cells tau >= sigma of X[S] are the face poset of a regular CW complex,
-the link Lk(sigma, X[S]) (Bjorner 1984), whose barycentric subdivision is
-the order complex of (sigma, .); so its cellular chain complex has the
-reduced homology J needs.  It is selected from sigma's link boundary: X's
-rows of the cells tau > sigma less the faces not >= sigma, sigma the
-augmentation, C(X, X - st sigma) shifted down by dim sigma + 1.  At the
-least cell (dimension -1, and id 0, as faces have smaller ids) nothing is
-left out and the shift is 0: the link is X[S] with X's rows.  So L is J's
-term at the least cell, and L <= J.
+L builds no new poset or complex: X[S], the cells whose vertices all lie
+in S (by vertex bitmask), is selected from X's ``Boundary``, which says why
+a selection needs no second d o d check.  For J, the cells tau >= sigma of
+X[S] are the face poset of a regular CW complex, the link Lk(sigma, X[S])
+(Bjorner 1984), whose barycentric subdivision is the order complex of
+(sigma, .); so its cellular chain complex, X's rows of the cells
+tau > sigma less the faces not >= sigma with sigma the augmentation
+(C(X[S], X[S] - st sigma) shifted down by dim sigma + 1), has the reduced
+homology J needs.  At the least cell (dimension -1, and id 0, as faces
+have smaller ids) nothing is left out and the shift is 0: the link is X[S]
+with X's rows.  So L is J's term at the least cell, and L <= J.
 
 Theorem.  J(X) = L(X), and J's witness is L's, at the least cell.
 
@@ -42,69 +41,55 @@ complex sigma has no twins; twins only add summands.
 
 Most X[S] need no rank, because a smaller subset gives the same homology.
 
-Lemma.  Take x, y in S, outside vert(sigma).  Suppose every cell
-tau > sigma of X[S] with x and without y has exactly one cover tau + y
-with vertex set vert(tau) + y.  Then Lk(sigma, X[S]) and
-Lk(sigma, X[S - x]) have the same reduced homology.
+Lemma.  Take x, y in S.  Suppose every cell tau of X[S] with x and
+without y has exactly one cover tau + y with vertex set vert(tau) + y.
+Then X[S] and X[S - x] have the same reduced homology.
 
-Proof.  Let C be the link's chain complex and C' its subcomplex on the
-cells without x, the chain complex of Lk(sigma, X[S - x]); D = C / C' has
-the cells with x as a basis.  A cell rho of D with y has one face tau
-without y (its Boolean interval [least, rho] holds one cell per vertex
-subset), and tau is in D, so rho = tau + y; each other face of rho in D is
-phi + y for a face phi of tau in D, again by Boolean intervals and the
-uniqueness of covers by y.  Let h send tau in D without y to
+Proof.  Let C be the chain complex of X[S] and C' its subcomplex on the
+cells without x, the chain complex of X[S - x]; D = C / C' has the cells
+with x, those >= the vertex x, as a basis.  A cell rho of D with y has one
+face tau without y (its Boolean interval [least, rho] holds one cell per
+vertex subset), and tau is in D, so rho = tau + y; each other face of rho
+in D is phi + y for a face phi of tau in D, again by Boolean intervals and
+the uniqueness of covers by y.  Let h send tau in D without y to
 e(tau) (tau + y), e(tau) = +-1 the entry of tau in the row of tau + y,
 and the cells with y to 0.  d o d = 0 on the square phi < tau,
 phi + y < tau + y gives e(tau) [tau + y : phi + y] = -e(phi) [tau : phi],
 so dh + hd = 1 on D.  D is contractible, and the long exact sequence of
 0 -> C' -> C -> D -> 0 gives H(C') = H(C).  The pairs (tau, tau + y)
-form an acyclic matching (Forman 1998); for complexes at the least cell
-this is the strong collapse of a dominated vertex (Barmak-Minian 2012).
+form an acyclic matching (Forman 1998); for complexes this is the strong
+collapse of a dominated vertex (Barmak-Minian 2012).
 
-At the least cell the cells with x are those >= the vertex x.  Above it,
-when sigma has one cover a with vertex set vert(sigma) + x, they are the
-cells >= a ([sigma, tau] is Boolean too); when it has two, a and a', the
-cells >= a' must be matched as well.  Take a vertex sigma joined to x by
-two edges a, a' and to y by an edge b, with an edge xy and one triangle,
-on a, b and xy.  Every cell >= a is matched by y, yet
-Lk(sigma, X[{sigma, x, y}]), the edge a-b and the point a', has two
-components, and Lk(sigma, X[{sigma, y}]), the point b, has one; a' has
-no cover by y, so the lemma does not apply.  "Exactly one" is needed too:
-in the double edge, x and y joined by two edges, x has two covers by y,
-and X[{x, y}] is a circle while X[{y}] is a point.
+"Exactly one" is needed: in the double edge, x and y joined by two edges,
+x has two covers by y, and X[{x, y}] is a circle while X[{y}] is a point.
 
 The lemma's data depend on S only through vertex masks.  One pass over
 the faces notes, for each cell, the vertices by which it has exactly one
-cover.  The exact walk keeps the least cell's pairs (x, y), each with the
-minimal vertex masks of its bad cells: the cells with x and without y
-whose cover by y is missing or not unique.  x is dominated in S when x
-and y are in S and no bad mask lies inside S; then X[S] is not asked.
-X[S - x] has the same homology, and the walk visits it earlier, at a
-floor no higher; the floor then rose past every dimension it has alive,
-so X[S] would answer None.  Values and witnesses are those of the walk
-without pruning.
+cover.  The exact walk keeps the pairs (x, y), each with the minimal
+vertex masks of its bad cells: the cells with x and without y whose cover
+by y is missing or not unique.  x is dominated in S when x and y are in S
+and no bad mask lies inside S; then X[S] is not asked.  X[S - x] has the
+same homology, and the walk visits it earlier, at a floor no higher; the
+floor then rose past every dimension it has alive, so X[S] would answer
+None.  Values and witnesses are those of the walk without pruning.
 
 ``_enumerate`` prepares X once per call: cell vertex masks, unique covers
 and X's boundary, read from P's validated tuples with no per-call id check
 (every id comes from P itself).  A hit is a dimension j >= floor at which
 a reduced Betti number is nonzero; an index's value is one more than its
-largest hit.  The walk has two passes:
+largest hit.  One loop serves L and J: it ranks X[S] at the floor for each
+vertex set S it is given, raises the floor past each hit, and stops once
+the floor reaches dim + 1, which no hit can pass.  J's witness is L's,
+with sigma the least cell.  The vertex sets come from one of two sources:
 
 * exact, which also yields the witness: the subsets of the sorted
-  vertices, smallest first, with the floor raised past each hit of X[S],
-  until it reaches dim + 1.  Nothing is alive at or above the final value,
-  so the first hit in dimension value - 1 meets a floor at most value - 1
-  and raises the index to its value, and no later hit raises it again:
-  the hit that last raised it is its witness;
-* sampled, instead: random subsets, and for J one random cell of each,
-  which give a labeled lower bound.  It does not prune: it need never draw
-  the smaller subset, so pruning would lower its bound and move its
-  witness.  A cell above the least is asked on its link boundary, built on
-  its first rank, and each answer is kept for the call by
-  (sigma, S & star sigma, floor): the link holds only cells above sigma,
-  whose vertices lie in star sigma, so two vertex sets that agree on
-  star sigma give the same link.
+  vertices, smallest first, less the dominated ones.  Nothing is alive at
+  or above the final value, so the first hit in dimension value - 1 meets
+  a floor at most value - 1 and raises the index to its value, and no
+  later hit raises it again: the hit that last raised it is its witness;
+* sampled, instead: ``sample`` random subsets, which give a labeled lower
+  bound.  It does not prune: it need never draw the smaller subset, so
+  pruning would lower its bound and move its witness.
 
 Exact enumeration is exponential in the vertex count, so it refuses inputs
 past the vertex cap.
@@ -202,20 +187,17 @@ def _bits(m: int):
         m ^= b
 
 
-def _pairs(sigma: int, above: list, masks: list, unique: list) -> list:
-    """The lemma's pairs at sigma, as (the bits of x and y, x's bit, the
-    minimal vertex masks of the bad cells): the cells > sigma with x and
-    without y whose cover by y is missing or not unique.  ``above``: the
-    cells > sigma.  A pair is left out when a cover of sigma by x is bad,
-    as X[S] holds it whenever x is in S."""
+def _pairs(masks: list, unique: list) -> list:
+    """The lemma's pairs at the least cell, as (the bits of x and y, x's
+    bit, the minimal vertex masks of the bad cells): the cells with x and
+    without y whose cover by y is missing or not unique.  A pair is left
+    out when the vertex x is bad, as X[S] holds it whenever x is in S."""
     pairs = []
-    base = masks[sigma]
-    for x in _bits(reduce(or_, map(masks.__getitem__, above), 0) & ~base):
-        up = [t for t in above if masks[t] & x]
-        near = base | x
-        for y in _bits(reduce(or_, map(masks.__getitem__, up)) & ~near):
+    for x in _bits(reduce(or_, masks, 0)):
+        up = [t for t, m in enumerate(masks) if m & x]
+        for y in _bits(reduce(or_, map(masks.__getitem__, up)) & ~x):
             bad = {masks[t] for t in up if not (masks[t] | unique[t]) & y}
-            if near in bad:
+            if x in bad:
                 continue
             kept: list[int] = []
             for m in sorted(bad, key=int.bit_count):
@@ -240,110 +222,52 @@ def _dominated(pairs: list, S: int) -> int:
 
 
 def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
-               want_j: bool) -> LerayReport:
-    """L's report, or J's when ``want_j``, with a witness."""
+               sigma: int | None) -> LerayReport:
+    """L's report, with ``sigma`` the witness's cell: None for L, and the
+    least cell, 0, for J."""
     P = _as_poset(X)
     V = list(P.vertex_order)
-    if sample is None and len(V) > cap:
-        raise CapExceeded(len(V), cap)
+    if sample is None:
+        if len(V) > cap:
+            raise CapExceeded(len(V), cap)
+        subsets = chain.from_iterable(combinations(sorted(V), k)
+                                      for k in range(len(V) + 1))
+    else:
+        rng = random.Random(seed)
+        subsets = (tuple(v for v in V if rng.random() < 0.5)
+                   for _ in range(sample))
     bit, masks, unique = _vertex_masks(P)
+    pairs = _pairs(masks, unique) if sample is None else []
     dims = P._dims
     boundary = Boundary.of_faces(P._faces)
-
-    def induced(S: int) -> tuple[list, int]:
-        """The ids of the cells all of whose vertices lie in the vertex
-        mask S, ascending, and the top cell dimension."""
-        outside = ~S
-        cells = [c for c, m in enumerate(masks) if not m & outside]
-        return cells, max(dims[c] for c in cells)
-
-    def least(cells: list, top: int, floor: int) -> int | None:
-        """L's answer on X[S], which is J's at the least cell."""
-        if top >= floor:
-            return top_nonzero_betti(boundary.select(cells), floor)
-        return None
-
-    if sample is None:
-        # J = L, with J's witness at the least cell (the theorem)
-        pairs = _pairs(0, range(1, len(dims)), masks, unique)
-        ceiling, best, witness = P.dim + 1, 0, None
-        for S in chain.from_iterable(combinations(sorted(V), k)
-                                     for k in range(len(V) + 1)):
-            if best == ceiling:
-                break
-            inside = sum(bit[v] for v in S)
-            if _dominated(pairs, inside):
-                continue
-            a = least(*induced(inside), best)
-            if a is not None:
-                best, witness = a + 1, (S, a, 0 if want_j else None)
-        return LerayReport(best, "exact", witness and _witness(X, *witness))
-
-    lower_sets = P._lower_sets()
-    links: dict[int, tuple[int, Boundary]] = {}
-    memo: dict[tuple[int, int, int], int | None] = {}
-
-    def link(sigma: int) -> tuple[int, Boundary]:
-        """The vertex mask of sigma's closed star and sigma's link boundary,
-        built on sigma's first query."""
-        if sigma not in links:
-            rows = {sigma: {}}
-            for t in range(sigma + 1, len(dims)):
-                if sigma in lower_sets[t]:
-                    rows[t] = {f: a for f, a in boundary.rows[t].items()
-                               if sigma in lower_sets[f]}
-            links[sigma] = (reduce(or_, map(masks.__getitem__, rows)),
-                            Boundary(rows))
-        return links[sigma]
-
-    def link_top(sigma: int, S: int, top: int, floor: int) -> int | None:
-        """J's answer above the least cell: the top nonzero reduced Betti
-        dimension >= floor of the link of sigma in X[S], or None.  The link
-        of sigma in X[S] is sigma and the cells above it whose vertex masks
-        lie in S, selected from sigma's link boundary.  Its answer is kept
-        by sigma, S & star sigma and the floor."""
-        # the link has dimension at most top - dim sigma - 1
-        if top - dims[sigma] <= floor:
-            return None
-        star, lk = link(sigma)
-        key = (sigma, S & star, floor)
-        if key not in memo:
-            outside = ~S
-            memo[key] = top_nonzero_betti(lk.select(
-                t for t in lk.rows if not masks[t] & outside), floor)
-        return memo[key]
-
-    # for J, one random cell of X[S] per draw, drawn before any cut-off so
-    # that the random stream does not depend on the floor
-    rng = random.Random(seed)
-    best, witness = 0, None
-    for _ in range(sample):
-        S = tuple(v for v in V if rng.random() < 0.5)
+    ceiling, best, witness = P.dim + 1, 0, None
+    for S in subsets:
+        if best == ceiling:
+            break
         inside = sum(bit[v] for v in S)
-        cells, top = induced(inside)
-        sigma = None  # L's; for J, 0 is the least cell, asked as L
-        if want_j:
-            if len(cells) < 2:
-                continue
-            sigma = cells[rng.randrange(len(cells))]
-        a = (link_top(sigma, inside, top, best) if sigma
-             else least(cells, top, best))
-        if a is not None:
-            best, witness = a + 1, _witness(X, S, a, sigma)
-    return LerayReport(best, "sampled", witness)
+        if _dominated(pairs, inside):
+            continue
+        outside = ~inside
+        cells = [c for c, m in enumerate(masks) if not m & outside]
+        if max(dims[c] for c in cells) >= best:
+            a = top_nonzero_betti(boundary.select(cells), best)
+            if a is not None:
+                best, witness = a + 1, (S, a, sigma)
+    mode = "exact" if sample is None else "sampled"
+    return LerayReport(best, mode, witness and _witness(X, *witness))
 
 
 def leray_number(X: Space, cap: int = 16,
                  sample: int | None = None, seed: int = 0) -> LerayReport:
     """Exact L(X), or a sampled lower bound when ``sample`` is given."""
-    return _enumerate(X, cap, sample, seed, False)
+    return _enumerate(X, cap, sample, seed, None)
 
 
 def j_index(X: Space, cap: int = 16,
             sample: int | None = None, seed: int = 0) -> LerayReport:
     """Exact J(X), which is L(X) with its witness at the least cell, or a
     sampled lower bound when ``sample`` is given."""
-    return _enumerate(X, cap, sample, seed, True)
+    return _enumerate(X, cap, sample, seed, 0)
 
 
 def format_leray(report: LerayReport, kind: str = "leray") -> str:

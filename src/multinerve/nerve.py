@@ -140,32 +140,33 @@ def validate_map(mapping, X: SimplicialPoset, Y: SimplicialPoset) -> MonotoneMap
     for y in mapping:
         Y._check_cell(y)
 
+    # every id is checked above, so the tables are read directly
+    ydims, ylower = Y._dims, Y._lower_sets()
     witnesses: dict = {}
     monotone = True
-    for c in X.cells():
-        for f in X.faces_of(c):
-            if not Y.leq(mapping[f], mapping[c]):
+    for c, fs in enumerate(X._faces):
+        for f in fs:
+            if mapping[f] not in ylower[mapping[c]]:
                 monotone = False
                 witnesses.setdefault("monotone", (f, c))
     dim_pres = True
-    for c in X.cells():
-        if Y.dim_of(mapping[c]) != X.dim_of(c):
+    for c, d in enumerate(X._dims):
+        if ydims[mapping[c]] != d:
             dim_pres = False
             witnesses.setdefault("dimension_preserving", c)
             break
 
     fibers: dict[int, int] = {}
-    for c in X.cells():
-        fibers[mapping[c]] = fibers.get(mapping[c], 0) + 1
+    for y in mapping:
+        fibers[y] = fibers.get(y, 0) + 1
     max_fiber = max(fibers.values()) if fibers else 0
 
     segment = None
     if monotone and dim_pres:
         segment = True
-        for c in X.cells():
-            seg = X.lower_segment(c)
+        for c, seg in enumerate(X._lower_sets()):
             image = {mapping[s] for s in seg}
-            if len(image) != len(seg) or image != Y.lower_segment(mapping[c]):
+            if len(image) != len(seg) or image != ylower[mapping[c]]:
                 segment = False
                 witnesses.setdefault("segment_bijection", c)
                 break

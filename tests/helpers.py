@@ -414,6 +414,19 @@ def _lower_sets(P: SimplicialPoset) -> list[set]:
     return lower
 
 
+def boolean_lower_segments(P: SimplicialPoset) -> bool:
+    """Whether the lower segment of every n-cell holds n + 1 vertices and
+    one cell per subset of them, with vertex sets rebuilt from the faces."""
+    lower = _lower_sets(P)
+    verts: list[frozenset] = []
+    for c in P.cells():
+        verts.append(frozenset([c]) if P.dim_of(c) == 0 else
+                     frozenset().union(*(verts[f] for f in P.faces_of(c))))
+    return all(len(verts[c]) == P.dim_of(c) + 1
+               and len(lower[c]) == len({verts[t] for t in lower[c]})
+               == 2 ** len(verts[c]) for c in P.cells())
+
+
 def upper_interval_betti(P: SimplicialPoset, S, sigma: int) -> dict[int, int]:
     """Reduced Betti numbers of the order complex of the open interval
     above ``sigma`` in the subposet induced on the vertex set ``S``."""

@@ -14,10 +14,11 @@ exit codes and stdout of those calls is compared with the digest recorded
 here.  The families are the fixture families and ``mnv gen --n 5`` seeds
 0-5 of each backend; the spaces are ``double_edge.poset``,
 ``helpers.random_poset`` seeds 0-5 and ``helpers.random_complex`` seeds 0-3
-(complex inputs pin the witness labels, read from the simplex numbering).  To re-record after a deliberate
-change, print ``digest``, ``slack_digest``, ``oracle_digest`` or
-``space_digest`` of every input
-and say in the change why the bytes moved.
+(complex inputs pin the witness labels, read from the simplex numbering).
+To re-record after a deliberate change, run
+``PYTHONPATH=src:tests python tests/test_golden.py``, which prints the
+current digest of every entry of the four tables, and say in the change
+why the bytes moved.
 """
 
 import contextlib
@@ -113,16 +114,16 @@ SPACE_CALLS = [("homology", "{input}"),
                ("j-index", "{input}", "--sample", "25", "--seed", "1")]
 
 SPACE_GOLDEN = {
-    "double_edge.poset": "4a401292e93dbbe397cd9b889493be861b6f3ea82ad5a94b727805abe04793aa",
-    "random-0": "dba263e47007203f4ef622ce126c40f496dc877ac317c3ab241c9b0806ee7e19",
-    "random-1": "9259ed4cdf53c6ee37cf230ae3a30e57f7a8062e71d3ed978155e3ee303cd223",
+    "double_edge.poset": "1e8030d5006e0f5020de4e199147346c6346265bd26c3de52cbc1c4b1fd5311d",
+    "random-0": "cd22a22325933d64da6f7c4934bdd92a35bc40d014661bd46539adcb7d2246a5",
+    "random-1": "0a0cea2bd9849d091616ac347524f5a3369f66877f95216b1f59274afd7bfc33",
     "random-2": "5746bc1cd85bcf4d2761557c1774f05fe781ddf33d70280cca3ae0cc2537ecd5",
-    "random-3": "668da70d5c0f64ab760812c811d28abb9b084a3e321ab9e0c16a305dc532383d",
-    "random-4": "c95568fdcc9d3458692d4d2317d29059f00cdee23e4d2b6588527049ff87b69e",
+    "random-3": "2d15533251ea5a6fdca1438fa1b9d2b64dd3c7b9bedb64a30cb1a0a6a67e18d7",
+    "random-4": "e1c344589a5dc83acab26a2eb9b411974045bec439bc1ec989e3efcfabf69d87",
     "random-5": "e1c344589a5dc83acab26a2eb9b411974045bec439bc1ec989e3efcfabf69d87",
-    "complex-0": "4153dd8beae935c49be9377e232336c84c33fb58a930728650287c75b7c50ed7",
+    "complex-0": "5b527b68eb5fb4bc0d0536d69198d66587c4b391178bf4d37dfc9eb14ed25420",
     "complex-1": "4a90d0e3047175f533747c26772f7c85b768d4b31d81b3bfe167f20d0d8d5d37",
-    "complex-2": "141091b8872fcf16faf59d2a060d6659da9ccf0b93e381388f4d4c2903f34cb0",
+    "complex-2": "2fe45c36c125252dd5e53a40efc5f44c309fbe1484444f413a1eda812f25825b",
     "complex-3": "4a90d0e3047175f533747c26772f7c85b768d4b31d81b3bfe167f20d0d8d5d37",
 }
 
@@ -204,3 +205,16 @@ def test_oracle_size_report_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SPACE_GOLDEN))
 def test_space_report_bytes(name, tmp_path):
     assert space_digest(name, tmp_path) == SPACE_GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        for title, table, fn in (("GOLDEN", GOLDEN, digest),
+                                 ("SLACK_GOLDEN", SLACK_GOLDEN, slack_digest),
+                                 ("ORACLE_GOLDEN", ORACLE_GOLDEN, oracle_digest),
+                                 ("SPACE_GOLDEN", SPACE_GOLDEN, space_digest)):
+            print(f"{title} = {{")
+            for name in table:
+                print(f'    "{name}": "{fn(name, Path(tmp))}",')
+            print("}")

@@ -116,10 +116,7 @@ class TestJIndex:
         assert rep.witness == Witness((2, 4), 1, 0)
 
     def test_witness_after_links_answered_at_other_floors(self):
-        # the walk asks links with the same S & star sigma again after J's
-        # floor has risen; every link answer here is None, so a memo keyed
-        # without the floor passes too (TestSampling pins a case where it
-        # does not)
+        # a 10-vertex multinerve: J's witness is L's, at the least cell
         P = multinerve(random_family("box", 5, 795214, ambient_dim=2)).poset
         rep = j_index(P)
         assert rep.value == 2
@@ -134,8 +131,8 @@ class TestJIndex:
 
 
 class TestJOracle:
-    """J from link chain complexes against J from order complexes of
-    chains, enumerated by the oracle."""
+    """J from L's walk against J from order complexes of chains,
+    enumerated by the oracle."""
 
     @staticmethod
     def check(P):
@@ -164,11 +161,7 @@ class TestJOracle:
                 self.check(multinerve(F).poset)
                 self.check(reduced_multinerve(F, 2)[0].poset)
 
-    # the inputs below give many vertex sets S the same S & star sigma, so
-    # J's link answers are reused across them
-
     def test_cones(self):
-        # the apex's star is every vertex, the other stars miss most
         rng = random.Random(12)
         for _ in range(8):
             P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
@@ -299,8 +292,7 @@ class TestLerayAndJ:
 
 
 class TestDomination:
-    """The walk skips each X[S] and link query whose homology a smaller
-    subset gives (the lemma in ``leray``): values and witnesses against
+    """The walk skips each X[S] whose homology a smaller subset gives (the lemma in ``leray``): values and witnesses against
     oracles that ask every induced subposet and every link."""
 
     @staticmethod
@@ -320,10 +312,10 @@ class TestDomination:
         return L, J
 
     def test_lemma_against_link_homology(self):
-        # wherever the test finds x dominated in S at sigma, the link of
-        # sigma in X[S] has the homology of its link in X[S - x]: on the
-        # double edge, on sigma with two covers by x (one matched by y, see
-        # the ``leray`` docstring), and on random posets and cones
+        # wherever the test finds x dominated in S, X[S] has the homology of
+        # X[S - x], read off the order complex of the least cell's link: on
+        # the double edge, on a vertex with two covers by x, and on random
+        # posets, twins and cones
         from multinerve.leray import _dominated, _pairs, _vertex_masks
         rng = random.Random(33)
         randoms = [random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
@@ -333,25 +325,20 @@ class TestDomination:
                                   (1, [3, 2]), (2, [7, 6, 4])])
         skipped = 0
         for P in ([double_edge_poset(), two_covers] + randoms
-                  + [cone_poset(P) for P in randoms[:10]]):
+                  + [twin_poset(rng, n_vertices=4) for _ in range(20)]
+                  + [cone_poset(P) for P in randoms]):
             bit, masks, unique = _vertex_masks(P)
-            lower = P._lower_sets()
+            pairs = _pairs(masks, unique)
             V = P.vertex_order
-            for sigma in P.cells():
-                above = [t for t in P.cells()
-                         if t != sigma and sigma in lower[t]]
-                pairs = _pairs(sigma, above, masks, unique)
-                for size in range(len(V) + 1):
-                    for S in combinations(V, size):
-                        if not P.vertices_of(sigma) <= set(S):
-                            continue
-                        x = _dominated(pairs, sum(bit[v] for v in S))
-                        if x:
-                            [v] = [v for v in S if bit[v] == x]
-                            rest = [u for u in S if u != v]
-                            assert (upper_interval_betti(P, S, sigma)
-                                    == upper_interval_betti(P, rest, sigma))
-                            skipped += 1
+            for size in range(len(V) + 1):
+                for S in combinations(V, size):
+                    x = _dominated(pairs, sum(bit[v] for v in S))
+                    if x:
+                        [v] = [v for v in S if bit[v] == x]
+                        rest = [u for u in S if u != v]
+                        assert (upper_interval_betti(P, S, P.least)
+                                == upper_interval_betti(P, rest, P.least))
+                        skipped += 1
         assert skipped > 300
 
     def test_random_posets_with_duplicated_cells(self):
@@ -486,9 +473,7 @@ class TestOnePass:
 
         def spy(self, cells):
             cells = tuple(cells)
-            # X's boundary; a link's holds only sigma and the cells above
-            if 0 in self.rows:
-                selected.append(cells)
+            selected.append(cells)
             return real(self, cells)
         monkeypatch.setattr(Boundary, "select", spy)
         rng, asked = random.Random(54), 0
@@ -548,8 +533,9 @@ class TestDDChecked:
 
 
 class TestBoundary:
-    """One ``Boundary`` (one d o d check) per space and, in sampled J, per
-    link ranked, and a cell's dimension in a selection is its row length."""
+    """One ``Boundary`` (one d o d check) per call, exact or sampled, every
+    selection with the least cell as its augmentation, and a cell's
+    dimension in a selection is its row length."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -564,51 +550,46 @@ class TestBoundary:
 
     @pytest.fixture
     def ranked(self, monkeypatch):
-        # the cell whose link each selection is taken from: its one empty
-        # row, the augmentation (0, the least cell, for X's boundary)
         from multinerve.homology import Boundary
-        real, sigmas = Boundary.select, []
+        real, selected = Boundary.select, []
 
         def spy(self, cells):
-            [sigma] = [c for c, row in self.rows.items() if not row]
-            sigmas.append(sigma)
-            return real(self, cells)
+            cc = real(self, cells)
+            selected.append(cc)
+            return cc
         monkeypatch.setattr(Boundary, "select", spy)
-        return sigmas
+        return selected
 
     def test_one_per_exact_call(self, built, ranked):
         # the least cell's link is X itself, so it takes X's boundary, and
-        # J = L asks no other link
+        # J = L asks no other link, exact or sampled
         rng, asked = random.Random(9), 0
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
             for index in (leray_number, j_index):
-                del built[:], ranked[:]
-                index(P)
-                assert len(built) == 1 and built[0][0] == {}
-                assert set(ranked) <= {0}
-                asked += len(ranked)
+                for kw in ({}, {"sample": 40, "seed": 1}):
+                    del built[:], ranked[:]
+                    index(P, **kw)
+                    assert len(built) == 1 and built[0][0] == {}
+                    asked += len(ranked)
         assert asked
 
     def test_link_rows_give_link_dimensions(self, built, ranked):
-        from multinerve.homology import Boundary
-        rng = random.Random(8)
-        seen = 0
+        # the one link ranked is the least cell's, X itself: its rows are
+        # every cell, and a cell's dimension in it is its row length
+        rng, seen = random.Random(8), 0
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(10)]:
-            del built[:], ranked[:]
-            # a link boundary is built on the first rank of its link
-            j_index(P, sample=40, seed=1)
-            assert len(built) == 1 + len(set(ranked) - {0})
-            dims, lower = P._dims, P._lower_sets()
-            for rows in built[1:]:
-                # sigma, the link's augmentation, is its one empty row
-                [sigma] = [c for c, row in rows.items() if not row]
-                assert set(rows) == {t for t in P.cells() if sigma in lower[t]}
-                cc = Boundary(rows).select(rows)
-                for n, cells in cc.boundary.items():
-                    for t in cells:
-                        assert n == dims[t] - dims[sigma] - 1
-                assert cc.boundary[-1] == {sigma: {}}
-                seen += 1
+            for kw in ({}, {"sample": 40, "seed": 1}):
+                del built[:], ranked[:]
+                j_index(P, **kw)
+                [rows] = built
+                lower = P._lower_sets()
+                assert set(rows) == {t for t in P.cells() if 0 in lower[t]}
+                for cc in ranked:
+                    # the least cell, 0, is the augmentation
+                    assert cc.boundary[-1] == {0: {}}
+                    for n, cells in cc.boundary.items():
+                        assert all(P._dims[t] == n for t in cells)
+                    seen += 1
         assert seen
 
 
@@ -669,22 +650,26 @@ class TestSampling:
         assert rep.mode == "sampled"
         assert rep.value <= 2
 
-    def test_j_sampled_witness(self):
-        P = random_poset(random.Random(3), n_vertices=5, n_facets=4)
-        rep = j_index(P, sample=40, seed=5)
-        assert rep.value == 2
-        assert rep.witness == Witness((1, 2, 3), 1, 3)
-
     def test_sampled_witness_in_complex_labels(self):
         K = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")])
         rep = leray_number(K, sample=30, seed=1)
         assert rep.witness.S == ("a", "b", "c")
 
-    def test_j_sampled_link_asked_again_at_a_higher_floor(self):
-        # a later draw asks a link with the same S & star sigma once the
-        # floor has risen past its answer, so a link answer kept without
-        # its floor moves the witness to (3, 4, 5, 6) at cell 3
-        P = random_poset(random.Random(37), n_vertices=6, n_facets=6,
-                         max_facet=4)
-        rep = j_index(P, sample=300, seed=2)
-        assert rep == LerayReport(2, "sampled", Witness((2, 4, 5, 6), 1, 0))
+    def test_j_sampled_is_l_sampled_at_the_least_cell(self):
+        # J = L, so sampled J draws L's subsets and reports L's value and
+        # witness, with sigma the least cell
+        rng, hits = random.Random(17), 0
+        spaces = ([double_edge_poset()]
+                  + [random_poset(rng, n_vertices=6, n_facets=6)
+                     for _ in range(15)]
+                  + [twin_poset(rng) for _ in range(15)]
+                  + [random_complex(rng) for _ in range(10)])
+        for X in spaces:
+            least = () if isinstance(X, SimplicialComplex) else 0
+            for n, seed in ((10, 1), (25, 2), (60, 3)):
+                L = leray_number(X, sample=n, seed=seed)
+                J = j_index(X, sample=n, seed=seed)
+                w = L.witness and Witness(L.witness.S, L.witness.j, least)
+                assert J == LerayReport(L.value, "sampled", w)
+                hits += w is not None
+        assert hits >= 60

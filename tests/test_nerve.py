@@ -6,9 +6,9 @@ import pytest
 from helpers import (family_reduced_multinerve, fiber_sizes, poset_isomorphic,
                      small_family)
 
-from multinerve import (CellTag, SimplicialComplex, box, box_family,
-                        canonical_projection, components, j_index,
-                        multinerve, nerve, random_family,
+from multinerve import (CellTag, PosetError, SimplicialComplex, box,
+                        box_family, canonical_projection, components,
+                        j_index, multinerve, nerve, random_family,
                         reduced_betti, reduced_multinerve, validate_map)
 from multinerve.fixtures import (blown_tetrahedron_family,
                                  box_circle_cover_family, corridor_box_family,
@@ -260,3 +260,11 @@ class TestValidateMap:
         P = double_edge_poset()
         with pytest.raises(ValueError, match="every source cell"):
             validate_map((0, 0), P, P)
+
+    def test_unknown_target_id_rejected(self):
+        P = double_edge_poset()
+        for bad in (P.n_cells, -1, "0"):
+            mapping = list(P.cells())
+            mapping[3] = bad
+            with pytest.raises(PosetError, match="unknown cell id"):
+                validate_map(mapping, P, P)

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (classical_sd, all_complexes_on, complexes_isomorphic,
-                     poset_isomorphic, random_poset, simplices_of_dim)
+from helpers import (boolean_lower_segments, classical_sd, all_complexes_on,
+                     complexes_isomorphic, cone_poset, poset_isomorphic,
+                     random_poset, simplices_of_dim, twin_poset)
 
 from multinerve import (PosetError, SimplicialComplex, barycentric_subdivision,
                         build_poset, order_complex, reduced_betti,
@@ -81,6 +82,47 @@ class TestBuildPoset:
         P = double_edge_poset()
         for c in P.cells():
             assert len(P.lower_segment(c)) == 2 ** (P.dim_of(c) + 1)
+
+    def test_corrupted_records_rejected_or_boolean(self):
+        # the checks build_poset makes imply Boolean lower segments (its
+        # docstring proves it): each corrupted record list is rejected or
+        # gives a poset whose lower segments the oracle finds Boolean
+        rng = random.Random(41)
+        rejected = built = 0
+        for _ in range(1500):
+            source = rng.choice((random_poset, twin_poset))
+            P = source(rng, n_vertices=5, n_facets=5, max_facet=4)
+            if rng.random() < 0.3:
+                P = cone_poset(P)
+            records = [[r.dim, list(r.faces)] for r in P.export_records()]
+            for _ in range(rng.randrange(1, 3)):
+                i = rng.randrange(len(records))
+                dim, faces = records[i]
+                kind = rng.randrange(4)
+                if kind == 0 and faces:
+                    # a face replaced by another cell of the same dimension
+                    same = [c for c in range(i) if records[c][0] == dim - 1]
+                    faces[rng.randrange(len(faces))] = rng.choice(same)
+                elif kind == 1 and len(faces) >= 2:
+                    a, b = rng.sample(range(len(faces)), 2)
+                    faces[a], faces[b] = faces[b], faces[a]
+                elif kind == 2 and faces:
+                    # a copy of the cell with one face replaced
+                    same = [c for c in range(len(records))
+                            if records[c][0] == dim - 1]
+                    copy = list(faces)
+                    copy[rng.randrange(len(copy))] = rng.choice(same)
+                    records.append([dim, copy])
+                elif faces:
+                    faces[rng.randrange(len(faces))] = rng.randrange(i)
+            try:
+                Q = build_poset(records)
+            except PosetError:
+                rejected += 1
+                continue
+            assert boolean_lower_segments(Q)
+            built += 1
+        assert rejected >= 500 and built >= 200
 
     def test_round_trip(self):
         for P in (double_edge_poset(), SimplicialComplex([(0, 1, 2), (2, 3)]).as_poset()):
