@@ -12,11 +12,14 @@ Two backends realize the oracle:
   strict inequalities throughout, so tangent boxes never merge.
 
 The family keeps one region per index set A, built from the region of its
-prefix A[:-1] (an empty prefix gives an empty region at no cost) and cached
-next to its components and Betti vector.  Scans over subfamilies (slack,
-component counts, the nerve, Helly numbers) walk only the index sets whose
-facets all intersect, level by level in (size, lexicographic) order, so an
-empty intersection ends the walk above it.
+prefix A[:-1] (an empty prefix gives an empty region at no cost).  Equal
+regions share a number, given on the first Betti or component query, and
+the Betti vector and component groups are found once per number; an index
+set keeps only its labels.  Scans over subfamilies (slack, component
+counts, the nerve, the multinerve, Helly numbers) share one walk, kept on
+the family, of the index sets whose facets all intersect, level by level
+in (size, lexicographic) order, so an empty intersection ends the walk
+above it.
 
 A subcomplex family builds one ``Boundary`` on T's simplices: components
 are read from its vertex ids and edge rows, and ``region_betti`` selects
@@ -28,9 +31,10 @@ in T, and selecting it is sound (see ``Boundary``).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
 from .homology import BettiVector, Boundary, UnionFind, reduced_betti
@@ -116,8 +120,14 @@ class SetFamily:
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
         self._region_cache: dict[tuple, frozenset | tuple] = {}
-        self._components_cache: dict[tuple, tuple] = {}
-        self._betti_cache: dict[tuple, BettiVector] = {}
+        self._region_ids: dict[frozenset | tuple, int] = {}
+        self._rid_cache: dict[tuple, int] = {}
+        self._betti_cache: dict[int, BettiVector] = {}
+        self._groups_cache: dict[int, tuple] = {}
+        self._labels_cache: dict[tuple, tuple[ComponentLabel, ...]] = {}
+        self._walk: list[tuple[tuple[int, ...], bool]] = []
+        # a proxy, so the pending walk keeps no reference cycle to the family
+        self._walk_source = _walk_source(weakref.proxy(self))
         self._ambient_index: _AmbientIndex | None = None
 
     def __len__(self) -> int:
@@ -228,61 +238,77 @@ def _region(F: SetFamily, A: tuple[int, ...]) -> frozenset | tuple[Box, ...]:
     return out
 
 
+def _per_region(F: SetFamily, cache: dict, A: tuple[int, ...], compute):
+    """``compute(F, region)`` over the checked index set A, kept in ``cache``
+    under the region's number.  Equal regions share one, given on their
+    first query here, so emptiness and the walk never hash a region."""
+    rid = F._rid_cache.get(A)
+    if rid is None:
+        rid = F._rid_cache[A] = F._region_ids.setdefault(
+            _region(F, A), len(F._region_ids))
+    if rid not in cache:
+        cache[rid] = compute(F, _region(F, A))
+    return cache[rid]
+
+
 def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
     """Connected components of the intersection over A (of the union if A is empty).
 
-    The cache keeps, next to the labels, the index of each region element's
-    label: a vertex id -> index dict, or a list of (box, index) pairs.
+    Found once per distinct region; an index set keeps only its labels.
     """
-    return _component_entry(F, F.check_index_set(A))[0]
+    return _component_entry(F, F.check_index_set(A))
 
 
-def _component_entry(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """The cached (labels, owner) pair of the checked index set A."""
-    if A not in F._components_cache:
-        if F.backend == "subcomplex":
-            F._components_cache[A] = _subcomplex_components(F, A)
-        else:
-            F._components_cache[A] = _box_components(F, A)
-    return F._components_cache[A]
+def _component_entry(F: SetFamily, A: tuple[int, ...]) -> tuple[ComponentLabel, ...]:
+    """The cached labels of the checked index set A."""
+    if A not in F._labels_cache:
+        F._labels_cache[A] = tuple(ComponentLabel(A, canon, rep)
+                                   for canon, rep in _groups(F, A)[0])
+    return F._labels_cache[A]
 
 
-def _sorted_labels(A: tuple[int, ...], groups, canon_of, rep_of) -> tuple:
-    """One label per union-find group, sorted by canon (no two groups share
-    one), and the index of each element's label."""
-    labels, owner = [], {}
+def _groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
+    """The (canon, rep) pairs of the region over the checked index set A,
+    sorted by canon, and the index of each region element's pair: a vertex
+    id -> index dict, or a list of (box, index) pairs."""
+    return _per_region(F, F._groups_cache, A, _subcomplex_groups
+                       if F.backend == "subcomplex" else _box_groups)
+
+
+def _sorted_groups(groups, canon_of, rep_of) -> tuple:
+    """One (canon, rep) pair per union-find group, sorted by canon (no two
+    groups share one), and the index of each element's pair."""
+    pairs, owner = [], {}
     for i, (canon, group) in enumerate(sorted((canon_of(g), g)
                                               for g in groups)):
-        labels.append(ComponentLabel(A, canon, rep_of(canon)))
+        pairs.append((canon, rep_of(canon)))
         owner.update(dict.fromkeys(group, i))
-    return tuple(labels), owner
+    return tuple(pairs), owner
 
 
-def _subcomplex_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
+def _subcomplex_groups(F: SetFamily, region: frozenset) -> tuple:
     """Union-find over the region's vertex ids, joined along its edges: a
     simplex lies in the component of any of its vertices, so the smallest
     id of a group, a vertex, is its smallest simplex."""
     T = _ambient(F)
     ids, rows = T.ids, T.boundary.rows
-    region = _region(F, A)
     uf = UnionFind(ids[s] for s in region if len(s) == 1)
     for s in region:
         if len(s) == 2:
             uf.union(*rows[ids[s]])
-    return _sorted_labels(A, uf.groups().values(),
+    return _sorted_groups(uf.groups().values(),
                           lambda g: _simplex_key(T.simplices[min(g)]),
                           lambda canon: canon[1])
 
 
-def _box_components(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    boxes = _region(F, A)
+def _box_groups(F: SetFamily, boxes: tuple[Box, ...]) -> tuple:
     uf = UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
             uf.union(i, j)
-    labels, owner = _sorted_labels(A, uf.groups().values(), min,
-                                   boxes.__getitem__)
-    return labels, [(b, owner[i]) for i, b in enumerate(boxes)]
+    pairs, owner = _sorted_groups(uf.groups().values(), min,
+                                  boxes.__getitem__)
+    return pairs, [(b, owner[i]) for i, b in enumerate(boxes)]
 
 
 def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
@@ -297,21 +323,39 @@ def _nerve_walk(F: SetFamily):
     yielded.  Level k + 1 extends the intersecting sets of level k, so the
     sets yielded with False are exactly the minimal empty subfamilies.
     """
-    n = len(F)
-    layer: list[tuple[int, ...]] = [()]
+    walk, i = F._walk, 0
+    while i < len(walk) or _walk_on(F):
+        yield walk[i]
+        i += 1
+
+
+def _walk_on(F: SetFamily) -> bool:
+    """Extend F._walk by one item, False once done; an error restarts it."""
+    try:
+        return next(F._walk_source, None) is not None
+    except BaseException:
+        F._walk, F._walk_source = [], _walk_source(weakref.proxy(F))
+        raise
+
+
+def _walk_source(F: SetFamily):
+    """The one walk ``_nerve_walk`` reads; it appends each item to F._walk."""
+    layer = [(j,) for j in range(len(F))]
     while layer:
-        alive = set(layer)
-        nxt = []
-        for A in layer:
-            for j in range(A[-1] + 1 if A else 0, n):
-                cand = A + (j,)
-                if all(cand[:k] + cand[k + 1:] in alive
-                       for k in range(len(cand) - 1)):
-                    hit = bool(_region(F, cand))
-                    yield cand, hit
-                    if hit:
-                        nxt.append(cand)
-        layer = nxt
+        alive = []
+        for cand in layer:
+            item = cand, bool(_region(F, cand))
+            F._walk.append(item)
+            yield item
+            if item[1]:
+                alive.append(cand)
+        # A < B sharing the prefix A[:-1] give A + B[-1:], whose last two
+        # facets are A and B; the others are looked up
+        have = set(alive)
+        layer = [A + B[-1:] for _, group in groupby(alive, lambda A: A[:-1])
+                 for A, B in combinations(group, 2)
+                 if all(A[:k] + A[k + 1:] + B[-1:] in have
+                        for k in range(len(A) - 1))]
 
 
 def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
@@ -328,14 +372,14 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
         rep = tuple(s)[:1]  # a simplex lies in the component of its vertices
     elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
-    return _component_entry(F, A)[0][_component_index(F, A, rep)]
+    return _component_entry(F, A)[_component_index(F, A, rep)]
 
 
 def _component_index(F: SetFamily, B: tuple[int, ...], rep) -> int:
     """Index in ``components(F, B)`` of the component holding ``rep``, a
     vertex (a 1-tuple) of the region over the checked index set B, or a box
     inside it, which is found by scanning the region's boxes."""
-    owner = _component_entry(F, B)[1]
+    owner = _groups(F, B)[1]
     if F.backend == "subcomplex":
         return owner[_ambient(F).ids[frozenset(rep)]]
     hits = {i for b, i in owner if b.overlaps(rep)}
@@ -349,28 +393,25 @@ def _component_index(F: SetFamily, B: tuple[int, ...], rep) -> int:
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     """Reduced Betti vector of the intersection over A (union when A is empty).
 
-    A subcomplex region is selected from T's boundary, with the empty
-    simplex.  Box regions go through the nerve of their distinct open
-    boxes, which is exact for a good cover (all box intersections are open
-    boxes or empty).  A repeated box would keep the homotopy type, as its
-    vertex's link is the closed star of its twin, which is contractible;
-    it is dropped only to keep the nerve small.
+    Ranked once per distinct region.  A subcomplex region is selected from
+    T's boundary, with the empty simplex.  Box regions go through the nerve
+    of their distinct open boxes, which is exact for a good cover (all box
+    intersections are open boxes or empty).  A repeated box would keep the
+    homotopy type, as its vertex's link is the closed star of its twin,
+    which is contractible; it is dropped only to keep the nerve small.
     """
-    A = F.check_index_set(A)
-    if A in F._betti_cache:
-        return F._betti_cache[A]
-    region = _region(F, A)
+    return _per_region(F, F._betti_cache, F.check_index_set(A), _region_betti)
+
+
+def _region_betti(F: SetFamily, region) -> BettiVector:
     if not region:
-        out = BettiVector.from_dict({-1: 1})
-    elif F.backend == "subcomplex":
+        return BettiVector.from_dict({-1: 1})
+    if F.backend == "subcomplex":
         T = _ambient(F)
-        out = reduced_betti(
+        return reduced_betti(
             T.boundary.select([0, *map(T.ids.__getitem__, region)]))
-    else:
-        nerve = _box_nerve(tuple(dict.fromkeys(region)))
-        out = reduced_betti(nerve.select(nerve.rows))
-    F._betti_cache[A] = out
-    return out
+    nerve = _box_nerve(tuple(dict.fromkeys(region)))
+    return reduced_betti(nerve.select(nerve.rows))
 
 
 def _box_nerve(boxes: Sequence[Box]) -> Boundary:
@@ -417,7 +458,7 @@ def is_acyclic_with_slack(F: SetFamily, s: int) -> tuple[bool, SlackViolation | 
         raise FamilyError("slack must be >= 0")
     for G, hit in _nerve_walk(F):
         if hit:
-            b = region_betti(F, G)
+            b = _per_region(F, F._betti_cache, G, _region_betti)
             cutoff = max(1, s - len(G))
             bad = sorted(d for d, v in b.items() if d >= cutoff and v)
             if bad:
@@ -438,5 +479,5 @@ def max_components(F: SetFamily, t: int = 1) -> ComponentCountReport:
     per_size = dict.fromkeys(range(t, len(F) + 1), 0)
     for G, hit in _nerve_walk(F):
         if hit and len(G) >= t:
-            per_size[len(G)] = max(per_size[len(G)], len(components(F, G)))
+            per_size[len(G)] = max(per_size[len(G)], len(_groups(F, G)[0]))
     return ComponentCountReport(max(per_size.values(), default=0), per_size)

@@ -70,7 +70,7 @@ def multinerve(F: SetFamily) -> LabeledPoset:
             continue
         base[A] = len(tags)
         facets = [A[:i] + A[i + 1:] for i in range(len(A))]
-        for comp in _component_entry(F, A)[0]:
+        for comp in _component_entry(F, A):
             tags.append(CellTag(A, comp))
             records.append(CellRecord(len(A) - 1, tuple(
                 base[B] + _component_index(F, B, comp.rep) if B else 0

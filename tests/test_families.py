@@ -6,20 +6,24 @@ from fractions import Fraction
 
 import pytest
 from helpers import (family_component_maxima, family_components,
-                     family_nerve, family_region, family_region_betti,
+                     family_helly, family_nerve, family_reduced_multinerve,
+                     family_region, family_region_betti,
                      family_slack_violation, small_family)
 
 import multinerve.families
 from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         component_containing, components, grid_triangulation,
                         is_acyclic_with_slack, max_components, nerve,
-                        random_family, region_betti, region_is_empty,
-                        subcomplex_family)
+                        random_family, reduced_multinerve, region_betti,
+                        region_is_empty, subcomplex_family)
 from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
                                  interval_union_double_edge_family,
                                  two_arc_circle_family)
-from multinerve.verify import helly_number, verify_multinerve_theorem
+from multinerve.nerve import multinerve as build_multinerve
+from multinerve.verify import (PreconditionError, closed_star, helly_number,
+                               verify_helly_bound, verify_multinerve_theorem,
+                               verify_projection_bound)
 
 
 class TestBox:
@@ -230,8 +234,8 @@ class TestAmbientIndex:
 
     def test_checked_once_per_verify_and_no_region_complex(self, monkeypatch):
         # a subcomplex family checks d o d once, on T, a box family once
-        # per ranked region's nerve, and the multinerve once; neither
-        # family builds a region complex
+        # per distinct ranked region's nerve, and the multinerve once;
+        # neither family builds a region complex
         from multinerve.homology import Boundary
         from multinerve.poset import SimplicialComplex as Complex
         checks, complexes = [], []
@@ -244,9 +248,12 @@ class TestAmbientIndex:
             F = random_family(backend, 5, 2)
             del checks[:], complexes[:]
             verify_multinerve_theorem(F, 0)
-            assert len(F._betti_cache) > len(F)  # many regions were ranked
-            ranked = sum(not b[-1] for b in F._betti_cache.values())
-            regions = 1 if backend == "subcomplex" else ranked
+            # the slack scan ranks every intersecting subfamily, the report
+            # the union; equal regions are ranked once
+            asked = [(), *(tuple(sorted(G)) for G in family_nerve(F))]
+            ranked = {tuple(family_region(F, A)) for A in asked}
+            assert len(ranked) > len(F)  # many regions were ranked
+            regions = 1 if backend == "subcomplex" else len(ranked)
             assert len(checks) == regions + 1
             assert complexes == []
 
@@ -417,3 +424,139 @@ class TestCacheOrder:
                        for order in (QUERIES, reverse, shuffled)]
             assert answers[1] == answers[0]
             assert answers[2] == answers[0]
+
+
+def repeating_family(backend: str, seed: int):
+    """Five members whose regions repeat: one member twice, a member nested
+    in it, another, and a member that holds the whole union."""
+    rng = random.Random(seed)
+    if backend == "subcomplex":
+        T = grid_triangulation(3)
+        a, b, c = (closed_star(T, v) for v in rng.sample(T.vertices, 3))
+        members = [a | b, a | b, a, b | c, T.simplices]
+        return subcomplex_family(T, [[tuple(s) for s in m] for m in members])
+    F = random_family("box", 2, seed, ambient_dim=2, boxes_per_member=2)
+    m0, m1 = (list(m.boxes) for m in F.members)
+    return box_family(2, [m0, m0, m0[:1], m1, [box((-1, 10), (-1, 10))]])
+
+
+def _cells(X) -> dict:
+    """Each cell's tag, as (A, canon), mapped to its faces' tags."""
+    def tag(t):
+        return t.subset, None if t.component is None else t.component.canon
+    return {tag(X.tags[c]): tuple(tag(X.tags[f]) for f in X.poset.faces_of(c))
+            for c in X.poset.cells()}
+
+
+REPEATING = [(seed, backend) for seed in range(8)
+             for backend in ("box", "subcomplex")]
+ALL_SUBSETS = [A for size in range(6)
+               for A in itertools.combinations(range(5), size)]
+
+
+class TestRegionMemo:
+    """Regions are numbered and answered once per distinct region, labels
+    are kept per index set, and the nerve walk once per family."""
+
+    @pytest.mark.parametrize("seed,backend", REPEATING)
+    def test_parity_where_regions_repeat(self, seed, backend):
+        # a whole scan first (walk order), then every query in reverse, so
+        # each answer may come from a region first met under another A
+        F = repeating_family(backend, seed)
+        assert _cells(build_multinerve(F)) == family_reduced_multinerve(F, None)
+        for t in (2, 3):
+            assert _cells(reduced_multinerve(F, t)[0]) == \
+                family_reduced_multinerve(F, t)
+        for s in range(4):
+            ok, viol = is_acyclic_with_slack(F, s)
+            want = family_slack_violation(F, s)
+            assert (viol.subset, viol.dim) == want if want else ok
+        for A in reversed(ALL_SUBSETS):
+            assert dict(region_betti(F, A).items()) == \
+                family_region_betti(F, A), A
+            labels = components(F, A)
+            assert [(c.canon, c.rep if backend == "subcomplex"
+                     else c.rep.intervals) for c in labels] == \
+                family_components(F, A), A
+            for c in labels:
+                assert c.subset == A
+                assert component_containing(F, A, c.rep) is c
+        if family_region(F, tuple(F.indices)):
+            with pytest.raises(PreconditionError):
+                helly_number(F)
+        else:
+            rep = helly_number(F)
+            assert (rep.h, rep.witness) == family_helly(F)
+
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_one_rank_and_one_union_find_per_distinct_region(
+            self, monkeypatch, backend):
+        ranks, finds = [], []
+        for name, calls in (("reduced_betti", ranks), ("UnionFind", finds)):
+            def spy(*args, real=getattr(multinerve.families, name), calls=calls):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(multinerve.families, name, spy)
+        for seed in range(4):
+            F = repeating_family(backend, seed)
+            del ranks[:], finds[:]
+            verify_multinerve_theorem(F, 3)
+            max_components(F)
+            asked = [(), *(tuple(sorted(G)) for G in family_nerve(F))]
+            for A in asked:
+                region_betti(F, A)
+                components(F, A)
+            distinct = {tuple(family_region(F, A)) for A in asked}
+            assert len(ranks) == len(finds) == len(distinct) < len(asked)
+
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_one_nerve_walk_per_verify_call(self, monkeypatch, backend):
+        real, walks = multinerve.families._walk_source, []
+
+        def spy(F):
+            walks.append([])
+            for item in real(F):
+                walks[-1].append(item)
+                yield item
+        monkeypatch.setattr(multinerve.families, "_walk_source", spy)
+        calls = (lambda F: verify_multinerve_theorem(F, 3),
+                 lambda F: verify_helly_bound(F, 3),
+                 lambda F: verify_projection_bound(F, 2, s=3))
+        walked = 0
+        for seed in range(3):
+            F = random_family(backend, 5, seed)
+            if family_region(F, tuple(F.indices)):
+                continue  # the helly checks need an empty intersection
+            faces = family_nerve(F) | {frozenset()}
+            want = [(G, frozenset(G) in faces) for k in range(1, 6)
+                    for G in itertools.combinations(range(5), k)
+                    if all(frozenset(G) - {g} in faces for g in G)]
+            for call in calls:
+                F = random_family(backend, 5, seed)
+                del walks[:]
+                call(F)
+                assert walks == [want]
+                walked += 1
+        assert walked
+    def test_slack_violation_builds_no_region_past_it(self):
+        # ``mnv gen --backend subcomplex --n 12 --grid 7
+        # --stars-per-member 3 --seed 58``: member 9 has a hole, so the
+        # scan stops at (9,) having built the singletons up to it
+        F = random_family("subcomplex", 12, 58, grid=7, stars_per_member=3)
+        with pytest.raises(PreconditionError, match=r"subfamily \(9,\)"):
+            verify_multinerve_theorem(F, 0)
+        assert sorted(F._region_cache) == [(i,) for i in range(10)]
+
+    def test_walk_broken_by_an_error_starts_over(self, monkeypatch):
+        real, calls = multinerve.families._region, []
+
+        def flaky(F, A):
+            calls.append(A)
+            if len(calls) == 5:
+                raise MemoryError
+            return real(F, A)
+        monkeypatch.setattr(multinerve.families, "_region", flaky)
+        F = random_family("subcomplex", 5, 1)
+        with pytest.raises(MemoryError):
+            nerve(F)
+        assert nerve(F).simplices == family_nerve(F) | {frozenset()}
