@@ -15,29 +15,34 @@ The family keeps one region per index set A, built from the region of its
 prefix A[:-1] (an empty prefix gives an empty region at no cost).  Equal
 regions share a number, given on the first Betti or component query, and
 the Betti vector and component groups are found once per number; an index
-set keeps only its labels.  Scans over subfamilies (slack, component
-counts, the nerve, the multinerve, Helly numbers) share one walk, kept on
-the family, of the index sets whose facets all intersect, level by level
-in (size, lexicographic) order, so an empty intersection ends the walk
-above it.
+set then keeps only its labels and the numbered region's object.  Scans
+over subfamilies (slack, component counts, the nerve, the multinerve,
+Helly numbers) share one walk, kept on the family, of the index sets whose
+facets all intersect, level by level in (size, lexicographic) order, so an
+empty intersection ends the walk above it.
 
-A subcomplex family builds one ``Boundary`` on T's simplices: components
-are read from its vertex ids and edge rows, and ``region_betti`` selects
-from it by simplex id; emptiness, the nerve walk and Helly numbers never
-build it.  Every member is face-closed (``subcomplex_family`` checks it), so
-every region, a union or an intersection of members, is closed downward
-in T, and selecting it is sound (see ``Boundary``).
+A subcomplex family builds one ``Boundary`` on T's simplices, and finds
+once whether T's top rows are independent; emptiness, the nerve walk and
+Helly numbers never build it.  Every member is face-closed
+(``subcomplex_family`` checks it), so every region, a union or an
+intersection of members, is closed downward in T and takes T's rows whole
+(see ``Boundary``).  One union-find per distinct region, over its vertex
+ids joined along its edge rows, gives its components and its rank d_1;
+its Betti vector is then counted per dimension from T's rows, with no
+chain complex built (``_subcomplex_ranks``).
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
-from .homology import BettiVector, Boundary, UnionFind, reduced_betti
+from .homology import (BettiVector, Boundary, UnionFind, reduced_betti,
+                       sparse_rank)
 from .poset import SimplicialComplex
 
 
@@ -120,7 +125,7 @@ class SetFamily:
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
         self._region_cache: dict[tuple, frozenset | tuple] = {}
-        self._region_ids: dict[frozenset | tuple, int] = {}
+        self._region_ids: dict[frozenset | tuple, tuple] = {}
         self._rid_cache: dict[tuple, int] = {}
         self._betti_cache: dict[int, BettiVector] = {}
         self._groups_cache: dict[int, tuple] = {}
@@ -198,14 +203,19 @@ def _simplex_key(s: frozenset) -> tuple:
 
 class _AmbientIndex:
     """T's simplices by id (``numbering``: the empty simplex is id 0, and id
-    order is ``_simplex_key`` order) and their ``Boundary``."""
+    order is ``_simplex_key`` order), their ``Boundary``, and ``top_free``:
+    whether T's top rows (of dimension >= 2) are independent, found by one
+    ``sparse_rank``."""
 
-    __slots__ = ("simplices", "ids", "boundary")
+    __slots__ = ("simplices", "ids", "boundary", "top_free")
 
     def __init__(self, T: SimplicialComplex):
         self.ids, faces = T.numbering()
         self.simplices = list(self.ids)
         self.boundary = Boundary.of_faces(faces)
+        rows = [row for row in self.boundary.rows.values()
+                if len(row) == T.dim + 1]
+        self.top_free = T.dim >= 2 and sparse_rank(rows) == len(rows)
 
 
 def _ambient(F: SetFamily) -> _AmbientIndex:
@@ -239,15 +249,18 @@ def _region(F: SetFamily, A: tuple[int, ...]) -> frozenset | tuple[Box, ...]:
 
 
 def _per_region(F: SetFamily, cache: dict, A: tuple[int, ...], compute):
-    """``compute(F, region)`` over the checked index set A, kept in ``cache``
+    """``compute(F, A)`` over the checked index set A, kept in ``cache``
     under the region's number.  Equal regions share one, given on their
-    first query here, so emptiness and the walk never hash a region."""
+    first query here, so emptiness and the walk never hash a region; A then
+    keeps the numbered region's object, so equal regions are held once."""
     rid = F._rid_cache.get(A)
     if rid is None:
-        rid = F._rid_cache[A] = F._region_ids.setdefault(
-            _region(F, A), len(F._region_ids))
+        region = _region(F, A)
+        rid, F._region_cache[A] = F._region_ids.setdefault(
+            region, (len(F._region_ids), region))
+        F._rid_cache[A] = rid
     if rid not in cache:
-        cache[rid] = compute(F, _region(F, A))
+        cache[rid] = compute(F, A)
     return cache[rid]
 
 
@@ -286,12 +299,13 @@ def _sorted_groups(groups, canon_of, rep_of) -> tuple:
     return tuple(pairs), owner
 
 
-def _subcomplex_groups(F: SetFamily, region: frozenset) -> tuple:
+def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     """Union-find over the region's vertex ids, joined along its edges: a
     simplex lies in the component of any of its vertices, so the smallest
-    id of a group, a vertex, is its smallest simplex."""
+    id of a group, a vertex, is its smallest simplex.  The groups also give
+    the region's rank d_1 (see ``_subcomplex_ranks``)."""
     T = _ambient(F)
-    ids, rows = T.ids, T.boundary.rows
+    ids, rows, region = T.ids, T.boundary.rows, _region(F, A)
     uf = UnionFind(ids[s] for s in region if len(s) == 1)
     for s in region:
         if len(s) == 2:
@@ -301,7 +315,8 @@ def _subcomplex_groups(F: SetFamily, region: frozenset) -> tuple:
                           lambda canon: canon[1])
 
 
-def _box_groups(F: SetFamily, boxes: tuple[Box, ...]) -> tuple:
+def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
+    boxes = _region(F, A)
     uf = UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
@@ -372,46 +387,89 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
         rep = tuple(s)[:1]  # a simplex lies in the component of its vertices
     elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
-    return _component_entry(F, A)[_component_index(F, A, rep)]
+    return _component_entry(F, A)[_owner(F, A)(_rep_key(F, rep))]
 
 
-def _component_index(F: SetFamily, B: tuple[int, ...], rep) -> int:
-    """Index in ``components(F, B)`` of the component holding ``rep``, a
-    vertex (a 1-tuple) of the region over the checked index set B, or a box
-    inside it, which is found by scanning the region's boxes."""
+def _rep_key(F: SetFamily, rep):
+    """What ``_owner`` looks a representative up by: the id in T of a
+    vertex (a 1-tuple), or a box."""
+    if F.backend == "subcomplex":
+        return _ambient(F).ids[frozenset(rep)]
+    return rep
+
+
+def _owner(F: SetFamily, B: tuple[int, ...]):
+    """A function from a representative's key (``_rep_key``) to the index
+    in ``components(F, B)`` of its component, over the checked index set
+    B: it reads the region's owner table, and a box is found by scanning
+    the region's boxes."""
     owner = _groups(F, B)[1]
     if F.backend == "subcomplex":
-        return owner[_ambient(F).ids[frozenset(rep)]]
-    hits = {i for b, i in owner if b.overlaps(rep)}
-    if not hits:
-        raise FamilyError("representative lies outside the region")
-    if len(hits) != 1:
-        raise AssertionError("representative spans several components")
-    return hits.pop()
+        return owner.__getitem__
+
+    def index(rep: Box) -> int:
+        hits = {i for b, i in owner if b.overlaps(rep)}
+        if not hits:
+            raise FamilyError("representative lies outside the region")
+        if len(hits) != 1:
+            raise AssertionError("representative spans several components")
+        return hits.pop()
+    return index
 
 
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     """Reduced Betti vector of the intersection over A (union when A is empty).
 
-    Ranked once per distinct region.  A subcomplex region is selected from
-    T's boundary, with the empty simplex.  Box regions go through the nerve
-    of their distinct open boxes, which is exact for a good cover (all box
-    intersections are open boxes or empty).  A repeated box would keep the
+    Found once per distinct region.  A subcomplex region's is counted from
+    its cells and ranks per dimension, with the empty simplex (see
+    ``_region_betti``).  Box regions go through the nerve of their distinct
+    open boxes, which is exact for a good cover (all box intersections are
+    open boxes or empty).  A repeated box would keep the
     homotopy type, as its vertex's link is the closed star of its twin,
     which is contractible; it is dropped only to keep the nerve small.
     """
     return _per_region(F, F._betti_cache, F.check_index_set(A), _region_betti)
 
 
-def _region_betti(F: SetFamily, region) -> BettiVector:
+def _region_betti(F: SetFamily, A: tuple[int, ...]) -> BettiVector:
+    """The reduced Betti vector of the region over the checked index set A.
+
+    A box region is ranked on its nerve's ``Boundary``.  A nonempty
+    subcomplex region's is counted per dimension, with no chain complex
+    built, from its cell counts and boundary ranks (``_subcomplex_ranks``).
+    The region is closed downward in T, so its n-cells' rows are T's rows
+    whole (see ``Boundary``).  rank d_0 = 1, as it has a vertex, and rank
+    d_1 is #vertices - #components (see ``ChainComplex.rank_boundary``),
+    from the one union-find of ``_subcomplex_groups``.  The top rank, of
+    d_n with n = dim T, is the number of the region's n-cells when T's top
+    rows are independent (``top_free``): the region's top rows are some of
+    T's, and a subset of independent rows is independent.  Every other
+    rank is ``sparse_rank`` of the region's rows.
+    """
+    region = _region(F, A)
     if not region:
         return BettiVector.from_dict({-1: 1})
     if F.backend == "subcomplex":
-        T = _ambient(F)
-        return reduced_betti(
-            T.boundary.select([0, *map(T.ids.__getitem__, region)]))
+        return BettiVector.from_ranks(*_subcomplex_ranks(F, A))
     nerve = _box_nerve(tuple(dict.fromkeys(region)))
     return reduced_betti(nerve.select(nerve.rows))
+
+
+def _subcomplex_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
+    """The cell count of each dimension of the nonempty subcomplex region
+    over A, the empty simplex included, and the rank of each d_n, found as
+    ``_region_betti`` says."""
+    T, top = _ambient(F), F.ambient.dim
+    region = _region(F, A)
+    sizes = {-1: 1}
+    for k, count in Counter(map(len, region)).items():
+        sizes[k - 1] = count
+    ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
+    for n in range(2, max(sizes) + 1):
+        ranks[n] = (sizes[n] if n == top and T.top_free else
+                    sparse_rank([T.boundary.rows[T.ids[s]] for s in region
+                                 if len(s) == n + 1]))
+    return sizes, ranks
 
 
 def _box_nerve(boxes: Sequence[Box]) -> Boundary:

@@ -80,6 +80,16 @@ class BettiVector:
     def from_dict(d: Mapping[int, int]) -> "BettiVector":
         return BettiVector(tuple(sorted((k, v) for k, v in d.items() if v)))
 
+    @staticmethod
+    def from_ranks(sizes: Mapping[int, int],
+                   ranks: Mapping[int, int]) -> "BettiVector":
+        """b_n = sizes[n] - rank d_n - rank d_{n+1}, from the cell count of
+        each dimension that has cells and the rank of each d_n
+        (``ranks[n]``, 0 when absent)."""
+        return BettiVector.from_dict({n: size - ranks.get(n, 0)
+                                      - ranks.get(n + 1, 0)
+                                      for n, size in sizes.items()})
+
     def __getitem__(self, dim: int) -> int:
         for k, v in self.entries:
             if k == dim:
@@ -238,15 +248,8 @@ def _signed_rows(faces) -> dict[int, SparseRow]:
 def reduced_betti(X: Space | ChainComplex) -> BettiVector:
     """Exact reduced Betti numbers over Q."""
     cc = X if isinstance(X, ChainComplex) else chain_complex(X)
-    ranks: dict[int, int] = {}
-    for n in range(0, cc.top + 1):
-        ranks[n] = cc.rank_boundary(n)
-    out: dict[int, int] = {}
-    for n in range(-1, cc.top + 1):
-        b = cc.size(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        if b:
-            out[n] = b
-    return BettiVector.from_dict(out)
+    return BettiVector.from_ranks(cc.sizes, {n: cc.rank_boundary(n)
+                                             for n in range(0, cc.top + 1)})
 
 
 def top_nonzero_betti(X: Space | ChainComplex, floor: int = 0) -> int | None:

@@ -73,20 +73,22 @@ same homology, and the walk visits it earlier, at a floor no higher; the
 floor then rose past every dimension it has alive, so X[S] would answer
 None.  Values and witnesses are those of the walk without pruning.
 
-``_enumerate`` prepares X once per call: cell vertex masks, unique covers
-and X's boundary, read from P's validated tuples with no per-call id check
-(every id comes from P itself).  A hit is a dimension j >= floor at which
-a reduced Betti number is nonzero; an index's value is one more than its
-largest hit.  One loop serves L and J: it ranks X[S] at the floor for each
-vertex set S it is given, raises the floor past each hit, and stops once
-the floor reaches dim + 1, which no hit can pass.  J's witness is L's,
-with sigma the least cell.  The vertex sets come from one of two sources:
+``_enumerate`` prepares X once per call: unique covers and X's boundary,
+read from P's validated tuples with no per-call id check (every id comes
+from P itself), beside the cell vertex masks ``build_poset`` kept.  A hit
+is a dimension j >= floor at which a reduced Betti number is nonzero; an
+index's value is one more than its largest hit.  One loop serves L and J:
+it ranks X[S] at the floor for each vertex set S it is given, raises the
+floor past each hit, and stops once the floor reaches dim + 1, which no
+hit can pass.  J's witness is L's, with sigma the least cell.  The vertex
+sets come from one of two sources:
 
 * exact, which also yields the witness: the subsets of the sorted
-  vertices, smallest first, less the dominated ones.  Nothing is alive at
-  or above the final value, so the first hit in dimension value - 1 meets
-  a floor at most value - 1 and raises the index to its value, and no
-  later hit raises it again: the hit that last raised it is its witness;
+  vertices, as masks, smallest first, less the dominated ones.  Nothing is
+  alive at or above the final value, so the first hit in dimension
+  value - 1 meets a floor at most value - 1 and raises the index to its
+  value, and no later hit raises it again: the hit that last raised it is
+  its witness;
 * sampled, instead: ``sample`` random subsets, which give a labeled lower
   bound.  It does not prune: it need never draw the smaller subset, so
   pruning would lower its bound and move its witness.
@@ -104,7 +106,7 @@ from itertools import chain, combinations
 from operator import or_
 
 from .homology import Boundary, Space, top_nonzero_betti
-from .poset import SimplicialComplex, SimplicialPoset
+from .poset import SimplicialComplex, SimplicialPoset, _bits
 
 
 class CapExceeded(RuntimeError):
@@ -159,32 +161,20 @@ def _witness(X: Space, S: tuple, j: int, sigma) -> Witness:
     return Witness(S, j, sigma)
 
 
-def _vertex_masks(P: SimplicialPoset) -> tuple[dict, list, list]:
-    """Each vertex's bit (the i-th of P's vertex order has bit i), each
-    cell's vertex mask, and each cell's unique covers: the bits y for which
-    it has exactly one cover with vertex set vert + y; one pass over the
+def _vertex_masks(P: SimplicialPoset) -> tuple[tuple, list]:
+    """Each cell's vertex mask (``P._verts``: the i-th vertex of P's vertex
+    order has bit i) and each cell's unique covers: the bits y for which it
+    has exactly one cover with vertex set vert + y; one pass over the
     faces."""
-    bit = {v: 1 << i for i, v in enumerate(P.vertex_order)}
-    masks: list[int] = []
-    once: list[int] = []
-    twice: list[int] = []
-    for c, fs in enumerate(P._faces):
-        m = reduce(or_, map(masks.__getitem__, fs), bit.get(c, 0))
-        masks.append(m)
-        once.append(0)
-        twice.append(0)
+    masks = P._verts
+    once = [0] * len(masks)
+    twice = [0] * len(masks)
+    for fs, m in zip(P._faces, masks):
         for f in fs:
             y = m & ~masks[f]
             twice[f] |= once[f] & y
             once[f] |= y
-    return bit, masks, [a & ~b for a, b in zip(once, twice)]
-
-
-def _bits(m: int):
-    while m:
-        b = m & -m
-        yield b
-        m ^= b
+    return masks, [a & ~b for a, b in zip(once, twice)]
 
 
 def _pairs(masks: list, unique: list) -> list:
@@ -226,25 +216,28 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
     """L's report, with ``sigma`` the witness's cell: None for L, and the
     least cell, 0, for J."""
     P = _as_poset(X)
-    V = list(P.vertex_order)
+    V = P.vertex_order
+    n = len(V)
     if sample is None:
-        if len(V) > cap:
-            raise CapExceeded(len(V), cap)
-        subsets = chain.from_iterable(combinations(sorted(V), k)
-                                      for k in range(len(V) + 1))
+        if n > cap:
+            raise CapExceeded(n, cap)
+        # the masks of the subsets of the sorted vertices, in (size, lex)
+        # order: distinct bits add up to their union
+        bits = [1 << i for i in sorted(range(n), key=V.__getitem__)]
+        subsets = chain.from_iterable(map(sum, combinations(bits, k))
+                                      for k in range(n + 1))
     else:
         rng = random.Random(seed)
-        subsets = (tuple(v for v in V if rng.random() < 0.5)
+        subsets = (sum(1 << i for i in range(n) if rng.random() < 0.5)
                    for _ in range(sample))
-    bit, masks, unique = _vertex_masks(P)
+    masks, unique = _vertex_masks(P)
     pairs = _pairs(masks, unique) if sample is None else []
     dims = P._dims
     boundary = Boundary.of_faces(P._faces)
-    ceiling, best, witness = P.dim + 1, 0, None
-    for S in subsets:
+    ceiling, best, hit = P.dim + 1, 0, None
+    for inside in subsets:
         if best == ceiling:
             break
-        inside = sum(bit[v] for v in S)
         if _dominated(pairs, inside):
             continue
         outside = ~inside
@@ -252,9 +245,15 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
         if max(dims[c] for c in cells) >= best:
             a = top_nonzero_betti(boundary.select(cells), best)
             if a is not None:
-                best, witness = a + 1, (S, a, sigma)
+                best, hit = a + 1, (inside, a)
     mode = "exact" if sample is None else "sampled"
-    return LerayReport(best, mode, witness and _witness(X, *witness))
+    witness = None
+    if hit is not None:
+        # the last hit's vertices: sorted, or in vertex order when sampled
+        S = tuple(V[b.bit_length() - 1] for b in _bits(hit[0]))
+        witness = _witness(X, S if sample is not None else tuple(sorted(S)),
+                           hit[1], sigma)
+    return LerayReport(best, mode, witness)
 
 
 def leray_number(X: Space, cap: int = 16,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import (ComponentLabel, SetFamily, _component_entry,
-                       _component_index, _nerve_walk)
+                       _nerve_walk, _owner, _rep_key)
 from .poset import CellRecord, SimplicialComplex, SimplicialPoset, build_poset
 
 
@@ -60,21 +60,23 @@ def multinerve(F: SetFamily) -> LabeledPoset:
     Cells are numbered as the walk yields index sets, in (size, lex) order,
     each set's components sorted by canon: ``CellTag.sort_key`` order.  Face
     i of a cell over A is B = A - A[i]'s cell of the component holding its
-    representative, by index from B's first cell ``base[B]``.
+    representative: ``base[B]`` holds B's first cell and its owner table
+    (``_owner``), read once per index set.  The empty index set's one cell
+    is the least cell, 0.
     """
     tags = [CellTag((), None)]
     records = [CellRecord(-1, ())]
-    base = {}
+    base = {(): (0, lambda key: 0)}
     for A, hit in _nerve_walk(F):
         if not hit:
             continue
-        base[A] = len(tags)
-        facets = [A[:i] + A[i + 1:] for i in range(len(A))]
+        facets = [base[A[:i] + A[i + 1:]] for i in range(len(A))]
+        base[A] = len(tags), _owner(F, A)
         for comp in _component_entry(F, A):
+            key = _rep_key(F, comp.rep)
             tags.append(CellTag(A, comp))
             records.append(CellRecord(len(A) - 1, tuple(
-                base[B] + _component_index(F, B, comp.rep) if B else 0
-                for B in facets)))
+                b + owner(key) for b, owner in facets)))
     return LabeledPoset(build_poset(records), tuple(tags))
 
 

@@ -39,22 +39,31 @@ def _as_records(records: Iterable) -> list[CellRecord]:
     return out
 
 
+def _bits(m: int):
+    """The set bits of m, lowest first, each as an int."""
+    while m:
+        b = m & -m
+        yield b
+        m ^= b
+
+
 class SimplicialPoset:
     """A validated finite simplicial poset with least element.
 
     Immutable after construction; build instances through :func:`build_poset`.
+    A cell's vertex set is kept as an int mask (``_verts``): bit k is the
+    k-th vertex of ``vertex_order``.
     """
 
     __slots__ = ("_dims", "_faces", "_verts", "least", "vertex_order",
-                 "_vrank", "_lower", "_by_dim")
+                 "_lower", "_by_dim")
 
     def __init__(self, dims, faces, verts, least, vertex_order):
         self._dims: tuple[int, ...] = dims
         self._faces: tuple[tuple[CellId, ...], ...] = faces
-        self._verts: tuple[frozenset, ...] = verts
+        self._verts: tuple[int, ...] = verts
         self.least: CellId = least
         self.vertex_order: tuple[CellId, ...] = vertex_order
-        self._vrank = {v: i for i, v in enumerate(vertex_order)}
         self._lower: list[frozenset] | None = None
         by_dim: dict[int, list[CellId]] = {}
         for c, d in enumerate(dims):
@@ -85,7 +94,12 @@ class SimplicialPoset:
 
     def vertices_of(self, c: CellId) -> frozenset:
         self._check_cell(c)
-        return self._verts[c]
+        return frozenset(self._vertex_list(c))
+
+    def _vertex_list(self, c: CellId) -> list[CellId]:
+        """The vertices of cell c, in vertex order."""
+        order = self.vertex_order
+        return [order[b.bit_length() - 1] for b in _bits(self._verts[c])]
 
     @property
     def vertices(self) -> tuple[CellId, ...]:
@@ -137,11 +151,16 @@ class SimplicialPoset:
             raise PosetError(f"unknown vertices {sorted(unknown)!r}")
         if len(S) == len(self.vertex_order):
             return self, tuple(self.cells())
-        keep = [c for c in self.cells() if self._verts[c] <= S]
+        # the kept vertices' bits, and each one's bit in the subposet
+        kept = [1 << k for k, v in enumerate(self.vertex_order) if v in S]
+        outside = ~sum(kept)
+        new_bit = {b: 1 << j for j, b in enumerate(kept)}
+        keep = [c for c, m in enumerate(self._verts) if not m & outside]
         new_id = {c: i for i, c in enumerate(keep)}
         dims = tuple(self._dims[c] for c in keep)
         faces = tuple(tuple(new_id[f] for f in self._faces[c]) for c in keep)
-        verts = tuple(frozenset(new_id[v] for v in self._verts[c]) for c in keep)
+        verts = tuple(sum(map(new_bit.__getitem__, _bits(self._verts[c])))
+                      for c in keep)
         order = tuple(new_id[v] for v in self.vertex_order if v in S)
         sub = SimplicialPoset(dims, faces, verts, new_id[self.least], order)
         return sub, tuple(keep)
@@ -158,8 +177,8 @@ class SimplicialPoset:
         rank = {v: i for i, v in enumerate(order)}
         records = []
         for c in self.cells():
-            old_sorted = sorted(self._verts[c], key=self._vrank.__getitem__)
-            new_sorted = sorted(self._verts[c], key=rank.__getitem__)
+            old_sorted = self._vertex_list(c)
+            new_sorted = sorted(old_sorted, key=rank.__getitem__)
             faces = tuple(self._faces[c][old_sorted.index(v)] for v in new_sorted)
             records.append(CellRecord(self._dims[c], faces))
         return build_poset(records, vertex_order=order)
@@ -194,6 +213,13 @@ def build_poset(cell_records: Iterable,
     d_a f_b = d_{b-1} f_a, whose vertex set vert c - {v_a, v_b} holds U:
     by induction f_a has one cell on U below it, and the one below
     d_{b-1} f_a is such a cell; likewise for f_b.
+
+    Vertex sets are int masks: the k-th 0-cell has bit k, a cell's mask is
+    the union (``|``) of its faces' masks, and its distinct vertices are
+    the mask's ``bit_count``.  A given ``vertex_order`` moves each bit to
+    its vertex's place in that order, so a mask's k-th lowest set bit is
+    the cell's k-th vertex, which face k must drop.  These are the masks
+    ``SimplicialPoset._verts`` keeps.
     """
     records = _as_records(cell_records)
     if not records:
@@ -207,7 +233,7 @@ def build_poset(cell_records: Iterable,
                          "least element must be unique")
     least = least_ids[0]
 
-    dims, faces, verts = [], [], []
+    dims, faces, masks, zero_cells = [], [], [], []
     for i, rec in enumerate(records):
         if rec.dim < -1:
             raise PosetError(f"cell {i}: dimension {rec.dim} below -1")
@@ -223,36 +249,46 @@ def build_poset(cell_records: Iterable,
         dims.append(rec.dim)
         faces.append(rec.faces)
         if rec.dim == -1:
-            verts.append(frozenset())
+            masks.append(0)
         elif rec.dim == 0:
-            verts.append(frozenset([i]))
+            masks.append(1 << len(zero_cells))
+            zero_cells.append(i)
         else:
-            vs = frozenset().union(*(verts[f] for f in rec.faces))
-            if len(vs) != rec.dim + 1:
+            m = 0
+            for f in rec.faces:
+                m |= masks[f]
+            n = m.bit_count()
+            if n != rec.dim + 1:
                 raise PosetError(f"cell {i}: repeated vertex "
-                                 f"(has {len(vs)} distinct vertices, "
+                                 f"(has {n} distinct vertices, "
                                  f"needs {rec.dim + 1})")
-            verts.append(vs)
+            masks.append(m)
 
-    zero_cells = [i for i, d in enumerate(dims) if d == 0]
     if vertex_order is None:
         vertex_order = tuple(zero_cells)
     else:
         vertex_order = tuple(vertex_order)
-        if sorted(vertex_order) != sorted(zero_cells):
+        if sorted(vertex_order) != zero_cells:
             raise PosetError("vertex_order must list every 0-cell exactly once")
-    vrank = {v: k for k, v in enumerate(vertex_order)}
+        if vertex_order != tuple(zero_cells):
+            # bit k was the k-th 0-cell; it moves to that cell's place
+            pos = {v: k for k, v in enumerate(vertex_order)}
+            new_bit = [1 << pos[v] for v in zero_cells]
+            masks = [sum(new_bit[b.bit_length() - 1] for b in _bits(m))
+                     for m in masks]
 
-    # face i of a cell drops the i-th smallest vertex
+    # face k of a cell drops the k-th smallest vertex: its lowest set bit
+    # once the k lower ones are peeled off
     for i, rec in enumerate(records):
         if rec.dim < 1:
             continue
-        ordered = sorted(verts[i], key=vrank.__getitem__)
+        rest = m = masks[i]
         for k, f in enumerate(rec.faces):
-            expected = verts[i] - {ordered[k]}
-            if verts[f] != expected:
+            low = rest & -rest
+            if masks[f] != m ^ low:
                 raise PosetError(f"cell {i}: face {k} drops the wrong vertex "
                                  "(face order inconsistent with vertex order)")
+            rest ^= low
 
     # simplicial identity d_i d_j = d_{j-1} d_i for i < j
     for i, rec in enumerate(records):
@@ -263,7 +299,7 @@ def build_poset(cell_records: Iterable,
                 raise PosetError(f"cell {i}: simplicial identity violated "
                                  f"at faces ({a}, {b})")
 
-    return SimplicialPoset(tuple(dims), tuple(faces), tuple(verts), least,
+    return SimplicialPoset(tuple(dims), tuple(faces), tuple(masks), least,
                            vertex_order)
 
 
@@ -278,7 +314,7 @@ class SimplicialComplex:
     orderable (ints, strings, tuples of one kind).
     """
 
-    __slots__ = ("simplices", "vertices", "_order")
+    __slots__ = ("simplices", "vertices", "_order", "_dim")
 
     def __init__(self, simplices: Iterable[Iterable] = (), *, closed: bool = False):
         sims = {frozenset(s) for s in simplices}
@@ -298,6 +334,7 @@ class SimplicialComplex:
         self.simplices: frozenset = frozenset(sims)
         self.vertices: tuple = tuple(sorted({v for s in sims for v in s}))
         self._order: tuple[frozenset, ...] | None = None
+        self._dim: int | None = None
 
     def __contains__(self, s) -> bool:
         return frozenset(s) in self.simplices
@@ -313,7 +350,11 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
+        """Largest simplex dimension: found on first use and kept, as the
+        complex does not change."""
+        if self._dim is None:
+            self._dim = max(map(len, self.simplices)) - 1
+        return self._dim
 
     @property
     def facets(self) -> list[frozenset]:

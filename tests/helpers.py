@@ -252,10 +252,10 @@ def poset_betti_gj(P: SimplicialPoset, cells) -> dict[int, int]:
 def poset_leray_oracle(P: SimplicialPoset) -> int:
     """L(P) from the definition: one more than the largest dimension >= 0
     with nonzero reduced homology of an induced subposet, else 0."""
-    best = 0
+    best, verts = 0, vertex_sets(P)
     for size in range(len(P.vertex_order) + 1):
         for S in combinations(P.vertex_order, size):
-            cells = [c for c in P.cells() if P.vertices_of(c) <= set(S)]
+            cells = [c for c in P.cells() if verts[c] <= set(S)]
             for d in poset_betti_gj(P, cells):
                 if d >= 0:
                     best = max(best, d + 1)
@@ -414,14 +414,20 @@ def _lower_sets(P: SimplicialPoset) -> list[set]:
     return lower
 
 
-def boolean_lower_segments(P: SimplicialPoset) -> bool:
-    """Whether the lower segment of every n-cell holds n + 1 vertices and
-    one cell per subset of them, with vertex sets rebuilt from the faces."""
-    lower = _lower_sets(P)
+def vertex_sets(P: SimplicialPoset) -> list[frozenset]:
+    """Each cell's vertex set, rebuilt from the faces (not read from the
+    poset's vertex masks)."""
     verts: list[frozenset] = []
     for c in P.cells():
         verts.append(frozenset([c]) if P.dim_of(c) == 0 else
                      frozenset().union(*(verts[f] for f in P.faces_of(c))))
+    return verts
+
+
+def boolean_lower_segments(P: SimplicialPoset) -> bool:
+    """Whether the lower segment of every n-cell holds n + 1 vertices and
+    one cell per subset of them, with vertex sets rebuilt from the faces."""
+    lower, verts = _lower_sets(P), vertex_sets(P)
     return all(len(verts[c]) == P.dim_of(c) + 1
                and len(lower[c]) == len({verts[t] for t in lower[c]})
                == 2 ** len(verts[c]) for c in P.cells())
@@ -430,9 +436,9 @@ def boolean_lower_segments(P: SimplicialPoset) -> bool:
 def upper_interval_betti(P: SimplicialPoset, S, sigma: int) -> dict[int, int]:
     """Reduced Betti numbers of the order complex of the open interval
     above ``sigma`` in the subposet induced on the vertex set ``S``."""
-    lower = _lower_sets(P)
+    lower, verts = _lower_sets(P), vertex_sets(P)
     up = [t for t in P.cells()
-          if t != sigma and sigma in lower[t] and P.vertices_of(t) <= set(S)]
+          if t != sigma and sigma in lower[t] and verts[t] <= set(S)]
     return _interval_betti(frozenset(up), lower)
 
 
@@ -453,12 +459,12 @@ def _interval_betti(up: frozenset, lower: list[set]) -> dict[int, int]:
 def j_oracle(P: SimplicialPoset) -> int:
     """J(P): one more than the largest dimension >= 0 with nonzero reduced
     homology of an open upper interval in an induced subposet, else 0."""
-    lower = _lower_sets(P)
+    lower, verts = _lower_sets(P), vertex_sets(P)
     seen: dict[frozenset, dict[int, int]] = {}
     best = 0
     for size in range(len(P.vertex_order) + 1):
         for S in combinations(P.vertex_order, size):
-            cells = [c for c in P.cells() if P.vertices_of(c) <= set(S)]
+            cells = [c for c in P.cells() if verts[c] <= set(S)]
             for sigma in cells:
                 up = frozenset(t for t in cells
                                if t != sigma and sigma in lower[t])
@@ -479,10 +485,10 @@ def first_hit_witness(P: SimplicialPoset, value: int, links: bool):
     J, None when the value is 0."""
     if value == 0:
         return None
-    V = sorted(P.vertex_order)
+    V, verts = sorted(P.vertex_order), vertex_sets(P)
     for size in range(len(V) + 1):
         for S in combinations(V, size):
-            cells = [c for c in P.cells() if P.vertices_of(c) <= set(S)]
+            cells = [c for c in P.cells() if verts[c] <= set(S)]
             if not links:
                 if poset_betti_gj(P, cells).get(value - 1):
                     return S, value - 1

@@ -217,6 +217,60 @@ class TestRegionBetti:
                         (intervals, A)
 
 
+def _holed_members(T, rng, n):
+    """T itself, then n unions of closed stars, each less some of its top
+    simplices (still face-closed, as those are maximal): spheres, balls,
+    and regions with holes in every dimension up to dim T."""
+    members = [set(T.simplices) - {frozenset()}]
+    for _ in range(n):
+        sims = set()
+        for v in rng.sample(T.vertices, rng.randrange(1, 4)):
+            sims |= closed_star(T, v)
+        tops = sorted((s for s in sims if len(s) == T.dim + 1), key=sorted)
+        sims -= set(rng.sample(tops, rng.randrange(len(tops) + 1)))
+        members.append(sims)
+    return [[tuple(s) for s in m] for m in members]
+
+
+# the boundary of the octahedron, a 2-sphere; the cone over it, a 3-ball;
+# the boundary of the 4-simplex, a 3-sphere
+OCTAHEDRON = SimplicialComplex([(a, b, c) for a in (0, 1) for b in (2, 3)
+                                for c in (4, 5)])
+OCTAHEDRON_CONE = SimplicialComplex([(*s, 6) for s in OCTAHEDRON.simplices
+                                     if len(s) == 3])
+SPHERE_3 = SimplicialComplex(itertools.combinations(range(5), 4))
+
+
+class TestCountedBetti:
+    """Subcomplex Betti vectors are counted per dimension, against the
+    dense oracle: on ambients whose top rows are dependent (closed
+    manifolds, where the top rank falls back to elimination), and on
+    3-dimensional ambients, where d_2 is eliminated."""
+
+    @pytest.mark.parametrize("T, top_free, holes", [
+        (OCTAHEDRON, False, {1, 2}), (OCTAHEDRON_CONE, True, {2}),
+        (SPHERE_3, False, {2, 3})])
+    def test_parity_with_dense_oracle(self, T, top_free, holes):
+        seen = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            F = subcomplex_family(T, _holed_members(T, rng, 3))
+            for size in range(len(F) + 1):
+                for A in itertools.combinations(range(len(F)), size):
+                    want = family_region_betti(F, A)
+                    assert region_betti(F, A).items() == \
+                        tuple(sorted(want.items())), (seed, A)
+                    seen.update(d for d, b in want.items() if b)
+            assert multinerve.families._ambient(F).top_free is top_free
+            for s in range(4):
+                ok, viol = is_acyclic_with_slack(F, s)
+                want = family_slack_violation(F, s)
+                assert ok == (want is None)
+                assert want is None or (viol.subset, viol.dim) == want
+        # the holes reach the dimensions whose ranks are eliminated
+        assert seen == holes
+
+
 class TestAmbientIndex:
     """Subcomplex regions are ranked and split into components on the rows
     of T's simplices, numbered and checked for d o d = 0 once per family;
@@ -491,15 +545,29 @@ class TestRegionMemo:
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_one_rank_and_one_union_find_per_distinct_region(
             self, monkeypatch, backend):
-        ranks, finds = [], []
-        for name, calls in (("reduced_betti", ranks), ("UnionFind", finds)):
-            def spy(*args, real=getattr(multinerve.families, name), calls=calls):
-                calls.append(args)
+        # one union-find per distinct region gives its components; a box
+        # region is then ranked by one reduced_betti of its nerve, and a
+        # subcomplex region's Betti vector is counted by one
+        # _subcomplex_ranks from that union-find, with no reduced_betti
+        # and no selection from T's boundary
+        from multinerve.homology import Boundary
+        calls = {"reduced_betti": [], "UnionFind": [], "_subcomplex_ranks": []}
+        for name, got in calls.items():
+            def spy(*args, real=getattr(multinerve.families, name), got=got):
+                got.append(args)
                 return real(*args)
             monkeypatch.setattr(multinerve.families, name, spy)
+        selected, real_select = [], Boundary.select
+
+        def select(boundary, cells):
+            selected.append(boundary)
+            return real_select(boundary, cells)
+        monkeypatch.setattr(Boundary, "select", select)
         for seed in range(4):
             F = repeating_family(backend, seed)
-            del ranks[:], finds[:]
+            for got in calls.values():
+                del got[:]
+            del selected[:]
             verify_multinerve_theorem(F, 3)
             max_components(F)
             asked = [(), *(tuple(sorted(G)) for G in family_nerve(F))]
@@ -507,7 +575,28 @@ class TestRegionMemo:
                 region_betti(F, A)
                 components(F, A)
             distinct = {tuple(family_region(F, A)) for A in asked}
-            assert len(ranks) == len(finds) == len(distinct) < len(asked)
+            assert len(calls["UnionFind"]) == len(distinct) < len(asked)
+            if backend == "box":
+                assert len(calls["reduced_betti"]) == len(distinct)
+                assert calls["_subcomplex_ranks"] == []
+                # each region's nerve, and the multinerve's boundary
+                assert len(selected) == len(distinct) + 1
+            else:
+                assert len(calls["_subcomplex_ranks"]) == len(distinct)
+                assert calls["reduced_betti"] == []
+                # only the multinerve's boundary, in the report
+                assert len(selected) == 1
+                assert selected[0] is not F._ambient_index.boundary
+
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_equal_regions_are_held_once(self, backend):
+        # members 0 and 1 are equal: once numbered, both index sets hold
+        # the one region object, and so do their extensions
+        F = repeating_family(backend, 0)
+        for A in [(0,), (1,), (0, 3), (1, 3)]:
+            region_betti(F, A)
+        assert F._region_cache[(0,)] is F._region_cache[(1,)]
+        assert F._region_cache[(0, 3)] is F._region_cache[(1, 3)]
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_one_nerve_walk_per_verify_call(self, monkeypatch, backend):

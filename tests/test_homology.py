@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
-                     gauss_jordan_rank, random_complex, random_poset,
-                     small_family, with_isolated_vertices)
+                     dense_boundaries, family_region, gauss_jordan_rank,
+                     random_complex, random_poset, small_family,
+                     with_isolated_vertices)
 
 from multinerve import (BettiVector, SimplicialComplex, build_poset,
                         chain_complex, euler_characteristic,
@@ -229,15 +230,39 @@ class TestLowRanks:
         assert {aug for _, aug in low_ranks} == {0}
         assert {n for n, _ in low_ranks} == {0, 1}
 
-    def test_box_nerves_and_subcomplex_regions(self, low_ranks):
+    def test_box_nerves_and_subcomplex_regions(self, low_ranks, monkeypatch):
+        # box nerves are ranked on their chain complexes; a subcomplex
+        # region's cell counts and ranks are counted with no chain complex
+        # (``_subcomplex_ranks``), and checked here against the dense
+        # boundaries of the region rebuilt as a complex
+        from multinerve import families
+        real, counted = families._subcomplex_ranks, []
+
+        def counts(F, A):
+            sizes, ranks = real(F, A)
+            basis, dense = dense_boundaries(
+                SimplicialComplex(family_region(F, A)))
+            assert sizes == {d: len(b) for d, b in basis.items()}, A
+            assert {d: ranks.get(d, 0) for d in dense} == \
+                {d: gauss_jordan_rank(rows) for d, rows in dense.items()}, A
+            counted.append(ranks)
+            return sizes, ranks
+        monkeypatch.setattr(families, "_subcomplex_ranks", counts)
         for backend in ("box", "subcomplex"):
             low_ranks.clear()
+            del counted[:]
             for seed in range(25):
                 F = small_family(seed, backend)
                 region_betti(F, ())
                 is_acyclic_with_slack(F, 0)
             is_acyclic_with_slack(random_family(backend, 5, 3), 0)
-            assert {n for n, _ in low_ranks} == {0, 1}, backend
+            if backend == "box":
+                assert {n for n, _ in low_ranks} == {0, 1}
+                assert counted == []
+            else:
+                assert low_ranks == []
+                assert {n for ranks in counted for n, r in ranks.items()
+                        if r} >= {0, 1, 2}
 
 
 class TestEuler:

@@ -327,7 +327,8 @@ class TestDomination:
         for P in ([double_edge_poset(), two_covers] + randoms
                   + [twin_poset(rng, n_vertices=4) for _ in range(20)]
                   + [cone_poset(P) for P in randoms]):
-            bit, masks, unique = _vertex_masks(P)
+            bit = {v: 1 << i for i, v in enumerate(P.vertex_order)}
+            masks, unique = _vertex_masks(P)
             pairs = _pairs(masks, unique)
             V = P.vertex_order
             for size in range(len(V) + 1):

@@ -1,5 +1,7 @@
 """Poset construction, validation errors, order complexes, subdivisions."""
 
+import contextlib
+import io
 import random
 
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (boolean_lower_segments, classical_sd, all_complexes_on,
                      complexes_isomorphic, cone_poset, poset_isomorphic,
-                     random_poset, simplices_of_dim, twin_poset)
+                     random_poset, simplices_of_dim, twin_poset,
+                     vertex_sets)
 
 from multinerve import (PosetError, SimplicialComplex, barycentric_subdivision,
                         build_poset, order_complex, reduced_betti,
                         upper_complexes)
+from multinerve.cli import main
 from multinerve.fixtures import double_edge_poset
 
 
@@ -48,25 +52,10 @@ class TestBuildPoset:
             build_poset([(-1, ()), (0, (0,)), (1, (0, 1))])
 
     def test_simplicial_identity_violation_rejected(self):
-        # tetrahedron over a duplicated edge cd/cd': the triangles acd and
-        # bcd use different copies, so d_0 d_1 and d_0 d_0 of the 3-cell
-        # land on different cells
-        bad = [
-            (-1, ()),
-            (0, (0,)), (0, (0,)), (0, (0,)), (0, (0,)),   # a b c d = 1..4
-            (1, (2, 1)), (1, (3, 1)), (1, (4, 1)),         # ab ac ad = 5..7
-            (1, (3, 2)), (1, (4, 2)),                      # bc bd = 8, 9
-            (1, (4, 3)), (1, (4, 3)),                      # cd cd' = 10, 11
-            (2, (8, 6, 5)),                                # abc = 12
-            (2, (9, 7, 5)),                                # abd = 13
-            (2, (10, 7, 6)),                               # acd = 14, uses cd
-            (2, (11, 9, 8)),                               # bcd = 15, uses cd'
-            (3, (15, 14, 13, 12)),
-        ]
         with pytest.raises(PosetError, match="simplicial identity"):
-            build_poset(bad)
+            build_poset(BAD_IDENTITY)
         # the same data without the 3-cell is a legitimate simplicial poset
-        build_poset(bad[:-1])
+        build_poset(BAD_IDENTITY[:-1])
 
     def test_triangle_over_doubled_edge_is_legitimate(self):
         records = [
@@ -128,6 +117,92 @@ class TestBuildPoset:
         for P in (double_edge_poset(), SimplicialComplex([(0, 1, 2), (2, 3)]).as_poset()):
             Q = build_poset(P.export_records())
             assert poset_isomorphic(P, Q)
+
+
+# tetrahedron over a duplicated edge cd/cd': the triangles acd and bcd use
+# different copies, so d_0 d_1 and d_0 d_0 of the 3-cell land on different
+# cells
+BAD_IDENTITY = [
+    (-1, ()),
+    (0, (0,)), (0, (0,)), (0, (0,)), (0, (0,)),   # a b c d = 1..4
+    (1, (2, 1)), (1, (3, 1)), (1, (4, 1)),         # ab ac ad = 5..7
+    (1, (3, 2)), (1, (4, 2)),                      # bc bd = 8, 9
+    (1, (4, 3)), (1, (4, 3)),                      # cd cd' = 10, 11
+    (2, (8, 6, 5)),                                # abc = 12
+    (2, (9, 7, 5)),                                # abd = 13
+    (2, (10, 7, 6)),                               # acd = 14, uses cd
+    (2, (11, 9, 8)),                               # bcd = 15, uses cd'
+    (3, (15, 14, 13, 12)),
+]
+
+# one crafted record list per check of build_poset, with its exact message
+POSET_ERRORS = [
+    ([(0, ())],
+     "missing least element: no (-1)-dimensional cell declared"),
+    ([(-1, ()), (0, (0,)), (-1, ())],
+     "cell 2: second (-1)-dimensional cell, least element must be unique"),
+    ([(-1, ()), (-2, ())], "cell 1: dimension -2 below -1"),
+    ([(-1, ()), (0, ())], "cell 1: expected 1 faces, got 0"),
+    ([(-1, ()), (0, (0,)), (1, (1, 3))], "cell 2: dangling face reference 3"),
+    ([(-1, ()), (0, (0,)), (1, (0, 1))],
+     "cell 2: face 0 has dimension -1, expected 0"),
+    ([(-1, ()), (0, (0,)), (1, (1, 1))],
+     "cell 2: repeated vertex (has 1 distinct vertices, needs 2)"),
+    ([(-1, ()), (0, (0,)), (0, (0,)), (0, (0,)), (1, (2, 1)), (1, (3, 1)),
+      (1, (3, 2)), (2, (4, 4, 4))],
+     "cell 7: repeated vertex (has 2 distinct vertices, needs 3)"),
+    ([(-1, ()), (0, (0,)), (0, (0,)), (1, (1, 2))],
+     "cell 3: face 0 drops the wrong vertex "
+     "(face order inconsistent with vertex order)"),
+    (BAD_IDENTITY, "cell 16: simplicial identity violated at faces (0, 1)"),
+]
+
+
+class TestErrorMessages:
+    """Each PosetError of build_poset, byte for byte, and its exit code and
+    stderr line through ``mnv homology`` on a poset.v1 file."""
+
+    @pytest.mark.parametrize("records, message", POSET_ERRORS)
+    def test_message(self, records, message):
+        with pytest.raises(PosetError) as err:
+            build_poset(records)
+        assert str(err.value) == message
+
+    def test_vertex_order_messages(self):
+        edge = [(-1, ()), (0, (0,)), (0, (0,)), (1, (2, 1))]
+        with pytest.raises(PosetError) as err:
+            build_poset(edge[:3], vertex_order=(2,))
+        assert str(err.value) == \
+            "vertex_order must list every 0-cell exactly once"
+        # the edge's face 0 drops vertex 1, the smallest under the default
+        # order; under (2, 1) it must drop 2
+        build_poset(edge)
+        with pytest.raises(PosetError) as err:
+            build_poset(edge, vertex_order=(2, 1))
+        assert str(err.value) == (
+            "cell 3: face 0 drops the wrong vertex "
+            "(face order inconsistent with vertex order)")
+        flipped = edge[:3] + [(1, (1, 2))]
+        assert build_poset(flipped, vertex_order=(2, 1)).vertices_of(3) == \
+            {1, 2}
+
+    @pytest.mark.parametrize("records, message", POSET_ERRORS)
+    def test_exit_2_through_homology(self, tmp_path, records, message):
+        lines = ["poset v1"] + [" ".join(map(str, (i, d, *fs)))
+                                for i, (d, fs) in enumerate(records)]
+        path = tmp_path / "bad.poset"
+        path.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["homology", str(path)])
+        assert code == 2 and out.getvalue() == ""
+        if "dangling" in message:
+            # the parser refuses a face it has not read yet, first
+            message = "cell 2 references undeclared cell 3"
+            where = 4  # the header is line 1
+        else:
+            where = 0
+        assert err.getvalue() == f"mnv: {path}:{where}: {message}\n"
 
 
 class TestVerticesAndInduced:
@@ -260,6 +335,21 @@ class TestUpperComplexes:
 
 
 class TestComplexNumbering:
+    def test_dim_is_found_once_per_complex(self, monkeypatch):
+        # the family oracle reads dim T per family; it is kept after the
+        # first scan, as the complex does not change
+        from multinerve import poset
+        T = SimplicialComplex([(0, 1, 2), (2, 3)])
+        scans = []
+
+        def spy(*args, **kwargs):
+            scans.append(args)
+            return max(*args, **kwargs)
+        monkeypatch.setattr(poset, "max", spy, raising=False)
+        assert [T.dim for _ in range(3)] == [2, 2, 2]
+        assert len(scans) == 1
+        assert SimplicialComplex([]).dim == -1
+
     def test_order_is_computed_once_per_complex(self, monkeypatch):
         # a subcomplex family's triangulation T is numbered by parse_family,
         # by write_family (the instance id) and by the family oracle; it is
@@ -304,6 +394,26 @@ def test_lower_segments_random(P):
         assert len(seg) == 2 ** (P.dim_of(c) + 1)
         # no two members of one segment share a vertex set
         assert len({P.vertices_of(t) for t in seg}) == len(seg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(), st.randoms(use_true_random=False))
+def test_vertex_sets_under_reordering_and_inducing(P, rng):
+    # vertices_of reads vertex masks, which a new vertex order or an
+    # induced subposet re-bits; the oracle rebuilds them from the faces
+    want = vertex_sets(P)
+    order = list(P.vertex_order)
+    rng.shuffle(order)
+    Q = P.with_vertex_order(order)
+    assert Q.vertex_order == tuple(order)
+    assert [P.vertices_of(c) for c in P.cells()] == want
+    assert [Q.vertices_of(c) for c in Q.cells()] == want
+    S = set(rng.sample(order, rng.randrange(len(order) + 1)))
+    for X in (P, Q):
+        sub, keep = X.induced_with_map(S)
+        assert keep == tuple(c for c in X.cells() if want[c] <= S)
+        assert [frozenset(keep[v] for v in sub.vertices_of(i))
+                for i in sub.cells()] == [want[c] for c in keep]
 
 
 @settings(max_examples=25, deadline=None)
