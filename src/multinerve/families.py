@@ -14,27 +14,26 @@ Two backends realize the oracle:
 The family keeps one region per index set A, built from the region of its
 prefix A[:-1] (an empty prefix gives an empty region at no cost).  Equal
 regions share a number, given on the first Betti or component query, and
-the Betti vector and component groups are found once per number; an index
-set then keeps only its labels and the numbered region's object.  Scans
-over subfamilies (slack, component counts, the nerve, the multinerve,
-Helly numbers) share one walk, kept on the family, of the index sets whose
-facets all intersect, level by level in (size, lexicographic) order, so an
-empty intersection ends the walk above it.
+the Betti vector and component labels are found once per number, so index
+sets with equal regions share one label tuple and one region object.
+Scans over subfamilies (slack, component counts, the nerve, the
+multinerve, Helly numbers) read one walk of the index sets whose facets
+all intersect, level by level in (size, lexicographic) order, so an empty
+intersection ends the walk above it; a walk that runs to its end is kept
+on the family.
 
-A subcomplex family builds one ``Boundary`` on T's simplices, and finds
-once whether T's top rows are independent; emptiness, the nerve walk and
-Helly numbers never build it.  Every member is face-closed
+A subcomplex region's components come from one union-find over its vertex
+labels, joined along its edges; it also gives the region's rank d_1.
+Only Betti vectors build T's ``Boundary`` (``_AmbientIndex``), and find
+once whether T's top rows are independent.  Every member is face-closed
 (``subcomplex_family`` checks it), so every region, a union or an
 intersection of members, is closed downward in T and takes T's rows whole
-(see ``Boundary``).  One union-find per distinct region, over its vertex
-ids joined along its edge rows, gives its components and its rank d_1;
-its Betti vector is then counted per dimension from T's rows, with no
-chain complex built (``_subcomplex_ranks``).
+(see ``Boundary``); its Betti vector is counted per dimension from them,
+with no chain complex built (``_subcomplex_ranks``).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,15 +102,12 @@ class ComponentLabel:
 
     ``canon`` is the smallest representative under the backend's deterministic
     enumeration; ``rep`` is a geometric handle usable for containment queries
-    (a simplex tuple, or a Box inside the component).
+    (a vertex 1-tuple, or a Box inside the component).  A label belongs to
+    the region, so index sets with equal regions share it.
     """
 
-    subset: tuple[int, ...]
     canon: object
     rep: object
-
-    def sort_key(self):
-        return self.canon
 
 
 class SetFamily:
@@ -129,10 +125,7 @@ class SetFamily:
         self._rid_cache: dict[tuple, int] = {}
         self._betti_cache: dict[int, BettiVector] = {}
         self._groups_cache: dict[int, tuple] = {}
-        self._labels_cache: dict[tuple, tuple[ComponentLabel, ...]] = {}
-        self._walk: list[tuple[tuple[int, ...], bool]] = []
-        # a proxy, so the pending walk keeps no reference cycle to the family
-        self._walk_source = _walk_source(weakref.proxy(self))
+        self._walk: list[tuple[tuple[int, ...], bool]] | None = None
         self._ambient_index: _AmbientIndex | None = None
 
     def __len__(self) -> int:
@@ -197,21 +190,16 @@ def box_family(dim: int, members: Sequence[Sequence[Box]],
 # region machinery
 
 
-def _simplex_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
-
-
 class _AmbientIndex:
-    """T's simplices by id (``numbering``: the empty simplex is id 0, and id
-    order is ``_simplex_key`` order), their ``Boundary``, and ``top_free``:
-    whether T's top rows (of dimension >= 2) are independent, found by one
-    ``sparse_rank``."""
+    """What Betti vectors of subcomplex regions read, and nothing else does:
+    T's simplex ids (``numbering``), their checked ``Boundary``, and
+    ``top_free``: whether T's top rows (of dimension >= 2) are independent,
+    found by one ``sparse_rank``."""
 
-    __slots__ = ("simplices", "ids", "boundary", "top_free")
+    __slots__ = ("ids", "boundary", "top_free")
 
     def __init__(self, T: SimplicialComplex):
         self.ids, faces = T.numbering()
-        self.simplices = list(self.ids)
         self.boundary = Boundary.of_faces(faces)
         rows = [row for row in self.boundary.rows.values()
                 if len(row) == T.dim + 1]
@@ -219,7 +207,8 @@ class _AmbientIndex:
 
 
 def _ambient(F: SetFamily) -> _AmbientIndex:
-    """The subcomplex family's ambient index, built on first use."""
+    """The subcomplex family's ambient index, built on the first Betti
+    vector."""
     if F._ambient_index is None:
         F._ambient_index = _AmbientIndex(F.ambient)
     return F._ambient_index
@@ -267,63 +256,67 @@ def _per_region(F: SetFamily, cache: dict, A: tuple[int, ...], compute):
 def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
     """Connected components of the intersection over A (of the union if A is empty).
 
-    Found once per distinct region; an index set keeps only its labels.
+    Found once per distinct region; index sets with equal regions share the
+    one tuple.
     """
-    return _component_entry(F, F.check_index_set(A))
-
-
-def _component_entry(F: SetFamily, A: tuple[int, ...]) -> tuple[ComponentLabel, ...]:
-    """The cached labels of the checked index set A."""
-    if A not in F._labels_cache:
-        F._labels_cache[A] = tuple(ComponentLabel(A, canon, rep)
-                                   for canon, rep in _groups(F, A)[0])
-    return F._labels_cache[A]
+    return _groups(F, F.check_index_set(A))[0]
 
 
 def _groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """The (canon, rep) pairs of the region over the checked index set A,
-    sorted by canon, and the index of each region element's pair: a vertex
-    id -> index dict, or a list of (box, index) pairs."""
+    """The component labels of the region over the checked index set A,
+    sorted by canon, and its owner: a function from a rep (a vertex
+    1-tuple, or a box inside the region) to the index of its component."""
     return _per_region(F, F._groups_cache, A, _subcomplex_groups
                        if F.backend == "subcomplex" else _box_groups)
 
 
-def _sorted_groups(groups, canon_of, rep_of) -> tuple:
-    """One (canon, rep) pair per union-find group, sorted by canon (no two
-    groups share one), and the index of each element's pair."""
-    pairs, owner = [], {}
+def _sorted_labels(groups, canon_of, rep_of) -> tuple:
+    """One label per union-find group, sorted by canon (no two groups share
+    one), and the index of each element's label."""
+    labels, owner = [], {}
     for i, (canon, group) in enumerate(sorted((canon_of(g), g)
                                               for g in groups)):
-        pairs.append((canon, rep_of(canon)))
+        labels.append(ComponentLabel(canon, rep_of(canon)))
         owner.update(dict.fromkeys(group, i))
-    return tuple(pairs), owner
+    return tuple(labels), owner
 
 
 def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """Union-find over the region's vertex ids, joined along its edges: a
+    """Union-find over the region's vertex labels, joined along its edges: a
     simplex lies in the component of any of its vertices, so the smallest
-    id of a group, a vertex, is its smallest simplex.  The groups also give
-    the region's rank d_1 (see ``_subcomplex_ranks``)."""
-    T = _ambient(F)
-    ids, rows, region = T.ids, T.boundary.rows, _region(F, A)
-    uf = UnionFind(ids[s] for s in region if len(s) == 1)
-    for s in region:
-        if len(s) == 2:
-            uf.union(*rows[ids[s]])
-    return _sorted_groups(uf.groups().values(),
-                          lambda g: _simplex_key(T.simplices[min(g)]),
-                          lambda canon: canon[1])
+    vertex of a group is its smallest simplex.  The owner is keyed by the
+    rep, a vertex 1-tuple.  The groups also give the region's rank d_1
+    (see ``_subcomplex_ranks``)."""
+    region = _region(F, A)
+    uf = UnionFind(v for s in region if len(s) == 1 for v in s)
+    for edge in region:
+        if len(edge) == 2:
+            uf.union(*edge)
+    labels, owner = _sorted_labels(uf.groups().values(),
+                                   lambda g: (1, (min(g),)),
+                                   lambda canon: canon[1])
+    return labels, {(v,): i for v, i in owner.items()}.__getitem__
 
 
 def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
+    """Union-find over the region's boxes, joined where they overlap; the
+    owner scans the boxes for the ones a box meets.  An open box inside the
+    region is connected, so it meets one component, and a box that meets
+    none or several is not inside the region."""
     boxes = _region(F, A)
     uf = UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
             uf.union(i, j)
-    pairs, owner = _sorted_groups(uf.groups().values(), min,
-                                  boxes.__getitem__)
-    return pairs, [(b, owner[i]) for i, b in enumerate(boxes)]
+    labels, owner = _sorted_labels(uf.groups().values(), min,
+                                   boxes.__getitem__)
+
+    def index(rep: Box) -> int:
+        hits = {owner[i] for i, b in enumerate(boxes) if b.overlaps(rep)}
+        if len(hits) != 1:
+            raise FamilyError("representative lies outside the region")
+        return hits.pop()
+    return labels, index
 
 
 def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
@@ -331,36 +324,26 @@ def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
 
 
 def _nerve_walk(F: SetFamily):
-    """Yield (A, intersects) for each nonempty index set A all of whose
-    facets intersect, in (size, lexicographic) order.
+    """The (A, intersects) pairs for each nonempty index set A all of whose
+    facets intersect, in (size, lexicographic) order: the kept walk once
+    one has run to its end, a new ``_walk_source`` until then.
 
     The empty index set counts as intersecting, so every singleton is
     yielded.  Level k + 1 extends the intersecting sets of level k, so the
     sets yielded with False are exactly the minimal empty subfamilies.
     """
-    walk, i = F._walk, 0
-    while i < len(walk) or _walk_on(F):
-        yield walk[i]
-        i += 1
-
-
-def _walk_on(F: SetFamily) -> bool:
-    """Extend F._walk by one item, False once done; an error restarts it."""
-    try:
-        return next(F._walk_source, None) is not None
-    except BaseException:
-        F._walk, F._walk_source = [], _walk_source(weakref.proxy(F))
-        raise
+    return _walk_source(F) if F._walk is None else F._walk
 
 
 def _walk_source(F: SetFamily):
-    """The one walk ``_nerve_walk`` reads; it appends each item to F._walk."""
-    layer = [(j,) for j in range(len(F))]
+    """The walk ``_nerve_walk`` reads; its list is kept on F only when it
+    runs to the end, so an error or a scan that stops early keeps none."""
+    walk, layer = [], [(j,) for j in range(len(F))]
     while layer:
         alive = []
         for cand in layer:
             item = cand, bool(_region(F, cand))
-            F._walk.append(item)
+            walk.append(item)
             yield item
             if item[1]:
                 alive.append(cand)
@@ -371,6 +354,7 @@ def _walk_source(F: SetFamily):
                  for A, B in combinations(group, 2)
                  if all(A[:k] + A[k + 1:] + B[-1:] in have
                         for k in range(len(A) - 1))]
+    F._walk = walk
 
 
 def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
@@ -387,34 +371,8 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
         rep = tuple(s)[:1]  # a simplex lies in the component of its vertices
     elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
-    return _component_entry(F, A)[_owner(F, A)(_rep_key(F, rep))]
-
-
-def _rep_key(F: SetFamily, rep):
-    """What ``_owner`` looks a representative up by: the id in T of a
-    vertex (a 1-tuple), or a box."""
-    if F.backend == "subcomplex":
-        return _ambient(F).ids[frozenset(rep)]
-    return rep
-
-
-def _owner(F: SetFamily, B: tuple[int, ...]):
-    """A function from a representative's key (``_rep_key``) to the index
-    in ``components(F, B)`` of its component, over the checked index set
-    B: it reads the region's owner table, and a box is found by scanning
-    the region's boxes."""
-    owner = _groups(F, B)[1]
-    if F.backend == "subcomplex":
-        return owner.__getitem__
-
-    def index(rep: Box) -> int:
-        hits = {i for b, i in owner if b.overlaps(rep)}
-        if not hits:
-            raise FamilyError("representative lies outside the region")
-        if len(hits) != 1:
-            raise AssertionError("representative spans several components")
-        return hits.pop()
-    return index
+    labels, owner = _groups(F, A)
+    return labels[owner(rep)]
 
 
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:

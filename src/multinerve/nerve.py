@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import (ComponentLabel, SetFamily, _component_entry,
-                       _nerve_walk, _owner, _rep_key)
+from .families import ComponentLabel, SetFamily, _groups, _nerve_walk
 from .poset import CellRecord, SimplicialComplex, SimplicialPoset, build_poset
 
 
@@ -60,23 +59,23 @@ def multinerve(F: SetFamily) -> LabeledPoset:
     Cells are numbered as the walk yields index sets, in (size, lex) order,
     each set's components sorted by canon: ``CellTag.sort_key`` order.  Face
     i of a cell over A is B = A - A[i]'s cell of the component holding its
-    representative: ``base[B]`` holds B's first cell and its owner table
-    (``_owner``), read once per index set.  The empty index set's one cell
-    is the least cell, 0.
+    rep: ``base[B]`` holds B's first cell and its region's owner (see
+    ``families._groups``), read once per index set.  The empty index set's
+    one cell is the least cell, 0.
     """
     tags = [CellTag((), None)]
     records = [CellRecord(-1, ())]
-    base = {(): (0, lambda key: 0)}
+    base = {(): (0, lambda rep: 0)}
     for A, hit in _nerve_walk(F):
         if not hit:
             continue
         facets = [base[A[:i] + A[i + 1:]] for i in range(len(A))]
-        base[A] = len(tags), _owner(F, A)
-        for comp in _component_entry(F, A):
-            key = _rep_key(F, comp.rep)
+        labels, owner = _groups(F, A)
+        base[A] = len(tags), owner
+        for comp in labels:
             tags.append(CellTag(A, comp))
             records.append(CellRecord(len(A) - 1, tuple(
-                b + owner(key) for b, owner in facets)))
+                b + index(comp.rep) for b, index in facets)))
     return LabeledPoset(build_poset(records), tuple(tags))
 
 

@@ -92,6 +92,15 @@ class TestComponentContaining:
         with pytest.raises(FamilyError, match="outside"):
             component_containing(F, (0,), box((10, 11)))
 
+    def test_box_meeting_two_components_is_outside(self):
+        # an open box inside the region is connected, so it meets one
+        # component; (1/2, 5/2) meets both boxes and covers the gap
+        F = box_family(1, [[box((0, 1)), box((2, 3))]])
+        with pytest.raises(FamilyError,
+                           match="representative lies outside the region"):
+            component_containing(F, (0,), box((Fraction(1, 2),
+                                                Fraction(5, 2))))
+
     def test_singleton_connected_member(self):
         F = box_family(1, [[box((0, 2))]])
         assert component_containing(F, (0,), box((0, 1))) == components(F, (0,))[0]
@@ -272,9 +281,9 @@ class TestCountedBetti:
 
 
 class TestAmbientIndex:
-    """Subcomplex regions are ranked and split into components on the rows
-    of T's simplices, numbered and checked for d o d = 0 once per family;
-    emptiness and Helly queries never build that index."""
+    """Subcomplex regions are ranked on the rows of T's simplices, numbered
+    and checked for d o d = 0 once per family; only Betti vectors build
+    that index, as components come from vertex labels."""
 
     @staticmethod
     def _spy(monkeypatch, name):
@@ -319,9 +328,15 @@ class TestAmbientIndex:
         assert helly_number(F).h == 3
         assert region_is_empty(F, (0, 1, 2))
         assert not region_is_empty(F, (0, 1))
-        assert builds == []
         components(F, (0, 1))
         component_containing(F, (0,), (1,))
+        build_multinerve(F)
+        for t in (1, 2, 3):
+            reduced_multinerve(F, t)
+            verify_projection_bound(F, t)
+        assert builds == []
+        region_betti(F, (0,))
+        region_betti(F, ())
         assert len(builds) == 1
 
 
@@ -433,6 +448,34 @@ class TestAgainstOracle:
             assert rep.per_size == want
             assert rep.value == max(want.values(), default=0)
 
+    def test_string_vertex_labels(self):
+        # components come from vertex labels, not from T's simplex ids: the
+        # cone over an octagon a..h with apex z; each member a union of
+        # closed stars in the cone or in the octagon, and maybe the apex
+        ring = "abcdefgh"
+        edges = list(zip(ring, ring[1:] + ring[0]))
+        T = SimplicialComplex([(x, y, "z") for x, y in edges])
+        spaces = (T, SimplicialComplex(edges))
+        counts = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            F = subcomplex_family(T, [
+                [tuple(s) for v in rng.sample(ring, rng.randrange(1, 4))
+                 for s in closed_star(rng.choice(spaces), v)]
+                + [("z",)] * rng.randrange(2) for _ in range(4)])
+            for size in range(len(F) + 1):
+                for A in itertools.combinations(range(len(F)), size):
+                    found = family_components(F, A, with_elements=True)
+                    assert [(c.canon, c.rep) for c in components(F, A)] == \
+                        [(canon, rep) for canon, rep, _ in found], A
+                    for canon, _, elems in found:
+                        for s in elems:
+                            assert component_containing(F, A, s).canon == canon
+                    counts.add(len(found))
+            assert _cells(build_multinerve(F)) == \
+                family_reduced_multinerve(F, None), seed
+        assert max(counts) >= 3
+
     def test_families_cover_empty_members(self):
         shapes = {(backend, sum(not family_region(F, (i,)) for i in F.indices))
                   for seed, backend in ORACLE_FAMILIES
@@ -510,7 +553,7 @@ ALL_SUBSETS = [A for size in range(6)
 
 class TestRegionMemo:
     """Regions are numbered and answered once per distinct region, labels
-    are kept per index set, and the nerve walk once per family."""
+    included, and the nerve walk once per family."""
 
     @pytest.mark.parametrize("seed,backend", REPEATING)
     def test_parity_where_regions_repeat(self, seed, backend):
@@ -525,6 +568,7 @@ class TestRegionMemo:
             ok, viol = is_acyclic_with_slack(F, s)
             want = family_slack_violation(F, s)
             assert (viol.subset, viol.dim) == want if want else ok
+        by_region = {}
         for A in reversed(ALL_SUBSETS):
             assert dict(region_betti(F, A).items()) == \
                 family_region_betti(F, A), A
@@ -533,8 +577,11 @@ class TestRegionMemo:
                      else c.rep.intervals) for c in labels] == \
                 family_components(F, A), A
             for c in labels:
-                assert c.subset == A
                 assert component_containing(F, A, c.rep) is c
+            # index sets with equal regions share one label tuple
+            assert by_region.setdefault(tuple(family_region(F, A)),
+                                        labels) is labels, A
+        assert len(by_region) < len(ALL_SUBSETS)
         if family_region(F, tuple(F.indices)):
             with pytest.raises(PreconditionError):
                 helly_number(F)
