@@ -36,7 +36,7 @@ print("maximal fiber size r =", pi.max_fiber)
 # cells of the multinerve, with their labels
 print("\nmultinerve cells:")
 for c in M.poset.cells():
-    tag = M.tag_of(c)
+    tag = M.tags[c]
     comp = "-" if tag.component is None else tag.component.canon
     print(f"  cell {c}: dim {M.poset.dim_of(c)}, members {tag.subset}, "
           f"component {comp}")

@@ -9,8 +9,9 @@ enumeration, with explicit refusal past the vertex cap and a sampling mode
 for lower bounds.
 """
 
-from multinerve import (CapExceeded, SimplicialComplex, j_index,
-                        leray_number, upper_complexes, reduced_betti)
+from multinerve import (CapExceeded, SimplicialComplex,
+                        barycentric_subdivision, j_index, leray_number,
+                        order_complex, reduced_betti)
 from multinerve.fixtures import double_edge_poset
 
 hollow = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
@@ -24,13 +25,15 @@ print("\ndouble edge: L =", leray_number(X).value,
 
 # the J witness: the open upper interval at the least element is the whole
 # barycentric subdivision, a 4-cycle
-_, sd = upper_complexes(X, X.least)
+sd = barycentric_subdivision(X)
 print("upper interval at the least element has Betti",
       dict(reduced_betti(sd).items()))
 
-# a vertex of the double edge sees two points above itself
+# a vertex of the double edge sees two points above itself: the order
+# complex of the cells strictly above it
 a = X.cells_of_dim(0)[0]
-_, above_a = upper_complexes(X, a)
+above_a = order_complex([t for t in X.cells() if t != a and X.leq(a, t)],
+                        X.leq)
 print("upper interval at a vertex has Betti",
       dict(reduced_betti(above_a).items()))
 

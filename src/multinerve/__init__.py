@@ -3,7 +3,7 @@ Leray numbers, and verification of the associated Helly-type bounds."""
 
 from .poset import (CellRecord, PosetError, SimplicialComplex,
                     SimplicialPoset, barycentric_subdivision, build_poset,
-                    order_complex, upper_complexes)
+                    order_complex)
 from .homology import (BettiVector, Boundary, ChainComplex, chain_complex,
                        euler_characteristic, reduced_betti, sparse_rank)
 from .leray import CapExceeded, LerayReport, Witness, j_index, leray_number

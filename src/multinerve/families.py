@@ -17,10 +17,10 @@ regions share a number, given on the first Betti or component query, and
 the Betti vector and component labels are found once per number, so index
 sets with equal regions share one label tuple and one region object.
 Scans over subfamilies (slack, component counts, the nerve, the
-multinerve, Helly numbers) read one walk of the index sets whose facets
-all intersect, level by level in (size, lexicographic) order, so an empty
-intersection ends the walk above it; a walk that runs to its end is kept
-on the family.
+multinerve, Helly numbers) read one walk of the index sets whose proper
+subsets all intersect, level by level in (size, lexicographic) order, so
+an empty intersection ends the walk above it; a walk that runs to its end
+is kept on the family.
 
 A subcomplex region's components come from one union-find over its vertex
 labels, joined along its edges; it also gives the region's rank d_1.
@@ -77,6 +77,11 @@ class Box:
     def overlaps(self, other: "Box") -> bool:
         return all(max(a, c) < min(b, d)
                    for (a, b), (c, d) in zip(self.intervals, other.intervals))
+
+    def within(self, other: "Box") -> bool:
+        return self.dim == other.dim and all(
+            c <= a and b <= d
+            for (a, b), (c, d) in zip(self.intervals, other.intervals))
 
 
 def box(*intervals) -> Box:
@@ -325,8 +330,8 @@ def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
 
 def _nerve_walk(F: SetFamily):
     """The (A, intersects) pairs for each nonempty index set A all of whose
-    facets intersect, in (size, lexicographic) order: the kept walk once
-    one has run to its end, a new ``_walk_source`` until then.
+    proper subsets intersect, in (size, lexicographic) order: the kept walk
+    once one has run to its end, a new ``_walk_source`` until then.
 
     The empty index set counts as intersecting, so every singleton is
     yielded.  Level k + 1 extends the intersecting sets of level k, so the
@@ -347,8 +352,9 @@ def _walk_source(F: SetFamily):
             yield item
             if item[1]:
                 alive.append(cand)
-        # A < B sharing the prefix A[:-1] give A + B[-1:], whose last two
-        # facets are A and B; the others are looked up
+        # A < B sharing the prefix A[:-1] give A + B[-1:]: less its last
+        # index it is A, less the one before it is B, and its other subsets
+        # one smaller are looked up
         have = set(alive)
         layer = [A + B[-1:] for _, group in groupby(alive, lambda A: A[:-1])
                  for A, B in combinations(group, 2)
@@ -360,8 +366,11 @@ def _walk_source(F: SetFamily):
 def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     """The unique component of the region over A containing the representative.
 
-    ``rep`` is a simplex (iterable of vertices) for the subcomplex backend or
-    a Box lying inside the region for the box backend.
+    ``rep`` is a simplex of the region (an iterable of vertices) for the
+    subcomplex backend, or a Box inside one of the region's boxes for the
+    box backend (a label's rep is one); any other rep is refused with
+    ``FamilyError``, even a box that lies in the region across several of
+    its boxes.
     """
     A = F.check_index_set(A)
     if F.backend == "subcomplex":
@@ -371,6 +380,8 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
         rep = tuple(s)[:1]  # a simplex lies in the component of its vertices
     elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
+    elif not any(rep.within(b) for b in _region(F, A)):
+        raise FamilyError("representative lies outside the region")
     labels, owner = _groups(F, A)
     return labels[owner(rep)]
 

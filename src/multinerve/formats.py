@@ -38,11 +38,9 @@ def _lines(text: str):
 
 
 def write_poset(X: SimplicialPoset, labels: Sequence[str] | None = None) -> str:
-    """poset.v1 serialization; cells are renumbered so that vertices appear
-    in vertex_order and every face precedes its cofaces."""
-    vrank = {v: k for k, v in enumerate(X.vertex_order)}
-    order = sorted(X.cells(), key=lambda c: (X.dim_of(c),
-                                             vrank.get(c, -1), c))
+    """poset.v1 serialization; cells are renumbered by dimension, then id,
+    so that every face precedes its cofaces and the vertex order stays."""
+    order = sorted(X.cells(), key=lambda c: (X.dim_of(c), c))
     new_id = {c: i for i, c in enumerate(order)}
     out = ["poset v1"]
     for c in order:

@@ -221,9 +221,9 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
     if sample is None:
         if n > cap:
             raise CapExceeded(n, cap)
-        # the masks of the subsets of the sorted vertices, in (size, lex)
-        # order: distinct bits add up to their union
-        bits = [1 << i for i in sorted(range(n), key=V.__getitem__)]
+        # the masks of the subsets of the vertices, in (size, lex) order:
+        # distinct bits add up to their union
+        bits = [1 << i for i in range(n)]
         subsets = chain.from_iterable(map(sum, combinations(bits, k))
                                       for k in range(n + 1))
     else:
@@ -249,10 +249,9 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
     mode = "exact" if sample is None else "sampled"
     witness = None
     if hit is not None:
-        # the last hit's vertices: sorted, or in vertex order when sampled
+        # the last hit's vertices, sorted as the vertex order is
         S = tuple(V[b.bit_length() - 1] for b in _bits(hit[0]))
-        witness = _witness(X, S if sample is not None else tuple(sorted(S)),
-                           hit[1], sigma)
+        witness = _witness(X, S, hit[1], sigma)
     return LerayReport(best, mode, witness)
 
 

@@ -42,9 +42,6 @@ class LabeledPoset:
         self.poset = poset
         self.tags = tags
 
-    def tag_of(self, cell: int) -> CellTag:
-        return self.tags[cell]
-
 
 def nerve(F: SetFamily) -> SimplicialComplex:
     """Nerve of the family: one simplex per intersecting subfamily (the walk
@@ -69,13 +66,13 @@ def multinerve(F: SetFamily) -> LabeledPoset:
     for A, hit in _nerve_walk(F):
         if not hit:
             continue
-        facets = [base[A[:i] + A[i + 1:]] for i in range(len(A))]
+        below = [base[A[:i] + A[i + 1:]] for i in range(len(A))]
         labels, owner = _groups(F, A)
         base[A] = len(tags), owner
         for comp in labels:
             tags.append(CellTag(A, comp))
             records.append(CellRecord(len(A) - 1, tuple(
-                b + index(comp.rep) for b, index in facets)))
+                b + index(comp.rep) for b, index in below)))
     return LabeledPoset(build_poset(records), tuple(tags))
 
 
@@ -108,9 +105,7 @@ def _quotient(M: LabeledPoset, t: int | None) -> tuple[LabeledPoset, tuple[int, 
 class MonotoneMap:
     """A total cell map between posets with verified structural flags.
 
-    Flags are computed, never asserted; each failure records a witness cell.
-    ``segment_bijection`` checks the lower-segment consequence of monotone
-    dimension-preserving maps and is None when the premises already fail.
+    Flags are computed, never asserted; each failure records a witness.
     """
 
     source: SimplicialPoset
@@ -119,7 +114,6 @@ class MonotoneMap:
     monotone: bool
     dimension_preserving: bool
     max_fiber: int
-    segment_bijection: bool | None
     witnesses: dict
 
     def bijective_on_dims_at_least(self, k: int) -> bool:
@@ -131,7 +125,12 @@ class MonotoneMap:
 
 
 def validate_map(mapping, X: SimplicialPoset, Y: SimplicialPoset) -> MonotoneMap:
-    """Exhaustively verify a cell map and report its flags with witnesses."""
+    """Exhaustively verify a cell map and report its flags with witnesses.
+
+    The map is monotone when each face f of each cell c has
+    mapping[f] <= mapping[c] (then every a <= b has, by transitivity),
+    decided by ``SimplicialPoset.leq``'s walk on Y's vertex masks; the
+    first such (f, c) that fails is the witness."""
     if isinstance(mapping, dict):
         mapping = tuple(mapping[c] for c in X.cells())
     else:
@@ -142,12 +141,12 @@ def validate_map(mapping, X: SimplicialPoset, Y: SimplicialPoset) -> MonotoneMap
         Y._check_cell(y)
 
     # every id is checked above, so the tables are read directly
-    ydims, ylower = Y._dims, Y._lower_sets()
+    ydims, below = Y._dims, Y._below
     witnesses: dict = {}
     monotone = True
     for c, fs in enumerate(X._faces):
         for f in fs:
-            if mapping[f] not in ylower[mapping[c]]:
+            if not below(mapping[f], mapping[c]):
                 monotone = False
                 witnesses.setdefault("monotone", (f, c))
     dim_pres = True
@@ -161,19 +160,8 @@ def validate_map(mapping, X: SimplicialPoset, Y: SimplicialPoset) -> MonotoneMap
     for y in mapping:
         fibers[y] = fibers.get(y, 0) + 1
     max_fiber = max(fibers.values()) if fibers else 0
-
-    segment = None
-    if monotone and dim_pres:
-        segment = True
-        for c, seg in enumerate(X._lower_sets()):
-            image = {mapping[s] for s in seg}
-            if len(image) != len(seg) or image != ylower[mapping[c]]:
-                segment = False
-                witnesses.setdefault("segment_bijection", c)
-                break
-
     return MonotoneMap(X, Y, mapping, monotone, dim_pres, max_fiber,
-                       segment, witnesses)
+                       witnesses)
 
 
 def canonical_projection(M: LabeledPoset) -> MonotoneMap:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 CellId = int
 
@@ -52,19 +52,16 @@ class SimplicialPoset:
 
     Immutable after construction; build instances through :func:`build_poset`.
     A cell's vertex set is kept as an int mask (``_verts``): bit k is the
-    k-th vertex of ``vertex_order``.
+    k-th vertex of ``vertex_order``, the 0-cells in id order.
     """
 
-    __slots__ = ("_dims", "_faces", "_verts", "least", "vertex_order",
-                 "_lower", "_by_dim")
+    __slots__ = ("_dims", "_faces", "_verts", "least", "_by_dim")
 
-    def __init__(self, dims, faces, verts, least, vertex_order):
+    def __init__(self, dims, faces, verts, least):
         self._dims: tuple[int, ...] = dims
         self._faces: tuple[tuple[CellId, ...], ...] = faces
         self._verts: tuple[int, ...] = verts
         self.least: CellId = least
-        self.vertex_order: tuple[CellId, ...] = vertex_order
-        self._lower: list[frozenset] | None = None
         by_dim: dict[int, list[CellId]] = {}
         for c, d in enumerate(dims):
             by_dim.setdefault(d, []).append(c)
@@ -94,12 +91,14 @@ class SimplicialPoset:
 
     def vertices_of(self, c: CellId) -> frozenset:
         self._check_cell(c)
-        return frozenset(self._vertex_list(c))
-
-    def _vertex_list(self, c: CellId) -> list[CellId]:
-        """The vertices of cell c, in vertex order."""
         order = self.vertex_order
-        return [order[b.bit_length() - 1] for b in _bits(self._verts[c])]
+        return frozenset(order[b.bit_length() - 1]
+                         for b in _bits(self._verts[c]))
+
+    @property
+    def vertex_order(self) -> tuple[CellId, ...]:
+        """The 0-cells in id order: the k-th has bit k in a vertex mask."""
+        return self._by_dim.get(0, ())
 
     @property
     def vertices(self) -> tuple[CellId, ...]:
@@ -114,45 +113,37 @@ class SimplicialPoset:
 
     # -- order structure --------------------------------------------------
 
-    def _lower_sets(self) -> list[frozenset]:
-        if self._lower is None:
-            lower: list[frozenset] = []
-            for c in range(self.n_cells):
-                acc = {c}
-                for f in self._faces[c]:
-                    acc |= lower[f]
-                lower.append(frozenset(acc))
-            self._lower = lower
-        return self._lower
-
-    def lower_segment(self, c: CellId) -> frozenset:
-        """All cells tau with tau <= c, including c and the least element."""
-        self._check_cell(c)
-        return self._lower_sets()[c]
-
     def leq(self, a: CellId, b: CellId) -> bool:
+        """a <= b: vert a is a subset of vert b, and dropping b's other
+        vertices one face at a time, face k dropping the k-th, lands on a.
+        b's lower interval is Boolean (see ``build_poset``), so its one cell
+        on vert a is that walk's end, whichever order the vertices go in."""
         self._check_cell(a)
-        return a in self._lower_sets()[b]
+        self._check_cell(b)
+        return self._below(a, b)
 
-    def strictly_above(self, c: CellId, within: Iterable[CellId] | None = None):
-        """Cells tau with tau > c, restricted to ``within`` when given."""
-        self._check_cell(c)
-        pool = self.cells() if within is None else within
-        lower = self._lower_sets()
-        return [t for t in pool if t != c and c in lower[t]]
+    def _below(self, a: CellId, b: CellId) -> bool:
+        """``leq`` on checked ids."""
+        verts, faces = self._verts, self._faces
+        if verts[a] & ~verts[b]:
+            return False
+        for v in _bits(verts[b] & ~verts[a]):
+            b = faces[b][(verts[b] & (v - 1)).bit_count()]
+        return b == a
 
     # -- derived posets ---------------------------------------------------
 
     def induced_with_map(self, S: Iterable[CellId]) -> tuple["SimplicialPoset", tuple[CellId, ...]]:
         """Induced subposet together with the original id of each new cell."""
         S = frozenset(S)
-        unknown = S - set(self.vertex_order)
+        V = self.vertex_order
+        unknown = S - set(V)
         if unknown:
             raise PosetError(f"unknown vertices {sorted(unknown)!r}")
-        if len(S) == len(self.vertex_order):
+        if len(S) == len(V):
             return self, tuple(self.cells())
         # the kept vertices' bits, and each one's bit in the subposet
-        kept = [1 << k for k, v in enumerate(self.vertex_order) if v in S]
+        kept = [1 << k for k, v in enumerate(V) if v in S]
         outside = ~sum(kept)
         new_bit = {b: 1 << j for j, b in enumerate(kept)}
         keep = [c for c, m in enumerate(self._verts) if not m & outside]
@@ -161,39 +152,14 @@ class SimplicialPoset:
         faces = tuple(tuple(new_id[f] for f in self._faces[c]) for c in keep)
         verts = tuple(sum(map(new_bit.__getitem__, _bits(self._verts[c])))
                       for c in keep)
-        order = tuple(new_id[v] for v in self.vertex_order if v in S)
-        sub = SimplicialPoset(dims, faces, verts, new_id[self.least], order)
+        sub = SimplicialPoset(dims, faces, verts, new_id[self.least])
         return sub, tuple(keep)
-
-    def with_vertex_order(self, order: Sequence[CellId]) -> "SimplicialPoset":
-        """Same poset with a different global vertex order.
-
-        Each cell's face tuple is permuted so that face i still drops the
-        i-th smallest vertex under the new order.
-        """
-        order = tuple(order)
-        if sorted(order) != sorted(self.vertex_order):
-            raise PosetError("new order must be a permutation of the vertices")
-        rank = {v: i for i, v in enumerate(order)}
-        records = []
-        for c in self.cells():
-            old_sorted = self._vertex_list(c)
-            new_sorted = sorted(old_sorted, key=rank.__getitem__)
-            faces = tuple(self._faces[c][old_sorted.index(v)] for v in new_sorted)
-            records.append(CellRecord(self._dims[c], faces))
-        return build_poset(records, vertex_order=order)
 
     def export_records(self) -> list[CellRecord]:
         return [CellRecord(self._dims[c], self._faces[c]) for c in self.cells()]
 
-    def is_simplex(self) -> bool:
-        """True when the poset is the face poset of a single simplex."""
-        top = self.cells_of_dim(self.dim)
-        return len(top) == 1 and self.n_cells == 2 ** (self.dim + 1)
 
-
-def build_poset(cell_records: Iterable,
-                vertex_order: Sequence[CellId] | None = None) -> SimplicialPoset:
+def build_poset(cell_records: Iterable) -> SimplicialPoset:
     """Validate raw cell records and assemble a simplicial poset.
 
     Records are positional: cell i may only reference faces with id < i.  The
@@ -216,10 +182,9 @@ def build_poset(cell_records: Iterable,
 
     Vertex sets are int masks: the k-th 0-cell has bit k, a cell's mask is
     the union (``|``) of its faces' masks, and its distinct vertices are
-    the mask's ``bit_count``.  A given ``vertex_order`` moves each bit to
-    its vertex's place in that order, so a mask's k-th lowest set bit is
-    the cell's k-th vertex, which face k must drop.  These are the masks
-    ``SimplicialPoset._verts`` keeps.
+    the mask's ``bit_count``.  The vertex order is the 0-cells in id order,
+    so a mask's k-th lowest set bit is the cell's k-th vertex, which face k
+    must drop.  These are the masks ``SimplicialPoset._verts`` keeps.
     """
     records = _as_records(cell_records)
     if not records:
@@ -233,7 +198,7 @@ def build_poset(cell_records: Iterable,
                          "least element must be unique")
     least = least_ids[0]
 
-    dims, faces, masks, zero_cells = [], [], [], []
+    dims, faces, masks, n_vertices = [], [], [], 0
     for i, rec in enumerate(records):
         if rec.dim < -1:
             raise PosetError(f"cell {i}: dimension {rec.dim} below -1")
@@ -251,8 +216,8 @@ def build_poset(cell_records: Iterable,
         if rec.dim == -1:
             masks.append(0)
         elif rec.dim == 0:
-            masks.append(1 << len(zero_cells))
-            zero_cells.append(i)
+            masks.append(1 << n_vertices)
+            n_vertices += 1
         else:
             m = 0
             for f in rec.faces:
@@ -263,19 +228,6 @@ def build_poset(cell_records: Iterable,
                                  f"(has {n} distinct vertices, "
                                  f"needs {rec.dim + 1})")
             masks.append(m)
-
-    if vertex_order is None:
-        vertex_order = tuple(zero_cells)
-    else:
-        vertex_order = tuple(vertex_order)
-        if sorted(vertex_order) != zero_cells:
-            raise PosetError("vertex_order must list every 0-cell exactly once")
-        if vertex_order != tuple(zero_cells):
-            # bit k was the k-th 0-cell; it moves to that cell's place
-            pos = {v: k for k, v in enumerate(vertex_order)}
-            new_bit = [1 << pos[v] for v in zero_cells]
-            masks = [sum(new_bit[b.bit_length() - 1] for b in _bits(m))
-                     for m in masks]
 
     # face k of a cell drops the k-th smallest vertex: its lowest set bit
     # once the k lower ones are peeled off
@@ -299,8 +251,7 @@ def build_poset(cell_records: Iterable,
                 raise PosetError(f"cell {i}: simplicial identity violated "
                                  f"at faces ({a}, {b})")
 
-    return SimplicialPoset(tuple(dims), tuple(faces), tuple(masks), least,
-                           vertex_order)
+    return SimplicialPoset(tuple(dims), tuple(faces), tuple(masks), least)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +307,6 @@ class SimplicialComplex:
             self._dim = max(map(len, self.simplices)) - 1
         return self._dim
 
-    @property
-    def facets(self) -> list[frozenset]:
-        ids, faces = self.numbering()
-        below = {f for fs in faces for f in fs}
-        return [s for s, i in ids.items() if s and i not in below]
-
     def ordered_simplices(self) -> tuple[frozenset, ...]:
         """Every simplex, by dimension and then sorted vertex list: sorted
         on first use and kept, as the complex does not change."""
@@ -415,13 +360,4 @@ def barycentric_subdivision(X: SimplicialPoset) -> SimplicialComplex:
     """Order complex of X minus its least element."""
     elems = [c for c in X.cells() if c != X.least]
     return order_complex(elems, X.leq)
-
-
-def upper_complexes(X: SimplicialPoset, sigma: CellId) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """Order complexes of the closed and open upper intervals at sigma."""
-    X._check_cell(sigma)
-    up = X.strictly_above(sigma)
-    D = order_complex(up + [sigma], X.leq)
-    D_dot = order_complex(up, X.leq)
-    return D, D_dot
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import (SetFamily, _nerve_walk, box, box_family,
+from .families import (SetFamily, _nerve_walk, box, box_family, components,
                        is_acyclic_with_slack, max_components, region_betti,
                        region_is_empty, subcomplex_family)
 from .homology import BettiVector, reduced_betti
@@ -156,7 +156,17 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     empty intersection.  J = L on every simplicial poset (the theorem in
     ``leray``), so one exact L walk gives both on each distinct poset among
     M, M_red and the nerve's face poset, and the L <= J checks hold.
+
+    M's vertices are the members' components, and M_red's and the nerve's
+    are no more, so the cap is checked on their count before M is built:
+    the walk on M, the first, would refuse with the same line, but M's cells
+    can number 2^|F| first.
     """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    n = sum(len(components(F, (i,))) for i in F.indices)
+    if n > cap:
+        raise CapExceeded(n, cap)
     R, f = reduced_multinerve(F, t)
     pi = canonical_projection(R)
     if not (pi.monotone and pi.dimension_preserving):

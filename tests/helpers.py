@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from multinerve import (SimplicialComplex, SimplicialPoset, box_family,
-                        build_poset, euler_characteristic, random_family,
-                        reduced_betti, subcomplex_family)
+                        build_poset, euler_characteristic, order_complex,
+                        random_family, reduced_betti, subcomplex_family)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +399,23 @@ def with_isolated_vertices(P: SimplicialPoset, k: int) -> SimplicialPoset:
     return build_poset(records + [(0, [P.least])] * k)
 
 
+def relabel(P: SimplicialPoset, order) -> SimplicialPoset:
+    """P renumbered: the least cell, then the 0-cells in ``order``, then the
+    other cells in id order, each cell's faces re-sorted so that face k
+    drops the k-th vertex of the new numbering (vertex sets rebuilt from
+    the faces).  Its vertex order is ``order``, renumbered 1, 2, ...."""
+    cells = [P.least, *order, *(c for c in P.cells() if P.dim_of(c) > 0)]
+    new_id = {c: i for i, c in enumerate(cells)}
+    verts = vertex_sets(P)
+    records = []
+    for c in cells:
+        # each face misses one vertex of c, a different one per face
+        drops = {new_id[min(verts[c] - verts[f])]: new_id[f]
+                 for f in P.faces_of(c)}
+        records.append((P.dim_of(c), [drops[v] for v in sorted(drops)]))
+    return build_poset(records)
+
+
 # ---------------------------------------------------------------------------
 # brute-force J index from the definition: order complexes of open upper
 # intervals, built here from chains, with the oracle homology
@@ -412,6 +429,43 @@ def _lower_sets(P: SimplicialPoset) -> list[set]:
             acc |= lower[f]
         lower.append(acc)
     return lower
+
+
+def upper_complexes(P: SimplicialPoset, sigma: int):
+    """Order complexes of the closed and open upper intervals at sigma, with
+    the order read from the lower sets."""
+    lower = _lower_sets(P)
+    up = [t for t in P.cells() if t != sigma and sigma in lower[t]]
+
+    def leq(a, b):
+        return a in lower[b]
+    return order_complex(up + [sigma], leq), order_complex(up, leq)
+
+
+def monotone_witness(pi):
+    """The first (face f, cell c) of the source, c in id order, whose images
+    are not ordered in the target's lower sets, or None: a map is monotone
+    when it keeps every a <= b, and a <= b is a chain of faces."""
+    lower = _lower_sets(pi.target)
+    for c in pi.source.cells():
+        for f in pi.source.faces_of(c):
+            if pi.mapping[f] not in lower[pi.mapping[c]]:
+                return f, c
+    return None
+
+
+def segment_bijection(pi):
+    """Whether a monotone, dimension-preserving map sends each lower segment
+    of its source one to one onto the lower segment of its image, with the
+    first cell where it does not; None when the map is not both."""
+    if not (pi.monotone and pi.dimension_preserving):
+        return None, None
+    xlower, ylower = _lower_sets(pi.source), _lower_sets(pi.target)
+    for c, seg in enumerate(xlower):
+        image = {pi.mapping[s] for s in seg}
+        if len(image) != len(seg) or image != ylower[pi.mapping[c]]:
+            return False, c
+    return True, None
 
 
 def vertex_sets(P: SimplicialPoset) -> list[frozenset]:

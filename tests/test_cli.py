@@ -2,10 +2,13 @@
 
 import contextlib
 import io
+import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from multinerve.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def mnv(*args, cwd=None):
@@ -176,6 +180,29 @@ class TestExitCodes:
         assert r.returncode == 3
         assert r.stdout == ""
         assert r.stderr == f"mnv: {refusal}; raise --cap\n"
+
+    def test_projection_cap_refuses_before_building(self, tmp_path):
+        # 40 one-box members: M has 40 vertices and some 87k cells, which
+        # would exhaust 1 GiB before the walk's cap refused; the cap is
+        # checked on the members' component count first
+        fam = tmp_path / "wide.family"
+        r = mnv("gen", "--backend", "box", "--n", "40", "--ambient-dim", "1",
+                "--boxes-per-member", "1", "--seed", "1", "--out", str(fam))
+        assert r.returncode == 0
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        path = os.pathsep.join(filter(None, (str(SRC),
+                                             os.environ.get("PYTHONPATH"))))
+        t = time.perf_counter()
+        r = subprocess.run(
+            [sys.executable, "-m", "multinerve.cli", "verify", "projection",
+             str(fam)], capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == ("mnv: vertex count 40 exceeds cap 16 "
+                            "(1099511627776 subsets); raise --cap\n")
+        assert time.perf_counter() - t < 10
 
     def test_check_failure_is_1(self, tmp_path):
         fam = tmp_path / "circle.family"
@@ -378,3 +405,29 @@ def test_main_exits_with_a_contract_code(tmp_path_factory, data):
     code, _, err = mnv_in_process(*argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+class TestBenchTracer:
+    def test_tracer_installs_and_counts_a_call(self):
+        # the benchmark's tracer wraps program functions by name: a name it
+        # reads that leaves the program fails here, not only in the
+        # benchmark's own self-test
+        child = (
+            "import contextlib, io, json, sys\n"
+            f"sys.path[:0] = [{str(BENCH)!r}, {str(SRC)!r}]\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "import multinerve.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['verify', 'projection', "
+            f"{str(FIXTURES / 'two_arcs.family')!r}, '--t', '2'])\n"
+            "print(json.dumps([code, tracer.pass_metrics(0, 1.0)]))\n")
+        r = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                           text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        code, metrics = json.loads(r.stdout)
+        assert code == 0
+        assert metrics["cli.main.calls"] == 1
+        assert metrics["nerve.validate_map.calls"] == 2
+        assert metrics["leray.leray_number.calls"] >= 1

@@ -101,6 +101,16 @@ class TestComponentContaining:
             component_containing(F, (0,), box((Fraction(1, 2),
                                                 Fraction(5, 2))))
 
+    def test_box_partly_outside_the_region_rejected(self):
+        # each meets only the component (0, 1), but part of it lies outside
+        # the region: a box rep must lie inside one of the region's boxes
+        F = box_family(1, [[box((0, 1)), box((2, 3))]])
+        for rep in (box((Fraction(1, 2), Fraction(3, 2))),
+                    box((-5, Fraction(1, 2)))):
+            with pytest.raises(FamilyError,
+                               match="representative lies outside the region"):
+                component_containing(F, (0,), rep)
+
     def test_singleton_connected_member(self):
         F = box_family(1, [[box((0, 2))]])
         assert component_containing(F, (0,), box((0, 1))) == components(F, (0,))[0]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
                      dense_boundaries, family_region, gauss_jordan_rank,
-                     random_complex, random_poset, small_family,
+                     random_complex, random_poset, relabel, small_family,
                      with_isolated_vertices)
 
 from multinerve import (BettiVector, SimplicialComplex, build_poset,
@@ -306,7 +306,7 @@ def test_betti_invariant_under_vertex_reordering(K, rnd):
     P = K.as_poset()
     order = list(P.vertex_order)
     rnd.shuffle(order)
-    assert reduced_betti(P.with_vertex_order(order)) == reduced_betti(P)
+    assert reduced_betti(relabel(P, order)) == reduced_betti(P)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,7 +314,7 @@ def test_betti_invariant_under_vertex_reordering(K, rnd):
 def test_poset_betti_invariant_under_vertex_reordering(P, rnd):
     order = list(P.vertex_order)
     rnd.shuffle(order)
-    assert reduced_betti(P.with_vertex_order(order)) == reduced_betti(P)
+    assert reduced_betti(relabel(P, order)) == reduced_betti(P)
 
 
 def test_circle_of_any_length():

@@ -8,13 +8,13 @@ import pytest
 from helpers import (_lower_sets, cone_poset, first_hit_witness, induced,
                      j_oracle, leray_oracle, poset_betti_gj,
                      poset_leray_oracle, random_complex, random_poset,
-                     twin_poset, upper_interval_betti, with_isolated_vertices)
+                     relabel, twin_poset, upper_complexes,
+                     upper_interval_betti, with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
                         build_poset, chain_complex, j_index, leray_number,
                         multinerve, random_family, reduced_betti,
-                        reduced_multinerve, region_betti, subcomplex_family,
-                        upper_complexes)
+                        reduced_multinerve, region_betti, subcomplex_family)
 from multinerve.fixtures import double_edge_poset
 from multinerve.leray import LerayReport, Witness
 from multinerve.poset import order_complex
@@ -104,15 +104,18 @@ class TestJIndex:
         sub, old_ids = P.induced_with_map(rep.witness.S)
         local = {o: nw for nw, o in enumerate(old_ids)}
         sigma = local[rep.witness.sigma]
-        up = sub.strictly_above(sigma)
+        up = [t for t in sub.cells() if t != sigma and sub.leq(sigma, t)]
         ddot = order_complex(up, sub.leq)
         assert reduced_betti(ddot)[rep.value - 1] != 0
 
     def test_witness_under_vertex_reorder(self):
+        # the vertices renumbered in reverse: the same value, and the
+        # witness is the first hit in the new numbering
         P = random_poset(random.Random(0), n_vertices=5, n_facets=4)
-        Q = P.with_vertex_order(list(reversed(P.vertex_order)))
+        Q = relabel(P, list(reversed(P.vertex_order)))
         rep = j_index(Q)
-        assert rep.value == 2
+        assert rep.value == j_index(P).value == 2
+        assert rep.witness == Witness(*first_hit_witness(Q, 2, links=True))
         assert rep.witness == Witness((2, 4), 1, 0)
 
     def test_witness_after_links_answered_at_other_floors(self):
@@ -583,7 +586,7 @@ class TestBoundary:
                 del built[:], ranked[:]
                 j_index(P, **kw)
                 [rows] = built
-                lower = P._lower_sets()
+                lower = _lower_sets(P)
                 assert set(rows) == {t for t in P.cells() if 0 in lower[t]}
                 for cc in ranked:
                     # the least cell, 0, is the augmentation
@@ -622,7 +625,10 @@ class TestLJRelations:
         for _ in range(30):
             P = random_poset(rng, n_vertices=4, n_facets=3)
             zero = leray_number(P).value == 0
-            assert zero == P.is_simplex()
+            # the face poset of one simplex: one top cell over all 2^(d+1)
+            simplex = (len(P.cells_of_dim(P.dim)) == 1
+                       and P.n_cells == 2 ** (P.dim + 1))
+            assert zero == simplex
             seen_nonsimplex |= not zero
         assert seen_nonsimplex
 
