@@ -22,26 +22,20 @@ subsets all intersect, level by level in (size, lexicographic) order, so
 an empty intersection ends the walk above it; a walk that runs to its end
 is kept on the family.
 
-A subcomplex region's components come from one union-find over its vertex
-labels, joined along its edges; it also gives the region's rank d_1.
-Only Betti vectors build T's ``Boundary`` (``_AmbientIndex``), and find
-once whether T's top rows are independent.  Every member is face-closed
-(``subcomplex_family`` checks it), so every region, a union or an
-intersection of members, is closed downward in T and takes T's rows whole
-(see ``Boundary``); its Betti vector is counted per dimension from them,
-with no chain complex built (``_subcomplex_ranks``).
+Both backends count a region's Betti vector the same way, from the cell
+counts and boundary ranks of one complex, with no chain complex built: the
+region itself, or the nerve of its distinct boxes up to dimension d (see
+``_region_betti``).  Only Betti vectors build T's ``Boundary``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
-from .homology import (BettiVector, Boundary, UnionFind, reduced_betti,
-                       sparse_rank)
+from .homology import BettiVector, Boundary, UnionFind, sparse_rank
 from .poset import SimplicialComplex
 
 
@@ -291,7 +285,7 @@ def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     simplex lies in the component of any of its vertices, so the smallest
     vertex of a group is its smallest simplex.  The owner is keyed by the
     rep, a vertex 1-tuple.  The groups also give the region's rank d_1
-    (see ``_subcomplex_ranks``)."""
+    (see ``_region_ranks``)."""
     region = _region(F, A)
     uf = UnionFind(v for s in region if len(s) == 1 for v in s)
     for edge in region:
@@ -304,10 +298,12 @@ def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
 
 
 def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """Union-find over the region's boxes, joined where they overlap; the
-    owner scans the boxes for the ones a box meets.  An open box inside the
-    region is connected, so it meets one component, and a box that meets
-    none or several is not inside the region."""
+    """Union-find over the region's boxes, joined where they overlap.  The
+    owner gives a rep the component of the first box it overlaps, sound
+    for a rep inside one box, as it is connected.  No other comes:
+    ``component_containing`` refuses them, and ``multinerve`` passes a
+    rep over A, the meet of one box per member, to the regions over
+    subsets of A, each of which holds the meet of the same boxes."""
     boxes = _region(F, A)
     uf = UnionFind(range(len(boxes)))
     for i, j in combinations(range(len(boxes)), 2):
@@ -317,10 +313,7 @@ def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
                                    boxes.__getitem__)
 
     def index(rep: Box) -> int:
-        hits = {owner[i] for i, b in enumerate(boxes) if b.overlaps(rep)}
-        if len(hits) != 1:
-            raise FamilyError("representative lies outside the region")
-        return hits.pop()
+        return next(owner[i] for i, b in enumerate(boxes) if b.overlaps(rep))
     return labels, index
 
 
@@ -387,84 +380,72 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
 
 
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
-    """Reduced Betti vector of the intersection over A (union when A is empty).
-
-    Found once per distinct region.  A subcomplex region's is counted from
-    its cells and ranks per dimension, with the empty simplex (see
-    ``_region_betti``).  Box regions go through the nerve of their distinct
-    open boxes, which is exact for a good cover (all box intersections are
-    open boxes or empty).  A repeated box would keep the
-    homotopy type, as its vertex's link is the closed star of its twin,
-    which is contractible; it is dropped only to keep the nerve small.
-    """
+    """Reduced Betti vector of the intersection over A (union when A is
+    empty), found once per distinct region (see ``_region_betti``)."""
     return _per_region(F, F._betti_cache, F.check_index_set(A), _region_betti)
 
 
 def _region_betti(F: SetFamily, A: tuple[int, ...]) -> BettiVector:
     """The reduced Betti vector of the region over the checked index set A.
 
-    A box region is ranked on its nerve's ``Boundary``.  A nonempty
-    subcomplex region's is counted per dimension, with no chain complex
-    built, from its cell counts and boundary ranks (``_subcomplex_ranks``).
-    The region is closed downward in T, so its n-cells' rows are T's rows
-    whole (see ``Boundary``).  rank d_0 = 1, as it has a vertex, and rank
-    d_1 is #vertices - #components (see ``ChainComplex.rank_boundary``),
-    from the one union-find of ``_subcomplex_groups``.  The top rank, of
-    d_n with n = dim T, is the number of the region's n-cells when T's top
-    rows are independent (``top_free``): the region's top rows are some of
-    T's, and a subset of independent rows is independent.  Every other
-    rank is ``sparse_rank`` of the region's rows.
+    A nonempty region's is b_n = #n-cells - rank d_n - rank d_{n+1} on one
+    complex K (``_region_ranks``).  A subcomplex region is K.  A box region
+    in R^d has for K the nerve of its distinct open boxes up to dimension
+    d, and b_n is counted for n < d only.  That is exact.  A nonempty meet
+    of open boxes is an open box, so the boxes are a good cover and the
+    full nerve has the region's homology (nerve theorem); a twin box would
+    keep the homotopy type too, its vertex's link being the closed star of
+    its twin, and is dropped to keep K small.  The region is open in R^d,
+    so its H_n, and the full nerve's, vanish for n >= d (Hatcher, Prop.
+    3.46).  And b_n for n < d reads the n-cells and the ranks of d_n and
+    d_{n+1}, n + 1 <= d: K, the d-skeleton, holds every cell they read.
     """
-    region = _region(F, A)
-    if not region:
+    if not _region(F, A):
         return BettiVector.from_dict({-1: 1})
+    sizes, ranks = _region_ranks(F, A)
+    if F.backend == "box":
+        sizes.pop(F.ambient, None)
+    return BettiVector.from_ranks(sizes, ranks)
+
+
+def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
+    """The cell count of each dimension of the nonempty region's complex K
+    over A, the empty simplex included, and the rank of each d_n.
+
+    Every member is face-closed (``subcomplex_family`` checks it), so a
+    subcomplex region is closed downward in T and its rows are T's whole
+    (see ``Boundary``).  rank d_0 = 1, as K has a vertex; rank d_1 is
+    #vertices - #components (see ``ChainComplex.rank_boundary``), from the
+    union-find of ``_groups``, whose groups are K's (a box overlaps its
+    twin).  The rank of d_n, n = dim T, is the n-cell count when T's top
+    rows are independent (``top_free``), as a region's are some of them.
+    Every other rank is ``sparse_rank`` of the rows.
+    """
+    region, top = _region(F, A), None
     if F.backend == "subcomplex":
-        return BettiVector.from_ranks(*_subcomplex_ranks(F, A))
-    nerve = _box_nerve(tuple(dict.fromkeys(region)))
-    return reduced_betti(nerve.select(nerve.rows))
-
-
-def _subcomplex_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
-    """The cell count of each dimension of the nonempty subcomplex region
-    over A, the empty simplex included, and the rank of each d_n, found as
-    ``_region_betti`` says."""
-    T, top = _ambient(F), F.ambient.dim
-    region = _region(F, A)
-    sizes = {-1: 1}
-    for k, count in Counter(map(len, region)).items():
-        sizes[k - 1] = count
+        T = _ambient(F)
+        cells = [T.boundary.rows[T.ids[s]] for s in region]
+        top = F.ambient.dim if T.top_free else None
+    else:
+        # the intersecting sets of one box each are the nerve's simplices
+        d, ids, faces = F.ambient, {(): 0}, [()]
+        for B, hit in _nerve_walk(box_family(
+                d, [[b] for b in dict.fromkeys(region)])):
+            if len(B) > d + 1:
+                break
+            if hit:
+                ids[B] = len(faces)
+                faces.append(tuple(ids[B[:i] + B[i + 1:]]
+                                   for i in range(len(B))))
+        cells = list(Boundary.of_faces(faces).rows.values())[1:]
+    rows: dict[int, list] = {-1: [{}]}
+    for row in cells:
+        rows.setdefault(len(row) - 1, []).append(row)
+    sizes = {n: len(r) for n, r in rows.items()}
     ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
     for n in range(2, max(sizes) + 1):
-        ranks[n] = (sizes[n] if n == top and T.top_free else
-                    sparse_rank([T.boundary.rows[T.ids[s]] for s in region
-                                 if len(s) == n + 1]))
+        ranks[n] = sizes[n] if n == top else sparse_rank(rows[n])
     return sizes, ranks
-
-
-def _box_nerve(boxes: Sequence[Box]) -> Boundary:
-    """Boundary of the nerve of a list of open boxes.
-
-    Alive index sets are grown by sorted-prefix extension from the empty
-    one; since box intersections shrink monotonically this enumerates each
-    nonempty intersection once, with its intersection box in hand, and the
-    alive sets are closed downward: a set's faces are numbered before it.
-    """
-    ids: dict[tuple[int, ...], int] = {(): 0}
-    faces: list[list[int]] = [[]]
-    layer: list[tuple[tuple[int, ...], Box | None]] = [((), None)]
-    while layer:
-        nxt = []
-        for key, cur in layer:
-            for j in range(key[-1] + 1 if key else 0, len(boxes)):
-                met = boxes[j] if cur is None else cur.meet(boxes[j])
-                if met is not None:
-                    new = key + (j,)
-                    ids[new] = len(faces)
-                    faces.append([ids[new[:i] + new[i + 1:]]
-                                  for i in range(len(new))])
-                    nxt.append((new, met))
-        layer = nxt
-    return Boundary.of_faces(faces)
 
 
 @dataclass(frozen=True)

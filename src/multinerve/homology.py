@@ -161,7 +161,7 @@ class ChainComplex:
         by its s makes d_1 the incidence matrix, up to row signs, of the
         graph of 0- and 1-cells, of rank #0-cells - #components: one per
         union that joins two components.  This holds for every boundary
-        built here: X[S], box nerves and subcomplex regions.
+        built here: X[S], spaces and ``families._region_ranks``'s regions.
         """
         rows = self.boundary.get(n)
         if not rows:

@@ -218,16 +218,15 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
 
 def verify_helly_bound(F: SetFamily, s: int = 0, t: int = 1,
                        cap: int = 16) -> BoundReport:
-    """Check h <= r (max(d_Gamma, s, t) + 1) on an empty-intersection family."""
-    if not _intersection_is_empty(F):
-        raise PreconditionError("family has non-empty intersection")
+    """Check h <= r (max(d_Gamma, s, t) + 1) on an empty-intersection
+    family; h comes first, so its cap refuses before any nerve walk."""
+    h = helly_number(F, cap=cap).h
     ok, viol = is_acyclic_with_slack(F, s)
     if not ok:
         raise PreconditionError(
             f"family is not acyclic with slack {s}: subfamily {viol.subset} "
             f"violates at dimension {viol.dim}")
     r = max_components(F, t).value
-    h = helly_number(F, cap=cap).h
     l_n = leray_number(nerve(F), cap=cap).value
     # r = 0 when no subfamily of size >= t intersects; r = 1 bounds the
     # component counts just as well there

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from multinerve import (SimplicialComplex, SimplicialPoset, box_family,
+from multinerve import (SimplicialComplex, SimplicialPoset, box, box_family,
                         build_poset, euler_characteristic, order_complex,
                         random_family, reduced_betti, subcomplex_family)
 
@@ -585,21 +585,27 @@ def family_region(F, A) -> list:
     return out
 
 
+def box_nerve(boxes: list, max_size: int | None = None) -> list[tuple]:
+    """The index sets of at most ``max_size`` (default all) of the boxes,
+    given as interval tuples, that meet, found by trying every subset."""
+    sims = []
+    for size in range(1, min(len(boxes), max_size or len(boxes)) + 1):
+        for S in combinations(range(len(boxes)), size):
+            cur = boxes[S[0]]
+            for i in S[1:]:
+                cur = cur and _meet(cur, boxes[i])
+            if cur:
+                sims.append(S)
+    return sims
+
+
 def family_region_betti(F, A) -> dict[int, int]:
     """Reduced Betti numbers of the region: the subcomplex itself, or the
-    nerve of the region's boxes found by trying every subset of them."""
+    full nerve of the region's boxes, repeats included."""
     region = family_region(F, A)
     if F.backend == "subcomplex":
         return betti_oracle_gj(SimplicialComplex(region))
-    sims = []
-    for size in range(1, len(region) + 1):
-        for S in combinations(range(len(region)), size):
-            cur = region[S[0]]
-            for i in S[1:]:
-                cur = cur and _meet(cur, region[i])
-            if cur:
-                sims.append(S)
-    return betti_oracle_gj(SimplicialComplex(sims))
+    return betti_oracle_gj(SimplicialComplex(box_nerve(region)))
 
 
 def _touch(F, x, y) -> bool:
@@ -708,6 +714,23 @@ def family_component_maxima(F, t: int) -> dict[int, int]:
     return {size: max(len(family_components(F, G))
                       for G in combinations(range(len(F)), size))
             for size in range(t, len(F) + 1)}
+
+
+def around_a_point_family(d: int, seed: int):
+    """d + 2 members of R^d, each a box around the origin and a box drawn
+    anywhere: the union's nerve holds a simplex of dimension d + 1."""
+    rng = random.Random(seed)
+
+    def around() -> tuple:
+        return (Fraction(-rng.randrange(1, 6), 2),
+                Fraction(rng.randrange(1, 6), 2))
+
+    def anywhere() -> tuple:
+        a = rng.randrange(-6, 8)
+        return Fraction(a, 2), Fraction(a + rng.randrange(2, 7), 2)
+    return box_family(d, [[box(*(around() for _ in range(d))),
+                           box(*(anywhere() for _ in range(d)))]
+                          for _ in range(d + 2)])
 
 
 def small_family(seed: int, backend: str):

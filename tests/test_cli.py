@@ -431,3 +431,32 @@ class TestBenchTracer:
         assert metrics["cli.main.calls"] == 1
         assert metrics["nerve.validate_map.calls"] == 2
         assert metrics["leray.leray_number.calls"] >= 1
+
+
+@pytest.mark.parametrize("workload", sorted(
+    p.stem for p in (BENCH / "reference").glob("*.json")))
+def test_bench_reference_outputs(workload, tmp_path, monkeypatch):
+    # the first two instances of each benchmark pool, replayed as the
+    # benchmark runs them: a change to the recorded exit codes or stdout,
+    # which the benchmark counts as failed calls, fails here first
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import (WORKLOADS, RefClock, command_key, digest,
+                           input_text, item_commands, load_pool, run_call)
+
+    from multinerve.families import region_is_empty
+    from multinerve.formats import parse_family
+    wl, clock = WORKLOADS[workload], RefClock()
+    for item in load_pool(workload)["items"][:2]:
+        text = input_text(item, main, clock)
+        assert digest(text) == item["input_digest"], item["id"]
+        space = "space_seed" in item["input"]
+        path = tmp_path / f"{item['id']}.{'poset' if space else 'family'}"
+        path.write_text(text, encoding="utf-8")
+        empty = bool(wl.if_empty) and region_is_empty(
+            F := parse_family(text, str(path)), range(len(F)))
+        for tpl in item_commands(wl, empty):
+            res = run_call(main, [str(path) if a == "{input}" else a
+                                  for a in tpl], clock)
+            assert res.error is None, (item["id"], tpl, res.error)
+            assert [res.code, digest(res.stdout)] == \
+                item["refs"][command_key(tpl)], (item["id"], tpl)

@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (family_component_maxima, family_components,
+from helpers import (around_a_point_family, box_nerve,
+                     family_component_maxima, family_components,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
                      family_slack_violation, small_family)
 
 import multinerve.families
+import multinerve.verify
 from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         component_containing, components, grid_triangulation,
                         is_acyclic_with_slack, max_components, nerve,
@@ -175,17 +177,23 @@ class TestRegionBetti:
                 [box((Fraction(3, 2), 4))]]
 
     def test_box_nerve_gets_distinct_boxes(self, monkeypatch):
-        real, seen = multinerve.families._box_nerve, []
+        # a box region's nerve is walked on a family of one box per member,
+        # its distinct boxes
+        real, seen = multinerve.families.box_family, []
 
-        def spy(boxes):
-            seen.append(boxes)
-            return real(boxes)
-        monkeypatch.setattr(multinerve.families, "_box_nerve", spy)
+        def spy(dim, members):
+            seen.append([tuple(m) for m in members])
+            return real(dim, members)
+        monkeypatch.setattr(multinerve.families, "box_family", spy)
         F = box_family(1, self.REPEATED)
         for A in ((), (0, 1), (0, 1, 2)):
             region_betti(F, A)
         assert len(seen) == 3
-        assert all(len(set(boxes)) == len(boxes) for boxes in seen)
+        for members, A in zip(seen, ((), (0, 1), (0, 1, 2))):
+            assert all(len(m) == 1 for m in members)
+            boxes = [m[0] for m in members]
+            assert len(set(boxes)) == len(boxes)
+            assert set(boxes) == set(multinerve.families._region(F, A))
 
     def test_repeated_member_against_oracle(self):
         F = box_family(1, self.REPEATED)
@@ -431,17 +439,26 @@ class TestAgainstOracle:
     """The cached, prefix-grown regions and the nerve walk against plain
     2^n scans that rebuild every region (tests/helpers.py)."""
 
-    @pytest.mark.parametrize("seed,backend", ORACLE_FAMILIES)
+    # box families of R^2 and R^3 around a common point, whose regions'
+    # full nerves reach above dimension d, past the nerves that are ranked
+    @pytest.mark.parametrize("seed,backend", ORACLE_FAMILIES + [
+        (seed, f"box-r{d}") for d in (2, 3) for seed in range(3)])
     def test_regions(self, seed, backend):
-        F = small_family(seed, backend)
+        F = (around_a_point_family(int(backend[-1]), seed)
+             if backend.startswith("box-r") else small_family(seed, backend))
+        above = False
         for size in range(len(F) + 1):
             for A in itertools.combinations(range(len(F)), size):
                 assert region_is_empty(F, A) == (not family_region(F, A)), A
                 assert dict(region_betti(F, A).items()) == \
                     family_region_betti(F, A), A
-                labels = [(c.canon, c.rep if backend == "subcomplex"
+                labels = [(c.canon, c.rep if F.backend == "subcomplex"
                            else c.rep.intervals) for c in components(F, A)]
                 assert labels == family_components(F, A), A
+                if backend.startswith("box-r") and family_region(F, A):
+                    above |= max(map(len, box_nerve(family_region(F, A)))) \
+                        > F.ambient + 1
+        assert above or not backend.startswith("box-r")
 
     @pytest.mark.parametrize("seed,backend", ORACLE_FAMILIES)
     def test_scans(self, seed, backend):
@@ -602,24 +619,27 @@ class TestRegionMemo:
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_one_rank_and_one_union_find_per_distinct_region(
             self, monkeypatch, backend):
-        # one union-find per distinct region gives its components; a box
-        # region is then ranked by one reduced_betti of its nerve, and a
-        # subcomplex region's Betti vector is counted by one
-        # _subcomplex_ranks from that union-find, with no reduced_betti
-        # and no selection from T's boundary
+        # one union-find per distinct region gives its components, and one
+        # _region_ranks call counts its Betti vector from that union-find,
+        # for both backends: the only reduced_betti and the only selection
+        # from a boundary are the multinerve's, in the report
         from multinerve.homology import Boundary
-        calls = {"reduced_betti": [], "UnionFind": [], "_subcomplex_ranks": []}
-        for name, got in calls.items():
-            def spy(*args, real=getattr(multinerve.families, name), got=got):
+        spied = [(multinerve.families, "UnionFind"),
+                 (multinerve.families, "_region_ranks"),
+                 (multinerve.verify, "reduced_betti")]
+        calls = {name: [] for _, name in spied}
+        for module, name in spied:
+            def spy(*args, real=getattr(module, name), got=calls[name]):
                 got.append(args)
                 return real(*args)
-            monkeypatch.setattr(multinerve.families, name, spy)
+            monkeypatch.setattr(module, name, spy)
         selected, real_select = [], Boundary.select
 
         def select(boundary, cells):
             selected.append(boundary)
             return real_select(boundary, cells)
         monkeypatch.setattr(Boundary, "select", select)
+        assert not hasattr(multinerve.families, "reduced_betti")
         for seed in range(4):
             F = repeating_family(backend, seed)
             for got in calls.values():
@@ -633,16 +653,9 @@ class TestRegionMemo:
                 components(F, A)
             distinct = {tuple(family_region(F, A)) for A in asked}
             assert len(calls["UnionFind"]) == len(distinct) < len(asked)
-            if backend == "box":
-                assert len(calls["reduced_betti"]) == len(distinct)
-                assert calls["_subcomplex_ranks"] == []
-                # each region's nerve, and the multinerve's boundary
-                assert len(selected) == len(distinct) + 1
-            else:
-                assert len(calls["_subcomplex_ranks"]) == len(distinct)
-                assert calls["reduced_betti"] == []
-                # only the multinerve's boundary, in the report
-                assert len(selected) == 1
+            assert len(calls["_region_ranks"]) == len(distinct)
+            assert len(calls["reduced_betti"]) == len(selected) == 1
+            if backend == "subcomplex":
                 assert selected[0] is not F._ambient_index.boundary
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
@@ -657,12 +670,15 @@ class TestRegionMemo:
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_one_nerve_walk_per_verify_call(self, monkeypatch, backend):
+        # box regions walk their nerves on families of their own, which
+        # are not counted: only the walks over F are
         real, walks = multinerve.families._walk_source, []
 
-        def spy(F):
-            walks.append([])
-            for item in real(F):
-                walks[-1].append(item)
+        def spy(family):
+            walk = []
+            walks.append((family, walk))
+            for item in real(family):
+                walk.append(item)
                 yield item
         monkeypatch.setattr(multinerve.families, "_walk_source", spy)
         calls = (lambda F: verify_multinerve_theorem(F, 3),
@@ -681,7 +697,8 @@ class TestRegionMemo:
                 F = random_family(backend, 5, seed)
                 del walks[:]
                 call(F)
-                assert walks == [want]
+                assert [walk for family, walk in walks
+                        if family is F] == [want]
                 walked += 1
         assert walked
     def test_slack_violation_builds_no_region_past_it(self):

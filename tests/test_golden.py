@@ -6,7 +6,9 @@ why they differ.  Each family runs ``verify projection --t 1|2|3``,
 complex) runs ``homology``, and ``leray`` and ``j-index`` exact and
 sampled.  The slack
 checks run apart, ``verify multinerve --s 0|1`` and ``check-acyclic --s 0|1``,
-on the same families and one larger subcomplex family.  Plain
+on the same families, one larger subcomplex family, and one box family
+of R^3 (``gen-box-1-d3``) whose union's nerve reaches dimension 4, above
+the cut its Betti numbers are counted below.  Plain
 ``multinerve`` and ``check-acyclic --s 0`` also run on two families of the
 benchmark's ``oracle`` size (``gen-box-3-n10``, ``gen-subcomplex-1-n12``).
 The sha256 of the
@@ -74,7 +76,9 @@ GEN_OPTIONS = {"gen-subcomplex-0-n8": ("--n", "8", "--grid", "5",
                "gen-box-3-n10": ("--n", "10", "--ambient-dim", "2",
                                  "--boxes-per-member", "2"),
                "gen-subcomplex-1-n12": ("--n", "12", "--grid", "7",
-                                        "--stars-per-member", "3")}
+                                        "--stars-per-member", "3"),
+               "gen-box-1-d3": ("--n", "6", "--ambient-dim", "3",
+                                "--boxes-per-member", "3")}
 
 SLACK_GOLDEN = {
     "blown_tetrahedron.family": "19b89ee49701d261b04fb3593a4b4078a32f57d850440f0810139bf4ff2d1317",
@@ -95,6 +99,7 @@ SLACK_GOLDEN = {
     "gen-subcomplex-4": "05e36dd36174b5d7bb795fd87ba695997c24f368a61e1aac272699386deab230",
     "gen-subcomplex-5": "2486d19643b300fa184e5418654c43b23aa91d817326aa7b007a25a990fea74e",
     "gen-subcomplex-0-n8": "1efa0c3a5bdc775b50024705795275febf5b77bfa181fcfad31b65a10a1152d7",
+    "gen-box-1-d3": "b41f3e7e4a677f52619a47fed77d653ad085ef517b8cfa5317555077d339f0d4",
 }
 
 # the multinerve build and the slack scan on families of the benchmark's

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
-                     dense_boundaries, family_region, gauss_jordan_rank,
-                     random_complex, random_poset, relabel, small_family,
-                     with_isolated_vertices)
+                     box_nerve, dense_boundaries, family_region,
+                     gauss_jordan_rank, random_complex, random_poset, relabel,
+                     small_family, with_isolated_vertices)
 
 from multinerve import (BettiVector, SimplicialComplex, build_poset,
                         chain_complex, euler_characteristic,
@@ -231,38 +231,36 @@ class TestLowRanks:
         assert {n for n, _ in low_ranks} == {0, 1}
 
     def test_box_nerves_and_subcomplex_regions(self, low_ranks, monkeypatch):
-        # box nerves are ranked on their chain complexes; a subcomplex
-        # region's cell counts and ranks are counted with no chain complex
-        # (``_subcomplex_ranks``), and checked here against the dense
-        # boundaries of the region rebuilt as a complex
+        # both backends count a region's cells and ranks with no chain
+        # complex (``_region_ranks``), checked here against the dense
+        # boundaries of its complex rebuilt: a subcomplex region itself, or
+        # a box region's nerve of distinct boxes up to dimension d
         from multinerve import families
-        real, counted = families._subcomplex_ranks, []
+        real, counted = families._region_ranks, []
 
         def counts(F, A):
             sizes, ranks = real(F, A)
-            basis, dense = dense_boundaries(
-                SimplicialComplex(family_region(F, A)))
+            region = family_region(F, A)
+            K = SimplicialComplex(
+                region if F.backend == "subcomplex" else
+                box_nerve(list(dict.fromkeys(region)), F.ambient + 1))
+            basis, dense = dense_boundaries(K)
             assert sizes == {d: len(b) for d, b in basis.items()}, A
             assert {d: ranks.get(d, 0) for d in dense} == \
                 {d: gauss_jordan_rank(rows) for d, rows in dense.items()}, A
-            counted.append(ranks)
+            counted.append((F.backend, ranks))
             return sizes, ranks
-        monkeypatch.setattr(families, "_subcomplex_ranks", counts)
+        monkeypatch.setattr(families, "_region_ranks", counts)
         for backend in ("box", "subcomplex"):
-            low_ranks.clear()
-            del counted[:]
             for seed in range(25):
                 F = small_family(seed, backend)
                 region_betti(F, ())
                 is_acyclic_with_slack(F, 0)
-            is_acyclic_with_slack(random_family(backend, 5, 3), 0)
-            if backend == "box":
-                assert {n for n, _ in low_ranks} == {0, 1}
-                assert counted == []
-            else:
-                assert low_ranks == []
-                assert {n for ranks in counted for n, r in ranks.items()
-                        if r} >= {0, 1, 2}
+            is_acyclic_with_slack(
+                random_family(backend, 5, 3, ambient_dim=2), 0)
+            assert {n for b, ranks in counted if b == backend
+                    for n, r in ranks.items() if r} >= {0, 1, 2}
+        assert low_ranks == []
 
 
 class TestEuler:

@@ -502,9 +502,11 @@ def subcomplex_region_betti(K):
 
 
 def box_region_betti(K):
-    # three pairwise-overlapping intervals: their nerve is K, a 2-simplex
-    return region_betti(box_family(1, [[box((0, 3)), box((1, 4)),
-                                        box((2, 5))]]), (0,))
+    # three boxes of R^2 around a common point: their nerve is K, a
+    # 2-simplex, kept whole below the cut at dimension d = 2
+    return region_betti(box_family(2, [[box((0, 3), (0, 3)),
+                                        box((1, 4), (1, 4)),
+                                        box((2, 5), (2, 5))]]), (0,))
 
 
 class TestDDChecked:

@@ -5,6 +5,7 @@ import collections
 import pytest
 from helpers import family_helly, family_region, small_family
 
+import multinerve.families
 import multinerve.leray
 import multinerve.verify
 from multinerve import (PreconditionError, SimplicialComplex, box, box_family,
@@ -130,6 +131,22 @@ class TestProjectionBound:
 
 
 class TestHellyBound:
+    def test_cap_refuses_before_any_walk(self, monkeypatch):
+        # ``mnv gen --backend box --n 40 --ambient-dim 1
+        # --boxes-per-member 1 --seed 1``: 40 members, over the cap of 16
+        with pytest.raises(CapExceeded) as want:
+            helly_number(random_family("box", 40, 1, boxes_per_member=1))
+        real, walked = multinerve.families._walk_source, []
+
+        def spy(F):
+            walked.append(F)
+            return real(F)
+        monkeypatch.setattr(multinerve.families, "_walk_source", spy)
+        with pytest.raises(CapExceeded) as got:
+            verify_helly_bound(random_family("box", 40, 1, boxes_per_member=1))
+        assert str(got.value) == str(want.value)
+        assert walked == []
+
     def test_tight_interval_instance(self):
         rep = verify_helly_bound(tight_interval_family(), s=0, t=1)
         assert rep.all_pass
