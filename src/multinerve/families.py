@@ -30,6 +30,7 @@ region itself, or the nerve of its distinct boxes up to dimension d (see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -147,22 +148,30 @@ def subcomplex_family(T: SimplicialComplex, members: Sequence[Iterable],
     """Family of subcomplexes of the triangulation T.
 
     Members are given as iterables of simplices (any iterable of vertices
-    each).  The ambient homology ceiling defaults to dim(T) + 1, the safe
-    bound for a compact triangulated space.
+    each).  A member is checked on T's simplex ids: each simplex must have
+    one, and its ids must hold the face ids of each (the empty simplex,
+    id 0, counts as held); the first simplex in T's order that misses a
+    face is reported.  A member keeps T's own simplex objects.  The
+    ambient homology ceiling defaults to dim(T) + 1, the safe bound for a
+    compact triangulated space.
     """
+    ids, faces = T.numbering()
+    order = T.ordered_simplices()
     made = []
     for k, raw in enumerate(members):
-        sims = frozenset(frozenset(s) for s in raw if len(tuple(s)) > 0)
-        for s in sims:
-            if s not in T.simplices:
-                raise FamilyError(f"member {k}: simplex {sorted(s)} not in "
-                                  "the ambient triangulation")
-            if len(s) > 1:
-                for v in s:
-                    if s - {v} not in sims:
-                        raise FamilyError(f"member {k}: not face-closed at "
-                                          f"{sorted(s)}")
-        made.append(SubcomplexMember(sims))
+        sims = list(map(frozenset, raw))
+        held = set(map(ids.get, sims))
+        if None in held:
+            s = next(s for s in sims if s not in ids)
+            raise FamilyError(f"member {k}: simplex {sorted(s)} not in "
+                              "the ambient triangulation")
+        held.add(0)
+        if not all(map(held.issuperset, map(faces.__getitem__, held))):
+            i = min(i for i in held if not held.issuperset(faces[i]))
+            raise FamilyError(f"member {k}: not face-closed at "
+                              f"{sorted(order[i])}")
+        held.remove(0)
+        made.append(SubcomplexMember(frozenset(map(order.__getitem__, held))))
     assumed = gamma_dim is not None
     if gamma_dim is None:
         gamma_dim = T.dim + 1
@@ -191,7 +200,7 @@ def box_family(dim: int, members: Sequence[Sequence[Box]],
 
 class _AmbientIndex:
     """What Betti vectors of subcomplex regions read, and nothing else does:
-    T's simplex ids (``numbering``), their checked ``Boundary``, and
+    T's kept simplex ids (``numbering``), their checked ``Boundary``, and
     ``top_free``: whether T's top rows (of dimension >= 2) are independent,
     found by one ``sparse_rank``."""
 
@@ -412,20 +421,28 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
     """The cell count of each dimension of the nonempty region's complex K
     over A, the empty simplex included, and the rank of each d_n.
 
-    Every member is face-closed (``subcomplex_family`` checks it), so a
-    subcomplex region is closed downward in T and its rows are T's whole
-    (see ``Boundary``).  rank d_0 = 1, as K has a vertex; rank d_1 is
-    #vertices - #components (see ``ChainComplex.rank_boundary``), from the
-    union-find of ``_groups``, whose groups are K's (a box overlaps its
-    twin).  The rank of d_n, n = dim T, is the n-cell count when T's top
-    rows are independent (``top_free``), as a region's are some of them.
-    Every other rank is ``sparse_rank`` of the rows.
+    rank d_0 = 1, as K has a vertex; rank d_1 is #vertices - #components
+    (see ``ChainComplex.rank_boundary``), from the union-find of
+    ``_groups``, whose groups are K's (a box overlaps its twin).  Every
+    other rank is ``sparse_rank`` of the rows, but for a subcomplex
+    region's top.  A subcomplex region's cells are counted from their
+    sizes, and T's rows are gathered only for a dimension that must be
+    eliminated: every member is face-closed (``subcomplex_family`` checks
+    it), so the region is closed downward in T and its rows are T's whole
+    (see ``Boundary``); and the rank of d_n, n = dim T, is the n-cell count
+    when T's top rows are independent (``top_free``), as a region's are
+    some of them.
     """
     region, top = _region(F, A), None
     if F.backend == "subcomplex":
         T = _ambient(F)
-        cells = [T.boundary.rows[T.ids[s]] for s in region]
+        sizes = {n - 1: c for n, c in Counter(map(len, region)).items()}
+        sizes[-1] = 1
         top = F.ambient.dim if T.top_free else None
+
+        def rows(n: int) -> list:
+            return [T.boundary.rows[T.ids[s]] for s in region
+                    if len(s) == n + 1]
     else:
         # the intersecting sets of one box each are the nerve's simplices
         d, ids, faces = F.ambient, {(): 0}, [()]
@@ -437,14 +454,14 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
                 ids[B] = len(faces)
                 faces.append(tuple(ids[B[:i] + B[i + 1:]]
                                    for i in range(len(B))))
-        cells = list(Boundary.of_faces(faces).rows.values())[1:]
-    rows: dict[int, list] = {-1: [{}]}
-    for row in cells:
-        rows.setdefault(len(row) - 1, []).append(row)
-    sizes = {n: len(r) for n, r in rows.items()}
+        grouped: dict[int, list] = {}
+        for row in Boundary.of_faces(faces).rows.values():
+            grouped.setdefault(len(row) - 1, []).append(row)
+        sizes = {n: len(r) for n, r in grouped.items()}
+        rows = grouped.__getitem__
     ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
     for n in range(2, max(sizes) + 1):
-        ranks[n] = sizes[n] if n == top else sparse_rank(rows[n])
+        ranks[n] = sizes[n] if n == top else sparse_rank(rows(n))
     return sizes, ranks
 
 

@@ -90,11 +90,13 @@ def parse_poset(text: str, path: str = "<string>") -> SimplicialPoset:
 
 
 def write_complex(K: SimplicialComplex) -> str:
-    """complex.v1: one nonempty simplex per line, sorted; line order is the
-    simplex id used by family.v1 member lists, ``simplex_ids`` less one
-    (the empty simplex, id 0, is not listed)."""
+    """complex.v1: one nonempty simplex per line, its vertices sorted, in
+    canonical order (by dimension, then sorted vertex list).  A family.v1
+    member lists a simplex by its place in that order (``simplex_ids``
+    less one, as the empty simplex, id 0, is not listed), whatever the
+    order of the lines of its complex block."""
     out = ["complex v1"]
-    out.extend(" ".join(map(str, sorted(s))) for s in K.ordered_simplices()[1:])
+    out.extend(" ".join(map(str, t)) for t in K.ordered_tuples()[1:])
     return "\n".join(out) + "\n"
 
 
@@ -106,14 +108,28 @@ def parse_complex(text: str, path: str = "<string>") -> SimplicialComplex:
         raise ParseError(path, 1, "empty file, expected 'complex v1' header")
     if header != "complex v1":
         raise ParseError(path, lineno, f"expected 'complex v1' header, got {header!r}")
-    sims = []
-    for lineno, line in it:
+    return _complex_lines(it, path)
+
+
+def _complex_lines(lines, path: str) -> SimplicialComplex:
+    """The complex whose simplices are the numbered lines (after the
+    header): a vertex repeated within a line, or a simplex repeated on a
+    second line, is refused, citing the line (and the first one)."""
+    first: dict[frozenset, int] = {}
+    for lineno, line in lines:
         try:
-            sims.append(frozenset(int(v) for v in line.split()))
+            verts = list(map(int, line.split()))
         except ValueError:
             raise ParseError(path, lineno, "vertex ids must be integers")
+        s = frozenset(verts)
+        if len(s) != len(verts):
+            raise ParseError(path, lineno, f"repeated vertex in simplex {line!r}")
+        if s in first:
+            raise ParseError(path, lineno, f"simplex {line!r} repeats "
+                                           f"line {first[s]}")
+        first[s] = lineno
     try:
-        return SimplicialComplex(sims, closed=True)
+        return SimplicialComplex(first, closed=True)
     except PosetError as e:
         raise ParseError(path, 0, str(e))
 
@@ -148,8 +164,8 @@ def write_family(F: SetFamily) -> str:
         out.append(write_complex(F.ambient).rstrip("\n"))
         out.append("end complex")
         for m in F.members:
-            sids = sorted(ids[s] - 1 for s in m.simplices)
-            out.append(("member " + " ".join(str(i) for i in sids)).rstrip())
+            sids = sorted(map(ids.__getitem__, m.simplices))
+            out.append(" ".join(["member", *(str(i - 1) for i in sids)]))
         return "\n".join(out) + "\n"
     out = [f"family v1 box {F.ambient}"]
     if F.gamma_dim_assumed:
@@ -230,34 +246,32 @@ def parse_family(text: str, path: str = "<string>",
     if pos >= len(lines) or lines[pos][1] != "complex v1":
         raise ParseError(path, lines[pos][0] if pos < len(lines) else lineno,
                          "expected embedded 'complex v1' block")
-    block = ["complex v1"]
-    pos += 1
+    start = pos = pos + 1
     while pos < len(lines) and lines[pos][1] != "end complex":
-        block.append(lines[pos][1])
         pos += 1
     if pos >= len(lines):
         raise ParseError(path, lines[-1][0], "missing 'end complex'")
-    T = parse_complex("\n".join(block), path)
+    T = _complex_lines(lines[start:pos], path)
     if T.dim != ambient:
         raise ParseError(path, lines[pos][0],
                          f"triangulation dimension {T.dim} != declared {ambient}")
     pos += 1
-    by_id = {i - 1: s for s, i in T.simplex_ids().items() if s}
+    # member ids count T's nonempty simplices in canonical order
+    order = T.ordered_simplices()
+    n_ids = len(order) - 1
     member_lists = []
     for lineno, line in lines[pos:]:
         toks = line.split()
         if toks[0] != "member":
             raise ParseError(path, lineno, f"expected 'member', got {toks[0]!r}")
-        sims = []
-        for t in toks[1:]:
-            try:
-                sid = int(t)
-            except ValueError:
-                raise ParseError(path, lineno, "simplex ids must be integers")
-            if sid not in by_id:
+        try:
+            sids = list(map(int, toks[1:]))
+        except ValueError:
+            raise ParseError(path, lineno, "simplex ids must be integers")
+        for sid in sids:
+            if not 0 <= sid < n_ids:
                 raise ParseError(path, lineno, f"unknown simplex id {sid}")
-            sims.append(by_id[sid])
-        member_lists.append(sims)
+        member_lists.append([order[sid + 1] for sid in sids])
     try:
         return subcomplex_family(T, member_lists, gamma_dim)
     except ValueError as e:

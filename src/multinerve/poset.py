@@ -263,29 +263,49 @@ class SimplicialComplex:
 
     The empty simplex is always a member.  Vertex labels must be mutually
     orderable (ints, strings, tuples of one kind).
+
+    The complex is numbered once, when it is built, and the numbering is
+    kept, as the complex does not change: the simplices in canonical order
+    (by dimension, then sorted vertex tuple), each one's id (its place in
+    that order; the empty simplex is id 0), its face ids (face i drops the
+    i-th smallest vertex) and its sorted vertex tuple.  The face poset, the
+    chain complex, the formats and the family oracle all read it.
     """
 
-    __slots__ = ("simplices", "vertices", "_order", "_dim")
+    __slots__ = ("simplices", "vertices", "_order", "_tuples", "_ids",
+                 "_faces", "_stars")
 
     def __init__(self, simplices: Iterable[Iterable] = (), *, closed: bool = False):
         sims = {frozenset(s) for s in simplices}
         sims.add(frozenset())
         if not closed:
-            closure = set()
-            for s in sims:
-                for k in range(len(s) + 1):
-                    closure.update(frozenset(c) for c in combinations(sorted(s), k))
-            sims = closure
-        else:
-            for s in sims:
-                for v in s:
-                    if s - {v} not in sims:
-                        raise PosetError(f"complex not closed downward: missing "
-                                         f"face of {sorted(s)!r}")
-        self.simplices: frozenset = frozenset(sims)
-        self.vertices: tuple = tuple(sorted({v for s in sims for v in s}))
-        self._order: tuple[frozenset, ...] | None = None
-        self._dim: int | None = None
+            sims = {frozenset(c) for s in sims for k in range(len(s) + 1)
+                    for c in combinations(s, k)}
+        self._number(sims)
+        self.simplices: frozenset = frozenset(self._order)
+        self.vertices: tuple = tuple(t[0] for t in self._tuples if len(t) == 1)
+        self._stars: dict | None = None
+
+    def _number(self, sims: set[frozenset]) -> None:
+        """Number the simplices ``sims`` into the kept slots.  Faces precede
+        their cofaces in canonical order, so each face id is looked up among
+        the simplices already numbered, and a failed lookup is a missing face:
+        the first simplex in canonical order that lacks one is reported."""
+        keyed = sorted((len(s), tuple(sorted(s)), s) for s in sims)
+        tid: dict[tuple, int] = {}
+        faces = []
+        for i, (_, t, _) in enumerate(keyed):
+            try:
+                faces.append(tuple([tid[t[:k] + t[k + 1:]]
+                                    for k in range(len(t))]))
+            except KeyError:
+                raise PosetError(f"complex not closed downward: missing face "
+                                 f"of {list(t)!r}") from None
+            tid[t] = i
+        self._tuples = tuple(tid)
+        self._order = tuple(s for _, _, s in keyed)
+        self._ids = {s: i for i, s in enumerate(self._order)}
+        self._faces = tuple(faces)
 
     def __contains__(self, s) -> bool:
         return frozenset(s) in self.simplices
@@ -301,36 +321,45 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        """Largest simplex dimension: found on first use and kept, as the
-        complex does not change."""
-        if self._dim is None:
-            self._dim = max(map(len, self.simplices)) - 1
-        return self._dim
+        """Largest simplex dimension: that of the last simplex."""
+        return len(self._tuples[-1]) - 1
 
     def ordered_simplices(self) -> tuple[frozenset, ...]:
-        """Every simplex, by dimension and then sorted vertex list: sorted
-        on first use and kept, as the complex does not change."""
-        if self._order is None:
-            self._order = tuple(sorted(self.simplices,
-                                       key=lambda s: (len(s), sorted(s))))
+        """Every simplex, in canonical order: by dimension and then sorted
+        vertex tuple."""
         return self._order
+
+    def ordered_tuples(self) -> tuple[tuple, ...]:
+        """Each simplex's sorted vertex tuple, in canonical order."""
+        return self._tuples
 
     def simplex_ids(self) -> dict[frozenset, int]:
         """Each simplex's id, its place in ``ordered_simplices``: the cell
         ids of ``as_poset()``.  family.v1 lists a nonempty simplex under
-        its id less one."""
-        return {s: i for i, s in enumerate(self.ordered_simplices())}
+        its id less one.  The dict is the kept one: read it, do not change
+        it."""
+        return self._ids
 
-    def numbering(self) -> tuple[dict[frozenset, int], list[tuple[int, ...]]]:
+    def numbering(self) -> tuple[dict[frozenset, int], tuple[tuple[int, ...], ...]]:
         """``simplex_ids`` and the face ids of each simplex, face i dropping
         the i-th smallest vertex: the cells of ``as_poset()``."""
-        ids = self.simplex_ids()
-        return ids, [tuple(ids[s - {v}] for v in sorted(s)) for s in ids]
+        return self._ids, self._faces
+
+    def vertex_star(self, v) -> list[tuple[int, int]]:
+        """For each simplex holding the vertex v, its id and the id of its
+        face that drops v, read from a table of every vertex's, built on
+        first use and kept."""
+        if self._stars is None:
+            stars: dict = {}
+            for i, (t, fs) in enumerate(zip(self._tuples, self._faces)):
+                for u, f in zip(t, fs):
+                    stars.setdefault(u, []).append((i, f))
+            self._stars = stars
+        return self._stars.get(v, [])
 
     def as_poset(self) -> SimplicialPoset:
         """Face poset of the complex; cell ids follow ``numbering``."""
-        return build_poset(CellRecord(len(fs) - 1, fs)
-                           for fs in self.numbering()[1])
+        return build_poset(CellRecord(len(fs) - 1, fs) for fs in self._faces)
 
 
 def order_complex(elements: Iterable, leq: Callable[[object, object], bool]) -> SimplicialComplex:

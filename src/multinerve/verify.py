@@ -177,7 +177,7 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     # one L walk per distinct poset, its value also J's: R is M at t = 1,
     # and N for t > |F|
     posets = (M, R.poset, N)
-    keys = [tuple(P.export_records()) for P in posets]
+    keys = [(P._dims, P._faces) for P in posets]
     lj = {k: leray_number(P, cap=cap).value
           for k, P in dict(zip(keys, posets)).items()}
     l_m, l_r, l_n = j_m, j_r, j_n = [lj[k] for k in keys]
@@ -247,29 +247,34 @@ def verify_helly_bound(F: SetFamily, s: int = 0, t: int = 1,
 
 
 def grid_triangulation(g: int) -> SimplicialComplex:
-    """Standard triangulation of a g-by-g square grid; vertices are ints."""
+    """Standard triangulation of a g-by-g square grid; vertices are ints.
+
+    Square (i, j) is cut along the diagonal from (i + 1, j) to (i, j + 1);
+    the vertices, edges and triangles are listed, so the complex is closed
+    as given."""
     def v(i: int, j: int) -> int:
         return i * (g + 1) + j
 
-    tris = []
-    for i in range(g):
-        for j in range(g):
-            tris.append((v(i, j), v(i + 1, j), v(i, j + 1)))
-            tris.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
-    return SimplicialComplex(tris)
+    cells = [(v(i, j),) for i in range(g + 1) for j in range(g + 1)]
+    for i in range(g + 1):
+        for j in range(g + 1):
+            if j < g:
+                cells.append((v(i, j), v(i, j + 1)))
+            if i < g:
+                cells.append((v(i, j), v(i + 1, j)))
+            if i < g and j < g:
+                cells.append((v(i + 1, j), v(i, j + 1)))
+                cells.append((v(i, j), v(i + 1, j), v(i, j + 1)))
+                cells.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
+    return SimplicialComplex(cells, closed=True)
 
 
 def closed_star(T: SimplicialComplex, vertex: int) -> set[frozenset]:
-    """All simplices touching the vertex, plus their faces."""
-    star = {s for s in T.simplices if vertex in s}
-    out = set()
-    for s in star:
-        out.add(s)
-        for v in s:
-            out.add(s - {v})
-            for w in s - {v}:
-                out.add(s - {v, w})
-    return {s for s in out if s}
+    """All simplices holding the vertex, plus their faces.  A face that
+    does not hold the vertex is the face dropping it of its union with the
+    vertex, which holds it, so the star and those faces are all of it."""
+    order = T.ordered_simplices()
+    return {order[i] for pair in T.vertex_star(vertex) for i in pair if i}
 
 
 def ring_member(g: int, i: int, j: int) -> set[frozenset]:

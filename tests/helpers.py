@@ -32,6 +32,34 @@ def induced(K: SimplicialComplex, S) -> SimplicialComplex:
                              closed=True)
 
 
+def grid_triangulation_oracle(g: int) -> SimplicialComplex:
+    """The g-by-g grid triangulation as the closure of its triangles."""
+    def v(i: int, j: int) -> int:
+        return i * (g + 1) + j
+
+    tris = []
+    for i in range(g):
+        for j in range(g):
+            tris.append((v(i, j), v(i + 1, j), v(i, j + 1)))
+            tris.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
+    return SimplicialComplex(tris)
+
+
+def closed_star_oracle(T: SimplicialComplex, vertex) -> set[frozenset]:
+    """The closed star of a vertex by a scan of all of T: the simplices
+    holding it, and each one's faces (to codimension 2, enough for T of
+    dimension at most 2)."""
+    star = {s for s in T.simplices if vertex in s}
+    out = set()
+    for s in star:
+        out.add(s)
+        for v in s:
+            out.add(s - {v})
+            for w in s - {v}:
+                out.add(s - {v, w})
+    return {s for s in out if s}
+
+
 def fiber_sizes(pi) -> dict[int, int]:
     """The number of source cells over each target cell of a map."""
     out: dict[int, int] = {}

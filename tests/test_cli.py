@@ -156,6 +156,25 @@ class TestExitCodes:
         else:
             assert "helly" not in r.stdout and "FAIL" not in r.stdout
 
+    @pytest.mark.parametrize("command,text,cited", [
+        ("homology", "complex v1\n0\n1\n0 1\n0 1\n1 1\n",
+         ":5: simplex '0 1' repeats line 4"),
+        ("homology", "complex v1\n0\n1\n1 0\n0 1\n",
+         ":5: simplex '0 1' repeats line 4"),
+        ("homology", "complex v1\n0\n1 1\n", ":3: repeated vertex"),
+        ("nerve", "family v1 subcomplex 1\ncomplex v1\n0\n1\n0 1\n0 1\n"
+                  "end complex\nmember 0 1 2\n",
+         ":6: simplex '0 1' repeats line 5"),
+    ])
+    def test_repeated_complex_line_is_2(self, command, text, cited, tmp_path):
+        # a repeated simplex would shift the ids of the lines after it, and
+        # a repeated vertex is no simplex: both are refused, citing the line
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = mnv_in_process(command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"mnv: {path}{cited}") and err.count("\n") == 1
+
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
         lines = ["poset v1", "0 -1"] + [f"{i} 0 0" for i in range(1, 13)]
@@ -326,6 +345,31 @@ class TestRoundTripThroughCli:
         assert r.returncode == 0
         r2 = mnv("homology", str(out))
         assert r2.returncode == 0 and r2.stdout == "1 1\n"
+
+    def test_member_ids_count_the_canonical_order(self, tmp_path):
+        # member ids count T's simplices by dimension, then sorted vertex
+        # list, not the lines of the complex block: a block listed out of
+        # that order reads as the same family as its canonical rewrite
+        canonical = tmp_path / "canonical.family"
+        assert mnv_in_process("gen", "--backend", "subcomplex", "--n", "4",
+                              "--seed", "2", "--grid", "2",
+                              "--out", str(canonical))[0] == 0
+        head, rest = canonical.read_text().split("complex v1\n")
+        block, members = rest.split("end complex\n")
+        lines = block.splitlines(keepends=True)
+        # the block reversed, and each simplex's vertices too
+        shuffled = tmp_path / "shuffled.family"
+        shuffled.write_text(head + "complex v1\n" + "".join(
+            " ".join(reversed(line.split())) + "\n" for line in lines[::-1])
+            + "end complex\n" + members)
+        for argv in (("verify", "multinerve", "{}", "--s", "0"),
+                     ("verify", "projection", "{}", "--t", "2"),
+                     ("multinerve", "{}"), ("nerve", "{}")):
+            want, got = (mnv_in_process(*(str(p) if a == "{}" else a
+                                          for a in argv))
+                         for p in (canonical, shuffled))
+            # the verify reports open with the instance id
+            assert want[0] == 0 and got == want, argv
 
 
 class TestInProcess:

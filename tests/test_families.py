@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (around_a_point_family, box_nerve,
+from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
                      family_component_maxima, family_components,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
-                     family_slack_violation, small_family)
+                     family_slack_violation, grid_triangulation_oracle,
+                     small_family)
 
 import multinerve.families
 import multinerve.verify
@@ -338,6 +339,17 @@ class TestAmbientIndex:
             assert len(checks) == regions + 1
             assert complexes == []
 
+    def test_no_region_rows_eliminated_on_a_top_free_2_complex(
+            self, monkeypatch):
+        # on the grid, a disk, the top rows are independent: one rank, of
+        # T's top rows, and every region's cells are only counted
+        F = random_family("subcomplex", 6, 3, grid=4, stars_per_member=2)
+        ranked = self._spy(monkeypatch, "sparse_rank")
+        verify_multinerve_theorem(F, 0)
+        assert multinerve.families._ambient(F).top_free
+        assert [len(rows) for rows, in ranked] == [2 * 4 * 4]
+        assert len(F._betti_cache) > len(F)
+
     def test_emptiness_and_helly_do_not_build_it(self, monkeypatch):
         T = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
         F = subcomplex_family(T, [[(0,), (1,), (0, 1)], [(1,), (2,), (1, 2)],
@@ -429,6 +441,30 @@ class TestRandomFamily:
 
     def test_box_gamma_dim_defaults_to_dimension(self):
         assert random_family("box", 2, 0, ambient_dim=2).gamma_dim == 2
+
+    def test_closed_star_against_full_scan(self):
+        # the grid is listed closed, and each closed star is read from the
+        # vertex table: the star and the faces that drop the vertex
+        for g in range(1, 8):
+            T = grid_triangulation(g)
+            assert T == grid_triangulation_oracle(g)
+            for v in T.vertices:
+                assert closed_star(T, v) == closed_star_oracle(T, v), (g, v)
+            assert closed_star(T, -1) == set()
+
+    def test_first_member_face_missing_in_T_order(self):
+        # several faces are missing; the first simplex in T's order that
+        # misses one is named, and a simplex outside T by input order
+        T = SimplicialComplex([(0, 1, 2), (2, 3)])
+        for member, named in (
+                ([(0, 1, 2), (2, 3), (0,), (1,), (0, 1)], "[2, 3]"),
+                ([(0, 1, 2), (1, 2), (0, 2), (0, 1), (0,), (2,), (3,),
+                  (2, 3)], "[0, 1]")):
+            with pytest.raises(FamilyError) as exc:
+                subcomplex_family(T, [[(0,)], member])
+            assert str(exc.value) == f"member 1: not face-closed at {named}"
+        with pytest.raises(FamilyError, match=r"^member 0: simplex \[7\] not"):
+            subcomplex_family(T, [[(0,), (7,), (5, 6)]])
 
 
 ORACLE_FAMILIES = [(seed, backend) for seed in range(40)

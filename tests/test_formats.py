@@ -66,6 +66,30 @@ class TestComplexRoundTrip:
         with pytest.raises(ParseError, match="closed downward"):
             parse_complex("complex v1\n0 1\n")
 
+    @pytest.mark.parametrize("text,named", [
+        ("complex v1\n3 4\n0 1 2\n0\n", "[3, 4]"),
+        ("complex v1\n0 1 2\n1\n2 3\n0\n", "[2, 3]"),
+        ("complex v1\n0 1 2\n0 1\n0\n1\n", "[0, 1, 2]")])
+    def test_first_missing_face_in_canonical_order(self, text, named):
+        # several simplices miss faces: the first in canonical order (by
+        # dimension, then sorted vertex list) is named
+        with pytest.raises(ParseError) as exc:
+            parse_complex(text)
+        assert str(exc.value) == ("<string>:0: complex not closed downward: "
+                                  f"missing face of {named}")
+
+    @pytest.mark.parametrize("text,message", [
+        ("complex v1\n0\n1\n\n1 0\n0 1\n", "f:6: simplex '0 1' repeats line 5"),
+        ("complex v1\n0\n1\n1 1\n", "f:4: repeated vertex in simplex '1 1'"),
+        ("family v1 subcomplex 1\ncomplex v1\n0\n1\n0 1\n1\nend complex\n",
+         "f:6: simplex '1' repeats line 4"),
+        ("family v1 subcomplex 1\ncomplex v1\n0\n1\n0 x\nend complex\n",
+         "f:5: vertex ids must be integers")])
+    def test_repeated_vertex_or_simplex_cites_its_lines(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            load_text(text, "f")
+        assert str(exc.value) == message
+
 
 class TestFamilyRoundTrip:
     def test_subcomplex_family(self):

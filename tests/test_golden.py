@@ -17,9 +17,11 @@ here.  The families are the fixture families and ``mnv gen --n 5`` seeds
 0-5 of each backend; the spaces are ``double_edge.poset``,
 ``helpers.random_poset`` seeds 0-5 and ``helpers.random_complex`` seeds 0-3
 (complex inputs pin the witness labels, read from the simplex numbering).
+The stdout of ``mnv gen`` itself is pinned too, seeds 0-2 of each of the
+benchmark's four generators, so a change to generation fails here.
 To re-record after a deliberate change, run
 ``PYTHONPATH=src:tests python tests/test_golden.py``, which prints the
-current digest of every entry of the four tables, and say in the change
+current digest of every entry of the five tables, and say in the change
 why the bytes moved.
 """
 
@@ -112,6 +114,33 @@ ORACLE_GOLDEN = {
     "gen-subcomplex-1-n12": "3aa860d2d1aedb3cbb87013a6df324c838dccabfcb69354940418d9d137c077e",
 }
 
+# ``mnv gen`` stdout, seeds 0-2 of each of the benchmark's generators
+GEN_ARGS = {
+    "projection-subcomplex": ("--backend", "subcomplex", "--n", "5",
+                              "--grid", "4", "--stars-per-member", "2"),
+    "projection-box": ("--backend", "box", "--n", "5", "--ambient-dim", "1",
+                       "--boxes-per-member", "2"),
+    "oracle-box": ("--backend", "box", "--n", "10", "--ambient-dim", "2",
+                   "--boxes-per-member", "2"),
+    "oracle-subcomplex": ("--backend", "subcomplex", "--n", "12",
+                          "--grid", "7", "--stars-per-member", "3"),
+}
+
+GEN_GOLDEN = {
+    "projection-subcomplex-0": "69aa2541a8019ffc95f3badeeeb1e12a02ab265c369809dfe864422a23478518",
+    "projection-subcomplex-1": "76e744ee5b9499556974d5e3f37c6c76c774b1d4e486ff75e0048e1ce904fd13",
+    "projection-subcomplex-2": "caaf172ed8642c3bf2c79a4fd64e605682e40602f5ea1061ff08ba8b367a3f91",
+    "projection-box-0": "b0fec3a8eca8826f1c188b4381fa977081bc5f052e221ec43325a6362f2e454a",
+    "projection-box-1": "6e2e6097ceabf0f763a20ae4a1a10201a55eb5e506598fc9abb2bfa7c65ef236",
+    "projection-box-2": "91f67a300024f102bf61615a4e905325a4025a223cdc07199c43cc2a5db0dd9d",
+    "oracle-box-0": "34b24edccd5b3256b6aae0decfb69b88e7fb2f7f36d1d13a41f5a6696a4fad26",
+    "oracle-box-1": "c6dab6895bcb97d8e2583b02d7d7a72bd571394a7624f5805241207333d95613",
+    "oracle-box-2": "e2001bc5a5ee126c138495d1ff7786b27299c17d122ad21fb4bf9fd6ed02a2c8",
+    "oracle-subcomplex-0": "6683a14d0b831b09319ea560aa077e7dc147bfa14c9c4816ce5c3ef7d62feb4c",
+    "oracle-subcomplex-1": "765f36de805596cb17ec5155116e2e672acaf7a827bc974ff7617bffee0a7d99",
+    "oracle-subcomplex-2": "b93a086ab8b70f5bf98077c46cafcbe71379e8a8eac42b034e8880e3d6ba20fd",
+}
+
 SPACE_CALLS = [("homology", "{input}"),
                ("leray", "{input}"),
                ("leray", "{input}", "--sample", "25", "--seed", "1"),
@@ -176,6 +205,14 @@ def _digest(path: str, calls: list) -> str:
     return h.hexdigest()
 
 
+def gen_digest(name: str, directory: Path | None = None) -> str:
+    """The sha256 of ``mnv gen`` stdout for ``<generator>-<seed>``."""
+    generator, _, seed = name.rpartition("-")
+    code, out = _run(["gen", *GEN_ARGS[generator], "--seed", seed])
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 def digest(name: str, directory: Path) -> str:
     return _digest(_input_path(name, directory), CALLS)
 
@@ -207,6 +244,11 @@ def test_oracle_size_report_bytes(name, tmp_path):
     assert oracle_digest(name, tmp_path) == ORACLE_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GEN_GOLDEN))
+def test_gen_bytes(name):
+    assert gen_digest(name) == GEN_GOLDEN[name]
+
+
 @pytest.mark.parametrize("name", sorted(SPACE_GOLDEN))
 def test_space_report_bytes(name, tmp_path):
     assert space_digest(name, tmp_path) == SPACE_GOLDEN[name]
@@ -218,7 +260,8 @@ if __name__ == "__main__":
         for title, table, fn in (("GOLDEN", GOLDEN, digest),
                                  ("SLACK_GOLDEN", SLACK_GOLDEN, slack_digest),
                                  ("ORACLE_GOLDEN", ORACLE_GOLDEN, oracle_digest),
-                                 ("SPACE_GOLDEN", SPACE_GOLDEN, space_digest)):
+                                 ("SPACE_GOLDEN", SPACE_GOLDEN, space_digest),
+                                 ("GEN_GOLDEN", GEN_GOLDEN, gen_digest)):
             print(f"{title} = {{")
             for name in table:
                 print(f'    "{name}": "{fn(name, Path(tmp))}",')

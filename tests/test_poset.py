@@ -324,10 +324,22 @@ class TestUpperComplexes:
 
 
 class TestComplexNumbering:
+    @staticmethod
+    def _spy_numbering(monkeypatch) -> list:
+        """The simplex sets that ``SimplicialComplex`` numbers from now on."""
+        numbered, real = [], SimplicialComplex._number
+
+        def spy(self, sims):
+            numbered.append(sims)
+            real(self, sims)
+        monkeypatch.setattr(SimplicialComplex, "_number", spy)
+        return numbered
+
     def test_dim_is_found_once_per_complex(self, monkeypatch):
-        # the family oracle reads dim T per family; it is kept after the
-        # first scan, as the complex does not change
+        # the family oracle reads dim T per family; it is read off the
+        # numbering kept when the complex is built, with no scan
         from multinerve import poset
+        numbered = self._spy_numbering(monkeypatch)
         T = SimplicialComplex([(0, 1, 2), (2, 3)])
         scans = []
 
@@ -336,31 +348,29 @@ class TestComplexNumbering:
             return max(*args, **kwargs)
         monkeypatch.setattr(poset, "max", spy, raising=False)
         assert [T.dim for _ in range(3)] == [2, 2, 2]
-        assert len(scans) == 1
+        assert len(numbered) == 1 and scans == []
         assert SimplicialComplex([]).dim == -1
 
     def test_order_is_computed_once_per_complex(self, monkeypatch):
-        # a subcomplex family's triangulation T is numbered by parse_family,
-        # by write_family (the instance id) and by the family oracle; it is
-        # sorted on first use only
-        from multinerve import instance_id, poset, random_family, region_betti
+        # a subcomplex family's triangulation T is read by parse_family, by
+        # the family oracle and by write_family (the instance id, in each
+        # report); it is numbered once, when parse_family builds it
+        from multinerve import (instance_id, random_family,
+                                verify_multinerve_theorem)
         from multinerve.formats import parse_family, write_family
-        text = write_family(random_family("subcomplex", 3, 0, grid=3))
-        sorted_sets = []
-
-        def spy(items, **kwargs):
-            sorted_sets.append(items)
-            return sorted(items, **kwargs)
-        monkeypatch.setattr(poset, "sorted", spy, raising=False)
+        text = write_family(random_family("subcomplex", 12, 0, grid=7,
+                                          stars_per_member=3))
+        numbered = self._spy_numbering(monkeypatch)
         F = parse_family(text)
         T = F.ambient
+        verify_multinerve_theorem(F, 0)
         instance_id(F)
-        region_betti(F, ())
         T.as_poset()
-        assert sum(s is T.simplices for s in sorted_sets) == 1
+        assert len(numbered) == 1 and numbered[0] >= T.simplices
         order = T.ordered_simplices()
         assert isinstance(order, tuple) and order is T.ordered_simplices()
         assert T.simplex_ids() == {s: i for i, s in enumerate(order)}
+        assert T.ordered_tuples() == tuple(tuple(sorted(s)) for s in order)
 
 
 @st.composite
