@@ -3,9 +3,9 @@
 Two backends realize the oracle:
 
 * ``subcomplex``: members are face-closed sets of simplices of one ambient
-  triangulation T; intersections are set intersections and components come
-  from the 1-skeleton: union-find over the region's vertices, joined along
-  its edges.
+  triangulation T, held as masks of T's simplex ids; intersections are ANDs
+  and components come from the 1-skeleton: union-find over the region's
+  vertex bits, joined along its edge bits.
 * ``box``: members are finite unions of open axis-aligned boxes with
   rational endpoints; intersections are enumerated box overlaps and
   components come from the strict-overlap graph.  Openness is modeled by
@@ -30,18 +30,23 @@ region itself, or the nerve of its distinct boxes up to dimension d (see
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, groupby
+from functools import reduce
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .homology import BettiVector, Boundary, UnionFind, sparse_rank
-from .poset import SimplicialComplex
+from .poset import SimplicialComplex, _bit_ids
 
 
 class FamilyError(ValueError):
-    """Raised on invalid family data or oracle misuse."""
+    """Raised on invalid family data or oracle misuse; ``at`` is the index of
+    the member at fault, when there is one."""
+
+    def __init__(self, message: str, at: int | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,15 @@ class BoxUnionMember:
 
 @dataclass(frozen=True)
 class SubcomplexMember:
-    """Face-closed set of nonempty simplices of the ambient triangulation."""
+    """Face-closed set of nonempty simplices of ``ambient``, a mask of ids."""
 
-    simplices: frozenset
+    mask: int
+    ambient: SimplicialComplex
+
+    @property
+    def simplices(self) -> frozenset:
+        order = self.ambient.ordered_simplices()
+        return frozenset(map(order.__getitem__, _bit_ids(self.mask)))
 
 
 @dataclass(frozen=True)
@@ -120,8 +131,8 @@ class SetFamily:
         self.ambient = ambient
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
-        self._region_cache: dict[tuple, frozenset | tuple] = {}
-        self._region_ids: dict[frozenset | tuple, tuple] = {}
+        self._region_cache: dict[tuple, int | tuple] = {}
+        self._region_ids: dict[int | tuple, tuple] = {}
         self._rid_cache: dict[tuple, int] = {}
         self._betti_cache: dict[int, BettiVector] = {}
         self._groups_cache: dict[int, tuple] = {}
@@ -145,33 +156,33 @@ class SetFamily:
 
 def subcomplex_family(T: SimplicialComplex, members: Sequence[Iterable],
                       gamma_dim: int | None = None) -> SetFamily:
-    """Family of subcomplexes of the triangulation T.
-
-    Members are given as iterables of simplices (any iterable of vertices
-    each).  A member is checked on T's simplex ids: each simplex must have
-    one, and its ids must hold the face ids of each (the empty simplex,
-    id 0, counts as held); the first simplex in T's order that misses a
-    face is reported.  A member keeps T's own simplex objects.  The
-    ambient homology ceiling defaults to dim(T) + 1, the safe bound for a
-    compact triangulated space.
-    """
-    ids, faces = T.numbering()
-    order = T.ordered_simplices()
-    made = []
-    for k, raw in enumerate(members):
-        sims = list(map(frozenset, raw))
-        held = set(map(ids.get, sims))
-        if None in held:
-            s = next(s for s in sims if s not in ids)
+    """Family of subcomplexes of the triangulation T, each member an iterable
+    of simplices (iterables of vertices) of T, closed under faces, as
+    ``_id_family`` checks on their ids."""
+    ids, members = T.simplex_ids(), [list(map(frozenset, m)) for m in members]
+    for k, sims in enumerate(members):
+        if (s := next((s for s in sims if s not in ids), None)) is not None:
             raise FamilyError(f"member {k}: simplex {sorted(s)} not in "
                               "the ambient triangulation")
-        held.add(0)
+    return _id_family(T, ([ids[s] for s in m] for m in members), gamma_dim)
+
+
+def _id_family(T: SimplicialComplex, members: Iterable[Iterable[int]],
+               gamma_dim: int | None = None) -> SetFamily:
+    """Family of subcomplexes of T, members given by T's simplex ids.  A
+    member must hold the face ids of its simplices (the empty simplex's, 0,
+    counts as held), or the first simplex in T's order missing one is
+    reported, with the member's index as ``at``.  gamma_dim defaults to
+    dim(T) + 1, the safe bound for a compact triangulated space."""
+    faces, tuples = T.numbering()[1], T.ordered_tuples()
+    made = []
+    for k, ids in enumerate(members):
+        held = {0, *ids}
         if not all(map(held.issuperset, map(faces.__getitem__, held))):
             i = min(i for i in held if not held.issuperset(faces[i]))
             raise FamilyError(f"member {k}: not face-closed at "
-                              f"{sorted(order[i])}")
-        held.remove(0)
-        made.append(SubcomplexMember(frozenset(map(order.__getitem__, held))))
+                              f"{list(tuples[i])}", k)
+        made.append(SubcomplexMember(sum(map((1).__lshift__, held)) - 1, T))
     assumed = gamma_dim is not None
     if gamma_dim is None:
         gamma_dim = T.dim + 1
@@ -200,17 +211,15 @@ def box_family(dim: int, members: Sequence[Sequence[Box]],
 
 class _AmbientIndex:
     """What Betti vectors of subcomplex regions read, and nothing else does:
-    T's kept simplex ids (``numbering``), their checked ``Boundary``, and
+    the checked ``Boundary`` of T's simplices, a row per id, and
     ``top_free``: whether T's top rows (of dimension >= 2) are independent,
     found by one ``sparse_rank``."""
 
-    __slots__ = ("ids", "boundary", "top_free")
+    __slots__ = ("boundary", "top_free")
 
     def __init__(self, T: SimplicialComplex):
-        self.ids, faces = T.numbering()
-        self.boundary = Boundary.of_faces(faces)
-        rows = [row for row in self.boundary.rows.values()
-                if len(row) == T.dim + 1]
+        self.boundary = Boundary.of_faces(T.numbering()[1])
+        rows = [self.boundary.rows[i] for i in _bit_ids(T.dim_mask(T.dim))]
         self.top_free = T.dim >= 2 and sparse_rank(rows) == len(rows)
 
 
@@ -222,24 +231,25 @@ def _ambient(F: SetFamily) -> _AmbientIndex:
     return F._ambient_index
 
 
-def _region(F: SetFamily, A: tuple[int, ...]) -> frozenset | tuple[Box, ...]:
+def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple[Box, ...]:
     """The region over the sorted index set A (the union when A is empty).
 
-    A set of simplices, or the open boxes met from one box per member of A,
-    in the lexicographic order of those choices.  Built from the cached
-    region of the prefix A[:-1], so nothing is met above an empty prefix.
+    A mask of T's simplex ids (the members' AND, the union their OR), or
+    the open boxes met from one box per member of A, in the lexicographic
+    order of those choices; falsy when empty.  Built from the cached region
+    of the prefix A[:-1], so nothing is met above an empty prefix.
     """
     if A in F._region_cache:
         return F._region_cache[A]
     sub = F.backend == "subcomplex"
     if len(A) > 1:
         prev, last = _region(F, A[:-1]), F.members[A[-1]]
-        out = (prev & last.simplices if sub
+        out = (prev & last.mask if sub
                else tuple(met for cur in prev for b in last.boxes
                           if (met := cur.meet(b)) is not None))
     else:
         ms = [F.members[a] for a in A] or F.members
-        out = (frozenset().union(*(m.simplices for m in ms)) if sub
+        out = (reduce(int.__or__, (m.mask for m in ms), 0) if sub
                else tuple(b for m in ms for b in m.boxes))
     F._region_cache[A] = out
     return out
@@ -290,16 +300,15 @@ def _sorted_labels(groups, canon_of, rep_of) -> tuple:
 
 
 def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """Union-find over the region's vertex labels, joined along its edges: a
-    simplex lies in the component of any of its vertices, so the smallest
-    vertex of a group is its smallest simplex.  The owner is keyed by the
-    rep, a vertex 1-tuple.  The groups also give the region's rank d_1
-    (see ``_region_ranks``)."""
-    region = _region(F, A)
-    uf = UnionFind(v for s in region if len(s) == 1 for v in s)
-    for edge in region:
-        if len(edge) == 2:
-            uf.union(*edge)
+    """Union-find over the labels of the region's vertex bits, joined along
+    its edge bits: a simplex lies in the component of any of its vertices,
+    so the smallest vertex of a group is its smallest simplex.  The owner is
+    keyed by the rep, a vertex 1-tuple.  The groups also give the region's
+    rank d_1 (see ``_region_ranks``)."""
+    region, T, tuples = _region(F, A), F.ambient, F.ambient.ordered_tuples()
+    uf = UnionFind(tuples[i][0] for i in _bit_ids(region & T.dim_mask(0)))
+    for i in _bit_ids(region & T.dim_mask(1)):
+        uf.union(*tuples[i])
     labels, owner = _sorted_labels(uf.groups().values(),
                                    lambda g: (1, (min(g),)),
                                    lambda canon: canon[1])
@@ -344,24 +353,28 @@ def _nerve_walk(F: SetFamily):
 
 def _walk_source(F: SetFamily):
     """The walk ``_nerve_walk`` reads; its list is kept on F only when it
-    runs to the end, so an error or a scan that stops early keeps none."""
-    walk, layer = [], [(j,) for j in range(len(F))]
+    runs to the end, so an error or a scan that stops early keeps none.
+    A level is (P, mask) pairs, each set P + (j,) for j in the mask, and
+    ``ext[P]`` masks the j for which P + (j,) intersects; A = P + (a,) gets
+    each j > a in ext[P] and in each ext[(P - p) + (a,)], p in P, as then
+    A + (j,) less j, a or p intersects.  Each level is lexicographic."""
+    walk, layer = [], [((), (1 << len(F)) - 1)]
     while layer:
-        alive = []
-        for cand in layer:
-            item = cand, bool(_region(F, cand))
-            walk.append(item)
-            yield item
-            if item[1]:
-                alive.append(cand)
-        # A < B sharing the prefix A[:-1] give A + B[-1:]: less its last
-        # index it is A, less the one before it is B, and its other subsets
-        # one smaller are looked up
-        have = set(alive)
-        layer = [A + B[-1:] for _, group in groupby(alive, lambda A: A[:-1])
-                 for A, B in combinations(group, 2)
-                 if all(A[:k] + A[k + 1:] + B[-1:] in have
-                        for k in range(len(A) - 1))]
+        ext: dict[tuple[int, ...], int] = {}
+        for P, cand in layer:
+            for j in _bit_ids(cand):
+                item = P + (j,), bool(_region(F, P + (j,)))
+                walk.append(item)
+                yield item
+                if item[1]:
+                    ext[P] = ext.get(P, 0) | 1 << j
+        layer = []
+        for P, alive in ext.items():
+            for a in _bit_ids(alive):
+                cand = alive & -(2 << a)
+                for k in range(len(P)):
+                    cand &= ext.get(P[:k] + P[k + 1:] + (a,), 0)
+                layer.append((P + (a,), cand))
     F._walk = walk
 
 
@@ -377,9 +390,10 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     A = F.check_index_set(A)
     if F.backend == "subcomplex":
         s = frozenset(rep)
-        if s not in _region(F, A):
+        i = F.ambient.simplex_ids().get(s, 0)
+        if not _region(F, A) >> i & 1:
             raise FamilyError(f"representative {sorted(s)} lies outside the region")
-        rep = tuple(s)[:1]  # a simplex lies in the component of its vertices
+        rep = F.ambient.ordered_tuples()[i][:1]  # in its vertices' component
     elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
     elif not any(rep.within(b) for b in _region(F, A)):
@@ -431,18 +445,18 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
     it), so the region is closed downward in T and its rows are T's whole
     (see ``Boundary``); and the rank of d_n, n = dim T, is the n-cell count
     when T's top rows are independent (``top_free``), as a region's are
-    some of them.
+    some of them.  T's n-simplex ids are one run, so a region's n-cells
+    are the popcount of those bits, and its rows are read by bit position.
     """
     region, top = _region(F, A), None
     if F.backend == "subcomplex":
-        T = _ambient(F)
-        sizes = {n - 1: c for n, c in Counter(map(len, region)).items()}
-        sizes[-1] = 1
-        top = F.ambient.dim if T.top_free else None
+        T, index = F.ambient, _ambient(F)
+        sizes = {n: c for n in range(-1, T.dim + 1)  # bit 0: the empty one
+                 if (c := ((region | 1) & T.dim_mask(n)).bit_count())}
+        top = T.dim if index.top_free else None
 
         def rows(n: int) -> list:
-            return [T.boundary.rows[T.ids[s]] for s in region
-                    if len(s) == n + 1]
+            return [index.boundary.rows[i] for i in _bit_ids(region & T.dim_mask(n))]
     else:
         # the intersecting sets of one box each are the nerve's simplices
         d, ids, faces = F.ambient, {(): 0}, [()]

@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .families import (Box, SetFamily, box_family, subcomplex_family)
+from .families import Box, FamilyError, SetFamily, _id_family, box_family
 from .homology import BettiVector
 from .poset import (CellRecord, PosetError, SimplicialComplex,
-                    SimplicialPoset, build_poset)
+                    SimplicialPoset, _bit_ids, build_poset)
 
 FORMAT_VERSIONS = ("poset.v1", "complex.v1", "family.v1", "betti.v1",
                    "leray.v1", "report.v1")
@@ -114,7 +114,8 @@ def parse_complex(text: str, path: str = "<string>") -> SimplicialComplex:
 def _complex_lines(lines, path: str) -> SimplicialComplex:
     """The complex whose simplices are the numbered lines (after the
     header): a vertex repeated within a line, or a simplex repeated on a
-    second line, is refused, citing the line (and the first one)."""
+    second line, or a simplex missing a face, is refused, citing the line
+    (and the first one)."""
     first: dict[frozenset, int] = {}
     for lineno, line in lines:
         try:
@@ -131,7 +132,7 @@ def _complex_lines(lines, path: str) -> SimplicialComplex:
     try:
         return SimplicialComplex(first, closed=True)
     except PosetError as e:
-        raise ParseError(path, 0, str(e))
+        raise ParseError(path, first[e.at], str(e))
 
 
 # -- family.v1 --------------------------------------------------------------
@@ -160,12 +161,10 @@ def write_family(F: SetFamily) -> str:
         out = [f"family v1 subcomplex {F.ambient.dim}"]
         if F.gamma_dim_assumed:
             out.append(f"gamma-dim {F.gamma_dim}")
-        ids = F.ambient.simplex_ids()
         out.append(write_complex(F.ambient).rstrip("\n"))
         out.append("end complex")
         for m in F.members:
-            sids = sorted(map(ids.__getitem__, m.simplices))
-            out.append(" ".join(["member", *(str(i - 1) for i in sids)]))
+            out.append("member" + "".join(f" {i - 1}" for i in _bit_ids(m.mask)))
         return "\n".join(out) + "\n"
     out = [f"family v1 box {F.ambient}"]
     if F.gamma_dim_assumed:
@@ -257,9 +256,8 @@ def parse_family(text: str, path: str = "<string>",
                          f"triangulation dimension {T.dim} != declared {ambient}")
     pos += 1
     # member ids count T's nonempty simplices in canonical order
-    order = T.ordered_simplices()
-    n_ids = len(order) - 1
-    member_lists = []
+    n_ids = len(T.ordered_simplices()) - 1
+    members = []
     for lineno, line in lines[pos:]:
         toks = line.split()
         if toks[0] != "member":
@@ -271,11 +269,11 @@ def parse_family(text: str, path: str = "<string>",
         for sid in sids:
             if not 0 <= sid < n_ids:
                 raise ParseError(path, lineno, f"unknown simplex id {sid}")
-        member_lists.append([order[sid + 1] for sid in sids])
+        members.append((lineno, [sid + 1 for sid in sids]))
     try:
-        return subcomplex_family(T, member_lists, gamma_dim)
-    except ValueError as e:
-        raise ParseError(path, 0, str(e))
+        return _id_family(T, (ids for _, ids in members), gamma_dim)
+    except FamilyError as e:
+        raise ParseError(path, members[e.at][0], str(e))
 
 
 # -- betti.v1 ---------------------------------------------------------------

@@ -106,7 +106,7 @@ from itertools import chain, combinations
 from operator import or_
 
 from .homology import Boundary, Space, top_nonzero_betti
-from .poset import SimplicialComplex, SimplicialPoset, _bits
+from .poset import SimplicialComplex, SimplicialPoset, _bit_ids, _bits
 
 
 class CapExceeded(RuntimeError):
@@ -250,7 +250,7 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
     witness = None
     if hit is not None:
         # the last hit's vertices, sorted as the vertex order is
-        S = tuple(V[b.bit_length() - 1] for b in _bits(hit[0]))
+        S = tuple(map(V.__getitem__, _bit_ids(hit[0])))
         witness = _witness(X, S, hit[1], sigma)
     return LerayReport(best, mode, witness)
 

@@ -9,6 +9,7 @@ from a simplicial complex, so faces are kept as explicit id sequences.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
@@ -17,7 +18,12 @@ CellId = int
 
 
 class PosetError(ValueError):
-    """Raised when cell data violates a simplicial-poset invariant."""
+    """Raised when cell data violates a simplicial-poset invariant; ``at`` is
+    the simplex at fault, when there is one."""
+
+    def __init__(self, message: str, at=None):
+        super().__init__(message)
+        self.at = at
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,14 @@ def _bits(m: int):
     while m:
         b = m & -m
         yield b
+        m ^= b
+
+
+def _bit_ids(m: int):
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
         m ^= b
 
 
@@ -92,8 +106,7 @@ class SimplicialPoset:
     def vertices_of(self, c: CellId) -> frozenset:
         self._check_cell(c)
         order = self.vertex_order
-        return frozenset(order[b.bit_length() - 1]
-                         for b in _bits(self._verts[c]))
+        return frozenset(map(order.__getitem__, _bit_ids(self._verts[c])))
 
     @property
     def vertex_order(self) -> tuple[CellId, ...]:
@@ -273,7 +286,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("simplices", "vertices", "_order", "_tuples", "_ids",
-                 "_faces", "_stars")
+                 "_faces", "_stars", "_masks")
 
     def __init__(self, simplices: Iterable[Iterable] = (), *, closed: bool = False):
         sims = {frozenset(s) for s in simplices}
@@ -294,14 +307,16 @@ class SimplicialComplex:
         keyed = sorted((len(s), tuple(sorted(s)), s) for s in sims)
         tid: dict[tuple, int] = {}
         faces = []
-        for i, (_, t, _) in enumerate(keyed):
+        for i, (_, t, s) in enumerate(keyed):
             try:
                 faces.append(tuple([tid[t[:k] + t[k + 1:]]
                                     for k in range(len(t))]))
             except KeyError:
                 raise PosetError(f"complex not closed downward: missing face "
-                                 f"of {list(t)!r}") from None
+                                 f"of {list(t)!r}", s) from None
             tid[t] = i
+        runs = [bisect_left(keyed, (k,)) for k in range(len(t) + 2)]
+        self._masks = tuple((1 << b) - (1 << a) for a, b in zip(runs, runs[1:]))
         self._tuples = tuple(tid)
         self._order = tuple(s for _, _, s in keyed)
         self._ids = {s: i for i, s in enumerate(self._order)}
@@ -344,6 +359,10 @@ class SimplicialComplex:
         """``simplex_ids`` and the face ids of each simplex, face i dropping
         the i-th smallest vertex: the cells of ``as_poset()``."""
         return self._ids, self._faces
+
+    def dim_mask(self, n: int) -> int:
+        """The ids of the n-simplices, as a mask: bit i for id i."""
+        return self._masks[n + 1] if 0 <= n + 1 < len(self._masks) else 0
 
     def vertex_star(self, v) -> list[tuple[int, int]]:
         """For each simplex holding the vertex v, its id and the id of its

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import (SetFamily, _nerve_walk, box, box_family, components,
-                       is_acyclic_with_slack, max_components, region_betti,
-                       region_is_empty, subcomplex_family)
+from .families import (SetFamily, _id_family, _nerve_walk, box, box_family,
+                       components, is_acyclic_with_slack, max_components,
+                       region_betti, region_is_empty)
 from .homology import BettiVector, reduced_betti
 from .leray import CapExceeded, leray_number
 from .nerve import canonical_projection, multinerve, nerve, reduced_multinerve
@@ -269,12 +269,11 @@ def grid_triangulation(g: int) -> SimplicialComplex:
     return SimplicialComplex(cells, closed=True)
 
 
-def closed_star(T: SimplicialComplex, vertex: int) -> set[frozenset]:
-    """All simplices holding the vertex, plus their faces.  A face that
-    does not hold the vertex is the face dropping it of its union with the
-    vertex, which holds it, so the star and those faces are all of it."""
-    order = T.ordered_simplices()
-    return {order[i] for pair in T.vertex_star(vertex) for i in pair if i}
+def closed_star(T: SimplicialComplex, vertex: int) -> set[int]:
+    """Ids of the simplices holding the vertex and of their faces.  A face
+    that does not hold the vertex is the face dropping it of its union with
+    the vertex, which holds it, so the star and those faces are all of it."""
+    return {i for pair in T.vertex_star(vertex) for i in pair if i}
 
 
 def ring_member(g: int, i: int, j: int) -> set[frozenset]:
@@ -326,11 +325,11 @@ def random_family(backend: str, n: int, seed: int, *,
             if k == ring_at:
                 i = rng.randrange(grid)
                 j = rng.randrange(grid)
-                members.append(ring_member(grid, i, j))
+                members.append(map(T.simplex_ids().__getitem__, ring_member(grid, i, j)))
                 continue
-            sims: set[frozenset] = set()
+            held: set[int] = set()
             for _ in range(stars_per_member):
-                sims |= closed_star(T, rng.choice(T.vertices))
-            members.append(sims)
-        return subcomplex_family(T, members, gamma_dim)
+                held |= closed_star(T, rng.choice(T.vertices))
+            members.append(held)
+        return _id_family(T, members, gamma_dim)
     raise ValueError(f"unknown backend {backend!r}")

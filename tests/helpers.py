@@ -10,12 +10,14 @@ for cycle spaces at all.
 from __future__ import annotations
 
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from multinerve import (SimplicialComplex, SimplicialPoset, box, box_family,
                         build_poset, euler_characteristic, order_complex,
                         random_family, reduced_betti, subcomplex_family)
+from multinerve.formats import write_family
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +594,29 @@ def _meet(a: tuple, b: tuple):
     return out if all(lo < hi for lo, hi in out) else None
 
 
+_MEMBERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def family_members(F) -> list[set]:
+    """A subcomplex family's members as sets of simplices, read from its
+    family.v1 text (the I/O the golden digests pin), not from the members'
+    masks: member id i names the (i + 1)-th simplex of T, sorted here by
+    size and then sorted vertex list (the empty simplex first)."""
+    if F not in _MEMBERS:
+        order = sorted(F.ambient.simplices, key=lambda s: (len(s), sorted(s)))
+        _MEMBERS[F] = [{order[int(i) + 1] for i in line.split()[1:]}
+                       for line in write_family(F).splitlines()
+                       if line.split()[0] == "member"]
+    return _MEMBERS[F]
+
+
 def family_region(F, A) -> list:
     """Region over the index set A (the union when A is empty): simplices,
     or the nonempty meets of every choice of one box per member of A."""
     if F.backend == "subcomplex":
-        if not A:
-            return sorted({s for m in F.members for s in m.simplices},
-                          key=lambda s: (len(s), sorted(s)))
-        common = set.intersection(*(set(F.members[a].simplices) for a in A))
+        members = family_members(F)
+        common = (set().union(*members) if not A
+                  else set.intersection(*(members[a] for a in A)))
         return sorted(common, key=lambda s: (len(s), sorted(s)))
     if not A:
         return [b.intervals for m in F.members for b in m.boxes]
@@ -713,6 +730,19 @@ def family_reduced_multinerve(F, t: int | None) -> dict[tuple, tuple]:
     return cells
 
 
+def family_walk(F) -> list[tuple[tuple, bool]]:
+    """Every nonempty index set whose proper subsets all intersect (the
+    empty one does), in (size, lex) order, each with whether it
+    intersects: all subsets are tried, one smaller ones looked up."""
+    hits, walk = {()}, []
+    for G in _subsets(len(F)):
+        if all(G[:i] + G[i + 1:] in hits for i in range(len(G))):
+            walk.append((G, bool(family_region(F, G))))
+            if walk[-1][1]:
+                hits.add(G)
+    return walk
+
+
 def family_helly(F) -> tuple[int, tuple]:
     """(h, witness): the largest empty subfamily whose facets all intersect
     (the empty subfamily always does), lex-first; (0, ()) when there is
@@ -774,7 +804,7 @@ def small_family(seed: int, backend: str):
         F = random_family("subcomplex", n, seed, grid=3,
                           stars_per_member=rng.choice((0, 1, 2, 2, 2, 2, 2, 2)),
                           with_ring=rng.random() < 0.3)
-        members = [list(m.simplices) for m in F.members]
+        members = [list(m) for m in family_members(F)]
     if rng.random() < 0.3:
         members[rng.randrange(n)] = []
     if backend == "box":

@@ -175,6 +175,28 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"mnv: {path}{cited}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,text,cited", [
+        ("nerve", "family v1 subcomplex 1\ncomplex v1\n0\n1\n0 1\n"
+                  "end complex\nmember 2\n",
+         ":7: member 0: not face-closed at [0, 1]"),
+        ("nerve", "family v1 subcomplex 1\ncomplex v1\n0\n1\n0 1\n"
+                  "end complex\nmember 0 1 2\n\nmember 1 2\n",
+         ":9: member 1: not face-closed at [0, 1]"),
+        ("nerve", "family v1 subcomplex 1\ncomplex v1\n0\n0 1\n"
+                  "end complex\nmember 0\n",
+         ":4: complex not closed downward: missing face of [0, 1]"),
+        ("homology", "complex v1\n0 1\n",
+         ":2: complex not closed downward: missing face of [0, 1]"),
+    ])
+    def test_closure_error_cites_its_line(self, command, text, cited,
+                                          tmp_path):
+        # a member or a simplex that misses a face is cited at its own line
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = mnv_in_process(command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"mnv: {path}{cited}\n"
+
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
         lines = ["poset v1", "0 -1"] + [f"{i} 0 0" for i in range(1, 13)]
@@ -480,17 +502,22 @@ class TestBenchTracer:
 @pytest.mark.parametrize("workload", sorted(
     p.stem for p in (BENCH / "reference").glob("*.json")))
 def test_bench_reference_outputs(workload, tmp_path, monkeypatch):
-    # the first two instances of each benchmark pool, replayed as the
-    # benchmark runs them: a change to the recorded exit codes or stdout,
-    # which the benchmark counts as failed calls, fails here first
+    # the first four box and four subcomplex instances of each family pool,
+    # and the first two spaces, replayed as the benchmark runs them: a
+    # change to the recorded exit codes or stdout, which the benchmark
+    # counts as failed calls, fails here first
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import (WORKLOADS, RefClock, command_key, digest,
                            input_text, item_commands, load_pool, run_call)
 
     from multinerve.families import region_is_empty
     from multinerve.formats import parse_family
-    wl, clock = WORKLOADS[workload], RefClock()
-    for item in load_pool(workload)["items"][:2]:
+    wl, clock, items = WORKLOADS[workload], RefClock(), []
+    pool = load_pool(workload)["items"]
+    for kind in ("box-", "subcomplex-"):
+        items += [item for item in pool if item["id"].startswith(kind)][:4]
+    assert len(items) in (0, 8)
+    for item in items or pool[:2]:
         text = input_text(item, main, clock)
         assert digest(text) == item["input_digest"], item["id"]
         space = "space_seed" in item["input"]

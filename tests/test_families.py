@@ -9,8 +9,8 @@ from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
                      family_component_maxima, family_components,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
-                     family_slack_violation, grid_triangulation_oracle,
-                     small_family)
+                     family_members, family_slack_violation, family_walk,
+                     grid_triangulation_oracle, small_family)
 
 import multinerve.families
 import multinerve.verify
@@ -25,7 +25,8 @@ from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  two_arc_circle_family)
 from multinerve.nerve import multinerve as build_multinerve
 from multinerve.verify import (PreconditionError, closed_star, helly_number,
-                               verify_helly_bound, verify_multinerve_theorem,
+                               ring_member, verify_helly_bound,
+                               verify_multinerve_theorem,
                                verify_projection_bound)
 
 
@@ -245,6 +246,11 @@ class TestRegionBetti:
                         (intervals, A)
 
 
+def star(T, v) -> set[frozenset]:
+    """The simplices of the closed star of v, decoded from its ids."""
+    return {T.ordered_simplices()[i] for i in closed_star(T, v)}
+
+
 def _holed_members(T, rng, n):
     """T itself, then n unions of closed stars, each less some of its top
     simplices (still face-closed, as those are maximal): spheres, balls,
@@ -253,7 +259,7 @@ def _holed_members(T, rng, n):
     for _ in range(n):
         sims = set()
         for v in rng.sample(T.vertices, rng.randrange(1, 4)):
-            sims |= closed_star(T, v)
+            sims |= star(T, v)
         tops = sorted((s for s in sims if len(s) == T.dim + 1), key=sorted)
         sims -= set(rng.sample(tops, rng.randrange(len(tops) + 1)))
         members.append(sims)
@@ -443,13 +449,13 @@ class TestRandomFamily:
         assert random_family("box", 2, 0, ambient_dim=2).gamma_dim == 2
 
     def test_closed_star_against_full_scan(self):
-        # the grid is listed closed, and each closed star is read from the
-        # vertex table: the star and the faces that drop the vertex
+        # the grid is listed closed, and each closed star's ids are read
+        # from the vertex table: the star and the faces that drop the vertex
         for g in range(1, 8):
             T = grid_triangulation(g)
             assert T == grid_triangulation_oracle(g)
             for v in T.vertices:
-                assert closed_star(T, v) == closed_star_oracle(T, v), (g, v)
+                assert star(T, v) == closed_star_oracle(T, v), (g, v)
             assert closed_star(T, -1) == set()
 
     def test_first_member_face_missing_in_T_order(self):
@@ -524,7 +530,7 @@ class TestAgainstOracle:
             rng = random.Random(seed)
             F = subcomplex_family(T, [
                 [tuple(s) for v in rng.sample(ring, rng.randrange(1, 4))
-                 for s in closed_star(rng.choice(spaces), v)]
+                 for s in star(rng.choice(spaces), v)]
                 + [("z",)] * rng.randrange(2) for _ in range(4)])
             for size in range(len(F) + 1):
                 for A in itertools.combinations(range(len(F)), size):
@@ -592,7 +598,7 @@ def repeating_family(backend: str, seed: int):
     rng = random.Random(seed)
     if backend == "subcomplex":
         T = grid_triangulation(3)
-        a, b, c = (closed_star(T, v) for v in rng.sample(T.vertices, 3))
+        a, b, c = (star(T, v) for v in rng.sample(T.vertices, 3))
         members = [a | b, a | b, a, b | c, T.simplices]
         return subcomplex_family(T, [[tuple(s) for s in m] for m in members])
     F = random_family("box", 2, seed, ambient_dim=2, boxes_per_member=2)
@@ -759,3 +765,71 @@ class TestRegionMemo:
         with pytest.raises(MemoryError):
             nerve(F)
         assert nerve(F).simplices == family_nerve(F) | {frozenset()}
+
+
+def _walk_family(backend: str, n: int, seed: int):
+    """n random members, then a few of them emptied and a few repeated."""
+    rng = random.Random(seed)
+    if backend == "box":
+        F = random_family("box", n, seed, ambient_dim=1, boxes_per_member=1)
+        members = [list(m.boxes) for m in F.members]
+    else:
+        F = random_family("subcomplex", n, seed, grid=3, stars_per_member=1)
+        members = [[tuple(s) for s in m] for m in family_members(F)]
+    for _ in range(rng.randrange(3)):
+        members[rng.randrange(n)] = []
+    for _ in range(rng.randrange(3)):
+        members[rng.randrange(n)] = members[rng.randrange(n)]
+    if backend == "box":
+        return box_family(1, members)
+    return subcomplex_family(F.ambient, members)
+
+
+class TestMaskRegions:
+    """Subcomplex members and regions are masks of T's simplex ids, and the
+    walk extends index sets by masks of member indices."""
+
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_walk_against_brute_force(self, backend):
+        # the exact sequence, flags included, of every set whose proper
+        # subsets all intersect, on 1 to 16 members
+        for n in range(1, 17):
+            F = _walk_family(backend, n, n)
+            want = family_walk(F)
+            assert list(multinerve.families._nerve_walk(F)) == want, n
+            # the second read is the walk kept on F
+            assert list(multinerve.families._nerve_walk(F)) == want, n
+
+    def test_walk_covers_empty_and_repeated_members(self):
+        for backend in ("box", "subcomplex"):
+            shapes = [_walk_family(backend, n, n) for n in range(1, 17)]
+            assert any(not family_region(F, (i,)) for F in shapes
+                       for i in F.indices)
+            assert any(len(set(map(repr, F.members))) < len(F)
+                       for F in shapes)
+            assert max(len(G) for F in shapes
+                       for G, hit in family_walk(F) if hit) >= 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_parity_on_union_rings_and_empty_members(self, seed):
+        # the members are built here as simplex sets, and the oracle reads
+        # them back from the family.v1 text, not from the masks
+        rng = random.Random(seed)
+        T = grid_triangulation(3)
+        built = [ring_member(3, rng.randrange(3), rng.randrange(3)), set(),
+                 star(T, rng.choice(T.vertices)) | star(T, rng.choice(T.vertices)),
+                 ring_member(3, rng.randrange(3), rng.randrange(3)), set()]
+        if seed % 2:
+            built[-1] = set(T.simplices) - {frozenset()}
+        rng.shuffle(built)
+        F = subcomplex_family(T, [[tuple(s) for s in m] for m in built])
+        assert family_members(F) == built
+        assert [m.simplices for m in F.members] == built
+        for size in range(len(F) + 1):
+            for A in itertools.combinations(range(len(F)), size):
+                assert dict(region_betti(F, A).items()) == \
+                    family_region_betti(F, A), A
+                assert [(c.canon, c.rep) for c in components(F, A)] == \
+                    family_components(F, A), A
+        # the union has holes, the rings', unless T itself is a member
+        assert bool(region_betti(F, ()).items()) is not bool(seed % 2)

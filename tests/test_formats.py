@@ -66,17 +66,17 @@ class TestComplexRoundTrip:
         with pytest.raises(ParseError, match="closed downward"):
             parse_complex("complex v1\n0 1\n")
 
-    @pytest.mark.parametrize("text,named", [
-        ("complex v1\n3 4\n0 1 2\n0\n", "[3, 4]"),
-        ("complex v1\n0 1 2\n1\n2 3\n0\n", "[2, 3]"),
-        ("complex v1\n0 1 2\n0 1\n0\n1\n", "[0, 1, 2]")])
-    def test_first_missing_face_in_canonical_order(self, text, named):
+    @pytest.mark.parametrize("text,line,named", [
+        ("complex v1\n3 4\n0 1 2\n0\n", 2, "[3, 4]"),
+        ("complex v1\n0 1 2\n1\n2 3\n0\n", 4, "[2, 3]"),
+        ("complex v1\n0 1 2\n0 1\n0\n1\n", 2, "[0, 1, 2]")])
+    def test_first_missing_face_in_canonical_order(self, text, line, named):
         # several simplices miss faces: the first in canonical order (by
-        # dimension, then sorted vertex list) is named
+        # dimension, then sorted vertex list) is named, at its own line
         with pytest.raises(ParseError) as exc:
             parse_complex(text)
-        assert str(exc.value) == ("<string>:0: complex not closed downward: "
-                                  f"missing face of {named}")
+        assert str(exc.value) == (f"<string>:{line}: complex not closed "
+                                  f"downward: missing face of {named}")
 
     @pytest.mark.parametrize("text,message", [
         ("complex v1\n0\n1\n\n1 0\n0 1\n", "f:6: simplex '0 1' repeats line 5"),
