@@ -56,11 +56,11 @@ def write_poset(X: SimplicialPoset, labels: Sequence[str] | None = None) -> str:
 def parse_poset(text: str, path: str = "<string>") -> SimplicialPoset:
     it = _lines(text)
     try:
-        lineno, header = next(it)
+        first, header = next(it)
     except StopIteration:
         raise ParseError(path, 1, "empty file, expected 'poset v1' header")
     if header != "poset v1":
-        raise ParseError(path, lineno, f"expected 'poset v1' header, got {header!r}")
+        raise ParseError(path, first, f"expected 'poset v1' header, got {header!r}")
     records: list[CellRecord] = []
     seen: dict[int, int] = {}
     for lineno, line in it:
@@ -83,7 +83,8 @@ def parse_poset(text: str, path: str = "<string>") -> SimplicialPoset:
     try:
         return build_poset(records)
     except PosetError as e:
-        raise ParseError(path, 0, str(e))
+        # a cell's error cites the cell's line, any other the header's
+        raise ParseError(path, seen.get(e.at, first), str(e))
 
 
 # -- complex.v1 -------------------------------------------------------------

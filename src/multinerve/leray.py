@@ -71,7 +71,15 @@ by y is missing or not unique.  x is dominated in S when x and y are in S
 and no bad mask lies inside S; then X[S] is not asked.  X[S - x] has the
 same homology, and the walk visits it earlier, at a floor no higher; the
 floor then rose past every dimension it has alive, so X[S] would answer
-None.  Values and witnesses are those of the walk without pruning.
+None.  Values and witnesses are those of the walk without pruning.  Only
+y that cover x's vertex cell once are tried: that cell lies in X[S]
+whenever x does, and it is the first cell holding x, as every such cell
+lies above it and faces have smaller ids.  A pair with no bad cell
+dominates x in every S holding x and y.  Those unconditional pairs are
+the edges of a graph, and a subset holding an edge is never asked, so
+the exact walk makes only the independent sets of that graph: the other
+subsets are dropped unmade, the order of those kept is unchanged, and
+only the conditional pairs are tested.
 
 ``_enumerate`` prepares X once per call: unique covers and X's boundary,
 read from P's validated tuples with no per-call id check (every id comes
@@ -80,15 +88,19 @@ is a dimension j >= floor at which a reduced Betti number is nonzero; an
 index's value is one more than its largest hit.  One loop serves L and J:
 it ranks X[S] at the floor for each vertex set S it is given, raises the
 floor past each hit, and stops once the floor reaches dim + 1, which no
-hit can pass.  J's witness is L's, with sigma the least cell.  The vertex
-sets come from one of two sources:
+hit can pass.  X[S] can hit only with a cell of dimension >= floor, and
+it has one exactly when it has a cell of dimension floor, a face of any
+higher one; so S is first tested against the distinct vertex masks of
+X's cells of that dimension, and X[S]'s cells are listed only for the S
+that pass it and the domination test.  J's witness is L's, with sigma
+the least cell.  The vertex sets come from one of two sources:
 
-* exact, which also yields the witness: the subsets of the sorted
-  vertices, as masks, smallest first, less the dominated ones.  Nothing is
-  alive at or above the final value, so the first hit in dimension
-  value - 1 meets a floor at most value - 1 and raises the index to its
-  value, and no later hit raises it again: the hit that last raised it is
-  its witness;
+* exact, which also yields the witness: the independent sets above, as
+  masks of the sorted vertices, smallest first, then lexicographic, made
+  lazily in constant memory.  Nothing is alive at or above the final
+  value, so the first hit in dimension value - 1 meets a floor at most
+  value - 1 and raises the index to its value, and no later hit raises it
+  again: the hit that last raised it is its witness;
 * sampled, instead: ``sample`` random subsets, which give a labeled lower
   bound.  It does not prune: it need never draw the smaller subset, so
   pruning would lower its bound and move its witness.
@@ -101,9 +113,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations
-from operator import or_
 
 from .homology import Boundary, Space, top_nonzero_betti
 from .poset import SimplicialComplex, SimplicialPoset, _bit_ids, _bits
@@ -112,16 +121,14 @@ from .poset import SimplicialComplex, SimplicialPoset, _bit_ids, _bits
 class CapExceeded(RuntimeError):
     """Exact enumeration refused because the vertex cap was exceeded."""
 
-    def __init__(self, n: int, cap: int, what: str = "vertex count",
-                 at_most: bool = False):
+    def __init__(self, n: int, cap: int, what: str = "vertex count"):
         self.n = n
         self.cap = cap
-        # the exact pass visits every subset (``at_most``: a walk that may
-        # stop early visits no more); past 2^64 the count is given as a
-        # power, not as a number with thousands of digits
+        # an exact walk skips subsets and may stop early, so it visits at
+        # most every subset; past 2^64 the count is given as a power, not
+        # as a number with thousands of digits
         subsets = 2 ** n if n <= 64 else f"2^{n}"
-        bound = "at most " if at_most else ""
-        super().__init__(f"{what} {n} exceeds cap {cap} ({bound}{subsets} subsets)")
+        super().__init__(f"{what} {n} exceeds cap {cap} (at most {subsets} subsets)")
 
 
 @dataclass(frozen=True)
@@ -177,24 +184,59 @@ def _vertex_masks(P: SimplicialPoset) -> tuple[tuple, list]:
     return masks, [a & ~b for a, b in zip(once, twice)]
 
 
-def _pairs(masks: list, unique: list) -> list:
-    """The lemma's pairs at the least cell, as (the bits of x and y, x's
-    bit, the minimal vertex masks of the bad cells): the cells with x and
-    without y whose cover by y is missing or not unique.  A pair is left
-    out when the vertex x is bad, as X[S] holds it whenever x is in S."""
-    pairs = []
-    for x in _bits(reduce(or_, masks, 0)):
-        up = [t for t, m in enumerate(masks) if m & x]
-        for y in _bits(reduce(or_, map(masks.__getitem__, up)) & ~x):
-            bad = {masks[t] for t in up if not (masks[t] | unique[t]) & y}
-            if x in bad:
-                continue
+def _pairs(masks: list, unique: list) -> tuple[dict, list]:
+    """The lemma's pairs at the least cell, y tried among the unique covers
+    of x's vertex cell: each vertex bit's neighbours (a mask) in the graph
+    of the unconditional pairs, and the other pairs as (the bits of x and
+    y, x's bit, the minimal vertex masks of the bad cells)."""
+    up: dict[int, list] = {}
+    for t, m in enumerate(masks):
+        for x in _bits(m):
+            up.setdefault(x, []).append(t)
+    adjacent, pairs = dict.fromkeys(up, 0), []
+    for x, cells in up.items():
+        tried = sure = unique[cells[0]]
+        for t in cells:
+            sure &= masks[t] | unique[t]
+        for y in _bits(sure):
+            adjacent[x] |= y
+            adjacent[y] |= x
+        for y in _bits(tried ^ sure):
+            bad = {masks[t] for t in cells if not (masks[t] | unique[t]) & y}
             kept: list[int] = []
             for m in sorted(bad, key=int.bit_count):
                 if all(k & ~m for k in kept):
                     kept.append(m)
             pairs.append((x | y, x, kept))
-    return pairs
+    return adjacent, pairs
+
+
+def _independent(n: int, adjacent: dict):
+    """The independent sets of the graph ``adjacent`` (each bit's
+    neighbours) on the bits 1 << i, i < n, as masks in (size, lex) order:
+    depth first per size k, the stack holds at most k (set, bits allowed
+    above its last bit); a set with too few allowed bits to reach k is
+    done.  A size with no independent set ends the walk, as every larger
+    set holds one of that size."""
+    yield 0
+    for k in range(1, n + 1):
+        found, stack = False, [(0, (1 << n) - 1)]
+        while stack:
+            S, allowed = stack.pop()
+            need = k - len(stack)
+            if need == 1:
+                found = found or allowed != 0
+                while allowed:
+                    b = allowed & -allowed
+                    yield S | b
+                    allowed ^= b
+            elif allowed.bit_count() >= need:
+                b = allowed & -allowed
+                allowed ^= b
+                stack.append((S, allowed))
+                stack.append((S | b, allowed & ~adjacent[b]))
+        if not found:
+            return
 
 
 def _dominated(pairs: list, S: int) -> int:
@@ -214,38 +256,41 @@ def _dominated(pairs: list, S: int) -> int:
 def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
                sigma: int | None) -> LerayReport:
     """L's report, with ``sigma`` the witness's cell: None for L, and the
-    least cell, 0, for J."""
+    least cell, 0, for J.  X[S] is listed and ranked only for the S that
+    pass the dimension gate and the domination test."""
     P = _as_poset(X)
     V = P.vertex_order
     n = len(V)
+    masks, unique = _vertex_masks(P)
     if sample is None:
         if n > cap:
             raise CapExceeded(n, cap)
-        # the masks of the subsets of the vertices, in (size, lex) order:
-        # distinct bits add up to their union
-        bits = [1 << i for i in range(n)]
-        subsets = chain.from_iterable(map(sum, combinations(bits, k))
-                                      for k in range(n + 1))
+        adjacent, pairs = _pairs(masks, unique)
+        subsets = _independent(n, adjacent)
     else:
         rng = random.Random(seed)
         subsets = (sum(1 << i for i in range(n) if rng.random() < 0.5)
                    for _ in range(sample))
-    masks, unique = _vertex_masks(P)
-    pairs = _pairs(masks, unique) if sample is None else []
-    dims = P._dims
+        pairs = []
     boundary = Boundary.of_faces(P._faces)
     ceiling, best, hit = P.dim + 1, 0, None
+    tops = {masks[c] for c in V}
     for inside in subsets:
         if best == ceiling:
             break
+        outside = ~inside
+        for m in tops:
+            if not m & outside:
+                break
+        else:
+            continue  # X[S] has no cell of dimension best
         if _dominated(pairs, inside):
             continue
-        outside = ~inside
         cells = [c for c, m in enumerate(masks) if not m & outside]
-        if max(dims[c] for c in cells) >= best:
-            a = top_nonzero_betti(boundary.select(cells), best)
-            if a is not None:
-                best, hit = a + 1, (inside, a)
+        a = top_nonzero_betti(boundary.select(cells), best)
+        if a is not None:
+            best, hit = a + 1, (inside, a)
+            tops = {masks[c] for c in P.cells_of_dim(best)}
     mode = "exact" if sample is None else "sampled"
     witness = None
     if hit is not None:

@@ -19,7 +19,8 @@ CellId = int
 
 class PosetError(ValueError):
     """Raised when cell data violates a simplicial-poset invariant; ``at`` is
-    the simplex at fault, when there is one."""
+    the simplex (or, from ``build_poset``, the cell id) at fault, when there
+    is one."""
 
     def __init__(self, message: str, at=None):
         super().__init__(message)
@@ -208,22 +209,22 @@ def build_poset(cell_records: Iterable) -> SimplicialPoset:
         raise PosetError("missing least element: no (-1)-dimensional cell declared")
     if len(least_ids) > 1:
         raise PosetError(f"cell {least_ids[1]}: second (-1)-dimensional cell, "
-                         "least element must be unique")
+                         "least element must be unique", least_ids[1])
     least = least_ids[0]
 
     dims, faces, masks, n_vertices = [], [], [], 0
     for i, rec in enumerate(records):
         if rec.dim < -1:
-            raise PosetError(f"cell {i}: dimension {rec.dim} below -1")
+            raise PosetError(f"cell {i}: dimension {rec.dim} below -1", i)
         if len(rec.faces) != rec.dim + 1:
             raise PosetError(f"cell {i}: expected {rec.dim + 1} faces, "
-                             f"got {len(rec.faces)}")
+                             f"got {len(rec.faces)}", i)
         for f in rec.faces:
             if not 0 <= f < i:
-                raise PosetError(f"cell {i}: dangling face reference {f}")
+                raise PosetError(f"cell {i}: dangling face reference {f}", i)
             if dims[f] != rec.dim - 1:
                 raise PosetError(f"cell {i}: face {f} has dimension {dims[f]}, "
-                                 f"expected {rec.dim - 1}")
+                                 f"expected {rec.dim - 1}", i)
         dims.append(rec.dim)
         faces.append(rec.faces)
         if rec.dim == -1:
@@ -239,7 +240,7 @@ def build_poset(cell_records: Iterable) -> SimplicialPoset:
             if n != rec.dim + 1:
                 raise PosetError(f"cell {i}: repeated vertex "
                                  f"(has {n} distinct vertices, "
-                                 f"needs {rec.dim + 1})")
+                                 f"needs {rec.dim + 1})", i)
             masks.append(m)
 
     # face k of a cell drops the k-th smallest vertex: its lowest set bit
@@ -252,7 +253,7 @@ def build_poset(cell_records: Iterable) -> SimplicialPoset:
             low = rest & -rest
             if masks[f] != m ^ low:
                 raise PosetError(f"cell {i}: face {k} drops the wrong vertex "
-                                 "(face order inconsistent with vertex order)")
+                                 "(face order inconsistent with vertex order)", i)
             rest ^= low
 
     # simplicial identity d_i d_j = d_{j-1} d_i for i < j
@@ -262,7 +263,7 @@ def build_poset(cell_records: Iterable) -> SimplicialPoset:
         for a, b in combinations(range(rec.dim + 1), 2):
             if faces[faces[i][b]][a] != faces[faces[i][a]][b - 1]:
                 raise PosetError(f"cell {i}: simplicial identity violated "
-                                 f"at faces ({a}, {b})")
+                                 f"at faces ({a}, {b})", i)
 
     return SimplicialPoset(tuple(dims), tuple(faces), tuple(masks), least)
 

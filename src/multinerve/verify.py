@@ -46,7 +46,7 @@ def helly_number(F: SetFamily, cap: int = 16) -> HellyResult:
     """
     n = len(F)
     if n > cap:
-        raise CapExceeded(n, cap, what="member count", at_most=True)
+        raise CapExceeded(n, cap, what="member count")
     if not _intersection_is_empty(F):
         raise PreconditionError("family has non-empty intersection")
     # the minimal empty subfamilies are the walk's non-intersecting sets;

@@ -292,6 +292,48 @@ def poset_leray_oracle(P: SimplicialPoset) -> int:
     return best
 
 
+def _dominated_in(S: set, cells: tuple, verts: list, covers: dict) -> bool:
+    """Some x in S is dominated by some y in S: every cell of P[S] (the
+    ``cells``) with x and without y has exactly one cover with vertex set
+    vert + y (``covers[t, y]`` of them)."""
+    return any(all(covers.get((t, y), 0) == 1 for t in cells
+                   if x in verts[t] and y not in verts[t])
+               for x, y in permutations(S, 2))
+
+
+def pruned_walk_oracle(P: SimplicialPoset):
+    """The exact L walk from its definition: every vertex subset S, smallest
+    first and in lexicographic order of the vertex order, skipping S when
+    the walk is done (the floor above P's dimension), when some x in S is
+    dominated in S, or when P[S] has no cell of dimension >= the floor;
+    else P[S] is ranked by dense Gauss-Jordan, and a nonzero reduced Betti
+    number at or above the floor raises it past the largest such.  Returns
+    (value, (S, j) of the last hit or None, the ranked cell sets in
+    order)."""
+    verts = vertex_sets(P)
+    covers: dict[tuple, int] = {}
+    for r in P.cells():
+        for t in P.faces_of(r):
+            [y] = verts[r] - verts[t]
+            covers[t, y] = covers.get((t, y), 0) + 1
+    V = P.vertex_order
+    best, hit, ranked = 0, None, []
+    for size in range(len(V) + 1):
+        for S in combinations(V, size):
+            if best > P.dim:
+                return best, hit, ranked
+            cells = tuple(c for c in P.cells() if verts[c] <= set(S))
+            if (max(P.dim_of(c) for c in cells) < best
+                    or _dominated_in(S, cells, verts, covers)):
+                continue
+            ranked.append(cells)
+            alive = [d for d, b in poset_betti_gj(P, cells).items()
+                     if b and d >= best]
+            if alive:
+                best, hit = max(alive) + 1, (S, max(alive))
+    return best, hit, ranked
+
+
 # ---------------------------------------------------------------------------
 # classical barycentric subdivision of a complex, built from subsets
 

@@ -197,6 +197,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"mnv: {path}{cited}\n"
 
+    @pytest.mark.parametrize("text,cited", [
+        ("poset v1\n0 -1\n1 0 0\n2 0 0\n3 1 1 1\n",
+         ":5: cell 3: repeated vertex (has 1 distinct vertices, needs 2)"),
+        ("poset v1\n0 -1\n1 0 0\n\n2 1 0 0\n",
+         ":5: cell 2: face 0 has dimension -1, expected 0"),
+        ("\nposet v1\n0 0\n",
+         ":2: missing least element: no (-1)-dimensional cell declared"),
+    ])
+    def test_poset_error_cites_its_line(self, text, cited, tmp_path):
+        # an invalid cell is cited at its own line; the missing least
+        # element, which is no one cell's fault, at the header's
+        path = tmp_path / "p.poset"
+        path.write_text(text)
+        code, out, err = mnv_in_process("homology", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"mnv: {path}{cited}\n"
+
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
         lines = ["poset v1", "0 -1"] + [f"{i} 0 0" for i in range(1, 13)]
@@ -205,18 +222,20 @@ class TestExitCodes:
             r = mnv(cmd, str(p), "--cap", "10")
             assert r.returncode == 3
             assert r.stdout == ""
-            assert r.stderr == ("mnv: vertex count 12 exceeds cap 10 (4096 "
-                                "subsets); raise --cap or use sampling mode\n")
+            assert r.stderr == ("mnv: vertex count 12 exceeds cap 10 (at most "
+                                "4096 subsets); raise --cap or use sampling "
+                                "mode\n")
 
     @pytest.mark.parametrize("argv,refusal", [
         (("helly",), "member count 3 exceeds cap 2 (at most 8 subsets)"),
         (("verify", "helly"), "member count 3 exceeds cap 2 (at most 8 subsets)"),
-        (("verify", "projection"), "vertex count 3 exceeds cap 2 (8 subsets)"),
+        (("verify", "projection"),
+         "vertex count 3 exceeds cap 2 (at most 8 subsets)"),
     ])
     def test_cap_refusal_without_sampling_mode(self, argv, refusal):
         # these commands take no --sample, so the hint names only --cap;
-        # the Helly walk stops above empty intersections, so its count is
-        # an upper bound
+        # the Helly walk stops above empty intersections and the L walk
+        # skips dominated subsets, so each count is an upper bound
         r = mnv(*argv, str(FIXTURES / "intervals.family"), "--cap", "2")
         assert r.returncode == 3
         assert r.stdout == ""
@@ -242,7 +261,7 @@ class TestExitCodes:
             env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert (r.returncode, r.stdout) == (3, "")
         assert r.stderr == ("mnv: vertex count 40 exceeds cap 16 "
-                            "(1099511627776 subsets); raise --cap\n")
+                            "(at most 1099511627776 subsets); raise --cap\n")
         assert time.perf_counter() - t < 10
 
     def test_check_failure_is_1(self, tmp_path):

@@ -19,9 +19,13 @@ here.  The families are the fixture families and ``mnv gen --n 5`` seeds
 (complex inputs pin the witness labels, read from the simplex numbering).
 The stdout of ``mnv gen`` itself is pinned too, seeds 0-2 of each of the
 benchmark's four generators, so a change to generation fails here.
+Past the default cap, ``leray --cap 24`` and ``j-index --cap 24`` run on
+the multinerves of two ``mnv gen`` box families of 20 and 22 vertices
+(``multinerve-box-1-n10``, ``multinerve-box-2-n12``), whose exact walks
+also pin how many X[S] they rank.
 To re-record after a deliberate change, run
 ``PYTHONPATH=src:tests python tests/test_golden.py``, which prints the
-current digest of every entry of the five tables, and say in the change
+current digest of every entry of the six tables, and say in the change
 why the bytes moved.
 """
 
@@ -141,6 +145,19 @@ GEN_GOLDEN = {
     "oracle-subcomplex-2": "b93a086ab8b70f5bf98077c46cafcbe71379e8a8eac42b034e8880e3d6ba20fd",
 }
 
+# exact walks past the default cap, on the multinerves of ``mnv gen``
+# families: ``multinerve-<backend>-<seed>-n<members>``, in R^2 with two
+# boxes per member; the value is the number of X[S] each walk ranks
+CAP_CALLS = [("leray", "{input}", "--cap", "24"),
+             ("j-index", "{input}", "--cap", "24")]
+
+CAP_GOLDEN = {
+    "multinerve-box-1-n10": "a481f222675369fe8dcb551c0e35b4302b67d71a4a60adbbc616e0db3c1602c3",
+    "multinerve-box-2-n12": "3be710ee699ee524582aaa1a29e80ca80a0c4422ae031f8e90dbe2acf40c98e6",
+}
+
+CAP_RANKED = {"multinerve-box-1-n10": 22, "multinerve-box-2-n12": 24}
+
 SPACE_CALLS = [("homology", "{input}"),
                ("leray", "{input}"),
                ("leray", "{input}", "--sample", "25", "--seed", "1"),
@@ -197,6 +214,18 @@ def _space_path(name: str, directory: Path) -> str:
     return str(path)
 
 
+def _multinerve_path(name: str, directory: Path) -> str:
+    """The multinerve poset of ``multinerve-<backend>-<seed>-n<members>``,
+    written to ``directory``."""
+    _, backend, seed, members = name.split("-")
+    family, path = directory / f"{name}.family", directory / f"{name}.poset"
+    assert _run(["gen", "--backend", backend, "--seed", seed,
+                 "--n", members[1:], "--ambient-dim", "2",
+                 "--boxes-per-member", "2", "--out", str(family)])[0] == 0
+    assert _run(["multinerve", str(family), "--out", str(path)])[0] == 0
+    return str(path)
+
+
 def _digest(path: str, calls: list) -> str:
     h = hashlib.sha256()
     for call in calls:
@@ -229,6 +258,10 @@ def space_digest(name: str, directory: Path) -> str:
     return _digest(_space_path(name, directory), SPACE_CALLS)
 
 
+def cap_digest(name: str, directory: Path) -> str:
+    return _digest(_multinerve_path(name, directory), CAP_CALLS)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes(name, tmp_path):
     assert digest(name, tmp_path) == GOLDEN[name]
@@ -254,6 +287,25 @@ def test_space_report_bytes(name, tmp_path):
     assert space_digest(name, tmp_path) == SPACE_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CAP_GOLDEN))
+def test_past_cap_report_bytes(name, tmp_path):
+    assert cap_digest(name, tmp_path) == CAP_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CAP_RANKED))
+def test_past_cap_ranked_count(name, tmp_path, monkeypatch):
+    from multinerve.homology import Boundary
+    path = _multinerve_path(name, tmp_path)
+    real, ranked = Boundary.select, []
+
+    def spy(self, cells):
+        ranked.append(cells)
+        return real(self, cells)
+    monkeypatch.setattr(Boundary, "select", spy)
+    assert _run(["leray", path, "--cap", "24"])[0] == 0
+    assert len(ranked) == CAP_RANKED[name]
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -261,6 +313,7 @@ if __name__ == "__main__":
                                  ("SLACK_GOLDEN", SLACK_GOLDEN, slack_digest),
                                  ("ORACLE_GOLDEN", ORACLE_GOLDEN, oracle_digest),
                                  ("SPACE_GOLDEN", SPACE_GOLDEN, space_digest),
+                                 ("CAP_GOLDEN", CAP_GOLDEN, cap_digest),
                                  ("GEN_GOLDEN", GEN_GOLDEN, gen_digest)):
             print(f"{title} = {{")
             for name in table:

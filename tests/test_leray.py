@@ -7,8 +7,8 @@ import pytest
 
 from helpers import (_lower_sets, cone_poset, first_hit_witness, induced,
                      j_oracle, leray_oracle, poset_betti_gj,
-                     poset_leray_oracle, random_complex, random_poset,
-                     relabel, twin_poset, upper_complexes,
+                     poset_leray_oracle, pruned_walk_oracle, random_complex,
+                     random_poset, relabel, twin_poset, upper_complexes,
                      upper_interval_betti, with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
@@ -67,11 +67,11 @@ class TestLerayNumber:
     def test_cap_refusal_names_cap(self):
         K = SimplicialComplex([(i,) for i in range(6)])
         for index in (leray_number, j_index):
-            with pytest.raises(CapExceeded, match=r"cap 4 \(64 subsets\)"):
+            with pytest.raises(CapExceeded, match=r"cap 4 \(at most 64 subsets\)"):
                 index(K, cap=4)
         # past 64 vertices the count is written as a power
         K = SimplicialComplex([(i,) for i in range(70)])
-        with pytest.raises(CapExceeded, match=r"cap 16 \(2\^70 subsets\)"):
+        with pytest.raises(CapExceeded, match=r"cap 16 \(at most 2\^70 subsets\)"):
             j_index(K)
 
 
@@ -318,7 +318,8 @@ class TestDomination:
         # wherever the test finds x dominated in S, X[S] has the homology of
         # X[S - x], read off the order complex of the least cell's link: on
         # the double edge, on a vertex with two covers by x, and on random
-        # posets, twins and cones
+        # posets, twins and cones; an unconditional pair is an edge, which
+        # does not say which end is dominated, so there one end must be
         from multinerve.leray import _dominated, _pairs, _vertex_masks
         rng = random.Random(33)
         randoms = [random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
@@ -326,24 +327,34 @@ class TestDomination:
         two_covers = build_poset([(-1, []), (0, [0]), (0, [0]), (0, [0]),
                                   (1, [2, 1]), (1, [2, 1]), (1, [3, 1]),
                                   (1, [3, 2]), (2, [7, 6, 4])])
-        skipped = 0
+        skipped = edges = 0
         for P in ([double_edge_poset(), two_covers] + randoms
                   + [twin_poset(rng, n_vertices=4) for _ in range(20)]
                   + [cone_poset(P) for P in randoms]):
             bit = {v: 1 << i for i, v in enumerate(P.vertex_order)}
             masks, unique = _vertex_masks(P)
-            pairs = _pairs(masks, unique)
+            adjacent, pairs = _pairs(masks, unique)
             V = P.vertex_order
             for size in range(len(V) + 1):
                 for S in combinations(V, size):
                     x = _dominated(pairs, sum(bit[v] for v in S))
+                    ends = [(u, v) for u, v in combinations(S, 2)
+                            if adjacent[bit[u]] & bit[v]]
+                    if not (x or ends):
+                        continue
+                    here = upper_interval_betti(P, S, P.least)
+
+                    def without(v):
+                        rest = [u for u in S if u != v]
+                        return upper_interval_betti(P, rest, P.least)
                     if x:
                         [v] = [v for v in S if bit[v] == x]
-                        rest = [u for u in S if u != v]
-                        assert (upper_interval_betti(P, S, P.least)
-                                == upper_interval_betti(P, rest, P.least))
+                        assert here == without(v)
                         skipped += 1
-        assert skipped > 300
+                    for u, v in ends:
+                        assert here in (without(u), without(v))
+                        edges += 1
+        assert skipped > 150 and edges > 400
 
     def test_random_posets_with_duplicated_cells(self):
         rng = random.Random(31)
@@ -406,6 +417,116 @@ class TestDomination:
         # of 2^16 subsets, few X[S] are not dominated
         assert len(asked) <= 100
         assert j_index(P) == LerayReport(1, "exact", Witness((1, 2), 0, 0))
+
+
+class TestIndependentSets:
+    """The exact walk's subset source: the independent sets of a graph on
+    the vertex bits, smallest first, then lexicographic, made lazily."""
+
+    @staticmethod
+    def walk(n, edges):
+        from multinerve.leray import _independent
+        adjacent = {1 << i: 0 for i in range(n)}
+        for u, v in edges:
+            adjacent[1 << u] |= 1 << v
+            adjacent[1 << v] |= 1 << u
+        return _independent(n, adjacent)
+
+    @staticmethod
+    def brute(n, edges):
+        return [sum(1 << i for i in c) for k in range(n + 1)
+                for c in combinations(range(n), k)
+                if not any(u in c and v in c for u, v in edges)]
+
+    def test_against_brute_force(self):
+        rng = random.Random(71)
+        for n in range(11):
+            pairs = list(combinations(range(n), 2))
+            graphs = [[], pairs] + [
+                [e for e in pairs if rng.random() < p]
+                for p in (0.1, 0.3, 0.5, 0.8) for _ in range(3)]
+            for edges in graphs:
+                assert list(self.walk(n, edges)) == self.brute(n, edges)
+
+    def test_lazy(self):
+        # 200,000 of the 2^64 subsets of 64 bits, in constant memory: a
+        # whole level (C(64, 4) = 635,376 sets) would not fit in 1 MB
+        import tracemalloc
+        from itertools import islice
+        tracemalloc.start()
+        try:
+            masks = self.walk(64, [])
+            last = max(islice(masks, 200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert last.bit_count() == 4
+        assert peak < 1 << 20
+
+
+class TestWalkOracle:
+    """The exact walk ranks exactly the X[S] of its definition
+    (``pruned_walk_oracle``: every subset in (size, lex) order, less the
+    dominated ones and those below the floor's dimension), in the same
+    order, with the same value and witness."""
+
+    @staticmethod
+    def check(P, monkeypatch):
+        from multinerve.homology import Boundary
+        real, ranked = Boundary.select, []
+
+        def spy(self, cells):
+            cells = tuple(cells)
+            ranked.append(cells)
+            return real(self, cells)
+        monkeypatch.setattr(Boundary, "select", spy)
+        value, hit, want = pruned_walk_oracle(P)
+        for index, sigma in ((leray_number, None), (j_index, P.least)):
+            del ranked[:]
+            rep = index(P)
+            assert ranked == want
+            assert rep.value == value
+            assert rep.witness == (hit and Witness(*hit, sigma))
+        monkeypatch.undo()
+        return len(want)
+
+    def test_random_posets_with_duplicated_cells(self, monkeypatch):
+        rng = random.Random(72)
+        duplicated = ranked = 0
+        for _ in range(300):
+            P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=3)
+            duplicated += P.n_cells > len({P.vertices_of(c) for c in P.cells()})
+            ranked += self.check(P, monkeypatch)
+        assert duplicated >= 100 and ranked >= 300
+
+    def test_twins_cones_and_isolated_vertices(self, monkeypatch):
+        rng = random.Random(73)
+        for _ in range(20):
+            self.check(twin_poset(rng), monkeypatch)
+        for k in (1, 2):
+            for _ in range(8):
+                P = random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
+                self.check(cone_poset(P), monkeypatch)
+                self.check(with_isolated_vertices(P, k), monkeypatch)
+        self.check(double_edge_poset(), monkeypatch)
+        self.check(cone_poset(double_edge_poset()), monkeypatch)
+
+    @pytest.mark.parametrize("backend,kw", [
+        ("box", {"ambient_dim": 1}),
+        ("box", {"ambient_dim": 2}),
+        ("subcomplex", {"grid": 4, "stars_per_member": 2}),
+    ])
+    def test_multinerves(self, backend, kw, monkeypatch):
+        # 6-12 vertices for the multinerves, 4-6 for the reduced ones
+        sizes = set()
+        for n in (4, 5, 6):
+            for seed in range(2):
+                F = random_family(backend, n, seed, boxes_per_member=2, **kw)
+                for P in (multinerve(F).poset,
+                          reduced_multinerve(F, 2)[0].poset):
+                    sizes.add(len(P.vertex_order))
+                    self.check(P, monkeypatch)
+        assert min(sizes) <= 6 and 10 <= max(sizes) <= 12
 
 
 class TestWitnessOracle:

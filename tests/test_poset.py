@@ -183,8 +183,11 @@ class TestErrorMessages:
             # the parser refuses a face it has not read yet, first
             message = "cell 2 references undeclared cell 3"
             where = 4  # the header is line 1
+        elif message.startswith("cell "):
+            # the line of the cell at fault: cell i is on line i + 2
+            where = int(message.split()[1].rstrip(":")) + 2
         else:
-            where = 0
+            where = 1  # no one cell is at fault: the header's line
         assert err.getvalue() == f"mnv: {path}:{where}: {message}\n"
 
 
