@@ -292,12 +292,29 @@ def poset_leray_oracle(P: SimplicialPoset) -> int:
     return best
 
 
-def _dominated_in(S: set, cells: tuple, verts: list, covers: dict) -> bool:
-    """Some x in S is dominated by some y in S: every cell of P[S] (the
-    ``cells``) with x and without y has exactly one cover with vertex set
+def cover_counts(P: SimplicialPoset) -> dict:
+    """``covers[t, y]``: the number of covers of the cell t with vertex set
+    vert(t) + y."""
+    verts = vertex_sets(P)
+    covers: dict[tuple, int] = {}
+    for r in P.cells():
+        for t in P.faces_of(r):
+            [y] = verts[r] - verts[t]
+            covers[t, y] = covers.get((t, y), 0) + 1
+    return covers
+
+
+def dominated_by(x, y, cells, verts: list, covers: dict) -> bool:
+    """x is dominated by y in the subposet of the ``cells``: every one of
+    them with x and without y has exactly one cover with vertex set
     vert + y (``covers[t, y]`` of them)."""
-    return any(all(covers.get((t, y), 0) == 1 for t in cells
-                   if x in verts[t] and y not in verts[t])
+    return all(covers.get((t, y), 0) == 1 for t in cells
+               if x in verts[t] and y not in verts[t])
+
+
+def _dominated_in(S: set, cells: tuple, verts: list, covers: dict) -> bool:
+    """Some x in S is dominated by some y in S within P[S] (the ``cells``)."""
+    return any(dominated_by(x, y, cells, verts, covers)
                for x, y in permutations(S, 2))
 
 
@@ -310,12 +327,7 @@ def pruned_walk_oracle(P: SimplicialPoset):
     number at or above the floor raises it past the largest such.  Returns
     (value, (S, j) of the last hit or None, the ranked cell sets in
     order)."""
-    verts = vertex_sets(P)
-    covers: dict[tuple, int] = {}
-    for r in P.cells():
-        for t in P.faces_of(r):
-            [y] = verts[r] - verts[t]
-            covers[t, y] = covers.get((t, y), 0) + 1
+    verts, covers = vertex_sets(P), cover_counts(P)
     V = P.vertex_order
     best, hit, ranked = 0, None, []
     for size in range(len(V) + 1):

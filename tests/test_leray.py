@@ -5,11 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (_lower_sets, cone_poset, first_hit_witness, induced,
-                     j_oracle, leray_oracle, poset_betti_gj,
-                     poset_leray_oracle, pruned_walk_oracle, random_complex,
-                     random_poset, relabel, twin_poset, upper_complexes,
-                     upper_interval_betti, with_isolated_vertices)
+from helpers import (_lower_sets, cone_poset, cover_counts, dominated_by,
+                     first_hit_witness, induced, j_oracle, leray_oracle,
+                     poset_betti_gj, poset_leray_oracle, pruned_walk_oracle,
+                     random_complex, random_poset, relabel, twin_poset,
+                     upper_complexes, upper_interval_betti, vertex_sets,
+                     with_isolated_vertices)
 
 from multinerve import (CapExceeded, SimplicialComplex, box, box_family,
                         build_poset, chain_complex, j_index, leray_number,
@@ -318,8 +319,10 @@ class TestDomination:
         # wherever the test finds x dominated in S, X[S] has the homology of
         # X[S - x], read off the order complex of the least cell's link: on
         # the double edge, on a vertex with two covers by x, and on random
-        # posets, twins and cones; an unconditional pair is an edge, which
-        # does not say which end is dominated, so there one end must be
+        # posets, twins and cones.  An unconditional pair is an edge of
+        # ``adjacent``, which drops its direction: the definition says which
+        # end x is dominated (by the other, in P[S] as in P), and it is that
+        # end that leaves the homology alone
         from multinerve.leray import _dominated, _pairs, _vertex_masks
         rng = random.Random(33)
         randoms = [random_poset(rng, n_vertices=4, n_facets=4, max_facet=3)
@@ -327,11 +330,12 @@ class TestDomination:
         two_covers = build_poset([(-1, []), (0, [0]), (0, [0]), (0, [0]),
                                   (1, [2, 1]), (1, [2, 1]), (1, [3, 1]),
                                   (1, [3, 2]), (2, [7, 6, 4])])
-        skipped = edges = 0
+        fired = skipped = directed = 0
         for P in ([double_edge_poset(), two_covers] + randoms
                   + [twin_poset(rng, n_vertices=4) for _ in range(20)]
                   + [cone_poset(P) for P in randoms]):
             bit = {v: 1 << i for i, v in enumerate(P.vertex_order)}
+            verts, covers = vertex_sets(P), cover_counts(P)
             masks, unique = _vertex_masks(P)
             adjacent, pairs = _pairs(masks, unique)
             V = P.vertex_order
@@ -342,7 +346,9 @@ class TestDomination:
                             if adjacent[bit[u]] & bit[v]]
                     if not (x or ends):
                         continue
+                    fired += 1
                     here = upper_interval_betti(P, S, P.least)
+                    cells = [c for c in P.cells() if verts[c] <= set(S)]
 
                     def without(v):
                         rest = [u for u in S if u != v]
@@ -352,9 +358,15 @@ class TestDomination:
                         assert here == without(v)
                         skipped += 1
                     for u, v in ends:
-                        assert here in (without(u), without(v))
-                        edges += 1
-        assert skipped > 150 and edges > 400
+                        ways = [(a, b) for a, b in ((u, v), (v, u))
+                                if dominated_by(a, b, P.cells(), verts,
+                                                covers)]
+                        assert ways
+                        for a, b in ways:
+                            assert dominated_by(a, b, cells, verts, covers)
+                            assert here == without(a)
+                            directed += 1
+        assert fired > 300 and skipped > 150 and directed > 400
 
     def test_random_posets_with_duplicated_cells(self):
         rng = random.Random(31)
