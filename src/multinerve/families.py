@@ -11,10 +11,12 @@ Two backends realize the oracle:
   components come from the strict-overlap graph.  Openness is modeled by
   strict inequalities throughout, so tangent boxes never merge.
 
-The family keeps one region per index set A, built from the region of its
-prefix A[:-1] (an empty prefix gives an empty region at no cost).  Equal
-regions share a number, given on the first Betti or component query, and
-the Betti vector and component labels are found once per number, so index
+The family keeps one region per index set A, the region of a set P
+extended by one member (``_extend``): the walk hands each set's region
+down to its extensions, and ``_region`` builds any other A from its
+prefix A[:-1] (an empty region stays empty at no cost).  Equal regions
+share a number, given on the first Betti or component query, and the
+Betti vector and component labels are found once per number, so index
 sets with equal regions share one label tuple and one region object.
 Scans over subfamilies (slack, component counts, the nerve, the
 multinerve, Helly numbers) read one walk of the index sets whose proper
@@ -231,26 +233,34 @@ def _ambient(F: SetFamily) -> _AmbientIndex:
     return F._ambient_index
 
 
+def _extend(F: SetFamily, prev, j: int) -> int | tuple[Box, ...]:
+    """The region of P + (j,) from prev, the region of the index set P
+    (None when P is empty): member j's, or prev AND its mask, or the open
+    boxes met from each box of prev and each of member j, in that order."""
+    m = F.members[j]
+    if F.backend == "subcomplex":
+        return m.mask if prev is None else prev & m.mask
+    return m.boxes if prev is None else tuple(
+        met for cur in prev for b in m.boxes if (met := cur.meet(b)) is not None)
+
+
 def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple[Box, ...]:
     """The region over the sorted index set A (the union when A is empty).
 
     A mask of T's simplex ids (the members' AND, the union their OR), or
     the open boxes met from one box per member of A, in the lexicographic
-    order of those choices; falsy when empty.  Built from the cached region
-    of the prefix A[:-1], so nothing is met above an empty prefix.
+    order of those choices; falsy when empty.  ``_extend`` builds it from
+    the cached region of the prefix A[:-1], so nothing is met above an
+    empty prefix.
     """
     if A in F._region_cache:
         return F._region_cache[A]
-    sub = F.backend == "subcomplex"
-    if len(A) > 1:
-        prev, last = _region(F, A[:-1]), F.members[A[-1]]
-        out = (prev & last.mask if sub
-               else tuple(met for cur in prev for b in last.boxes
-                          if (met := cur.meet(b)) is not None))
+    if A:
+        out = _extend(F, _region(F, A[:-1]) if len(A) > 1 else None, A[-1])
+    elif F.backend == "subcomplex":
+        out = reduce(int.__or__, (m.mask for m in F.members), 0)
     else:
-        ms = [F.members[a] for a in A] or F.members
-        out = (reduce(int.__or__, (m.mask for m in ms), 0) if sub
-               else tuple(b for m in ms for b in m.boxes))
+        out = tuple(b for m in F.members for b in m.boxes)
     F._region_cache[A] = out
     return out
 
@@ -288,31 +298,33 @@ def _groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
                        if F.backend == "subcomplex" else _box_groups)
 
 
-def _sorted_labels(groups, canon_of, rep_of) -> tuple:
-    """One label per union-find group, sorted by canon (no two groups share
-    one), and the index of each element's label."""
-    labels, owner = [], {}
-    for i, (canon, group) in enumerate(sorted((canon_of(g), g)
-                                              for g in groups)):
-        labels.append(ComponentLabel(canon, rep_of(canon)))
-        owner.update(dict.fromkeys(group, i))
-    return tuple(labels), owner
-
-
 def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """Union-find over the labels of the region's vertex bits, joined along
-    its edge bits: a simplex lies in the component of any of its vertices,
-    so the smallest vertex of a group is its smallest simplex.  The owner is
-    keyed by the rep, a vertex 1-tuple.  The groups also give the region's
-    rank d_1 (see ``_region_ranks``)."""
-    region, T, tuples = _region(F, A), F.ambient, F.ambient.ordered_tuples()
-    uf = UnionFind(tuples[i][0] for i in _bit_ids(region & T.dim_mask(0)))
-    for i in _bit_ids(region & T.dim_mask(1)):
-        uf.union(*tuples[i])
-    labels, owner = _sorted_labels(uf.groups().values(),
-                                   lambda g: (1, (min(g),)),
-                                   lambda canon: canon[1])
-    return labels, {(v,): i for v, i in owner.items()}.__getitem__
+    """One union-find pass over the region's vertex ids, joined along its
+    edges, each root kept at its group's smallest id.  T's vertex ids
+    follow the vertex order, and a simplex lies in the component of any of
+    its vertices, so a root is its group's smallest simplex, and the
+    labels come sorted by canon in root order.  The owner is keyed by the
+    rep, a vertex 1-tuple.  The groups also give the region's rank d_1
+    (see ``_region_ranks``)."""
+    region, T = _region(F, A), F.ambient
+    faces, tuples = T.numbering()[1], T.ordered_tuples()
+    root = {i: i for i in _bit_ids(region & T.dim_mask(0))}
+    for e in _bit_ids(region & T.dim_mask(1)):
+        u, v = faces[e]
+        while root[u] != u:
+            root[u] = u = root[root[u]]  # path halving
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        root[max(u, v)] = min(u, v)
+    labels, owner = [], {}
+    for i in root:  # ascending, and a parent id is below its child's
+        r = root[i] = root[root[i]]
+        if r == i:
+            owner[tuples[i]] = len(labels)
+            labels.append(ComponentLabel((1, tuples[i]), tuples[i]))
+        else:
+            owner[tuples[i]] = owner[tuples[r]]
+    return tuple(labels), owner.__getitem__
 
 
 def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
@@ -327,8 +339,11 @@ def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     for i, j in combinations(range(len(boxes)), 2):
         if boxes[i].overlaps(boxes[j]):
             uf.union(i, j)
-    labels, owner = _sorted_labels(uf.groups().values(), min,
-                                   boxes.__getitem__)
+    labels, owner = [], {}
+    for i, group in sorted((min(g), g) for g in uf.groups().values()):
+        owner.update(dict.fromkeys(group, len(labels)))
+        labels.append(ComponentLabel(i, boxes[i]))
+    labels = tuple(labels)
 
     def index(rep: Box) -> int:
         return next(owner[i] for i, b in enumerate(boxes) if b.overlaps(rep))
@@ -354,27 +369,37 @@ def _nerve_walk(F: SetFamily):
 def _walk_source(F: SetFamily):
     """The walk ``_nerve_walk`` reads; its list is kept on F only when it
     runs to the end, so an error or a scan that stops early keeps none.
-    A level is (P, mask) pairs, each set P + (j,) for j in the mask, and
-    ``ext[P]`` masks the j for which P + (j,) intersects; A = P + (a,) gets
-    each j > a in ext[P] and in each ext[(P - p) + (a,)], p in P, as then
-    A + (j,) less j, a or p intersects.  Each level is lexicographic."""
-    walk, layer = [], [((), (1 << len(F)) - 1)]
+    A level holds, for each set P it extends, P's mask of member indices,
+    its region (None for the empty set) and a mask of the j to try: the
+    region of P + (j,) is ``_extend`` of P's (a singleton's is
+    ``_region``'s), kept in F's cache unless A has one there.  ``ext``
+    maps P's mask to the j for which P + (j,) intersects, so A = P + (a,)
+    gets each j > a in ext[P] and in ext[A's mask less bit p], p in P, as
+    then A + (j,) less j, a or p intersects.  Each level is lexicographic."""
+    walk, cache = [], F._region_cache
+    layer = [((), 0, None, (1 << len(F)) - 1)]
     while layer:
-        ext: dict[tuple[int, ...], int] = {}
-        for P, cand in layer:
+        ext: dict[int, int] = {}
+        hits = []
+        for P, mask, region, cand in layer:
+            alive = 0
             for j in _bit_ids(cand):
-                item = P + (j,), bool(_region(F, P + (j,)))
+                A = P + (j,)
+                got = (_region(F, A) if region is None
+                       else cache.setdefault(A, _extend(F, region, j)))
+                item = A, bool(got)
                 walk.append(item)
                 yield item
-                if item[1]:
-                    ext[P] = ext.get(P, 0) | 1 << j
+                if got:
+                    alive |= 1 << j
+                    hits.append((A, mask | 1 << j, got))
+            ext[mask] = alive
         layer = []
-        for P, alive in ext.items():
-            for a in _bit_ids(alive):
-                cand = alive & -(2 << a)
-                for k in range(len(P)):
-                    cand &= ext.get(P[:k] + P[k + 1:] + (a,), 0)
-                layer.append((P + (a,), cand))
+        for A, mask, region in hits:
+            cand = ext[mask ^ 1 << A[-1]] & -(2 << A[-1])
+            for p in A[:-1]:
+                cand &= ext.get(mask ^ 1 << p, 0)
+            layer.append((A, mask, region, cand))
     F._walk = walk
 
 

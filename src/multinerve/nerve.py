@@ -56,19 +56,21 @@ def multinerve(F: SetFamily) -> LabeledPoset:
     Cells are numbered as the walk yields index sets, in (size, lex) order,
     each set's components sorted by canon: ``CellTag.sort_key`` order.  Face
     i of a cell over A is B = A - A[i]'s cell of the component holding its
-    rep: ``base[B]`` holds B's first cell and its region's owner (see
+    rep: ``base`` keys B by its mask of member indices, A's with bit A[i]
+    cleared, and holds B's first cell and its region's owner (see
     ``families._groups``), read once per index set.  The empty index set's
     one cell is the least cell, 0.
     """
     tags = [CellTag((), None)]
     records = [CellRecord(-1, ())]
-    base = {(): (0, lambda rep: 0)}
+    base = {0: (0, lambda rep: 0)}
     for A, hit in _nerve_walk(F):
         if not hit:
             continue
-        below = [base[A[:i] + A[i + 1:]] for i in range(len(A))]
+        mask = sum(map((1).__lshift__, A))
+        below = [base[mask ^ 1 << a] for a in A]
         labels, owner = _groups(F, A)
-        base[A] = len(tags), owner
+        base[mask] = len(tags), owner
         for comp in labels:
             tags.append(CellTag(A, comp))
             records.append(CellRecord(len(A) - 1, tuple(

@@ -747,6 +747,29 @@ def family_components(F, A, with_elements: bool = False) -> list[tuple]:
     return sorted(out, key=lambda c: c[0])
 
 
+def union_find_labels(region) -> tuple[list, dict]:
+    """A subcomplex region's components, the region given as simplices, by
+    a plain union-find over its vertices joined along its edges: each
+    component's (canon, rep), (1, (v,)) and (v,) for its least vertex v,
+    sorted by canon, and the index of each vertex 1-tuple's component."""
+    parent = {v: v for s in region if len(s) == 1 for v in s}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for s in region:
+        if len(s) == 2:
+            a, b = map(find, s)
+            parent[a] = b
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    least = sorted(min(g) for g in groups.values())
+    owner = {(v,): least.index(min(groups[find(v)])) for v in parent}
+    return [((1, (v,)), (v,)) for v in least], owner
+
+
 def _subsets(n: int):
     return [G for size in range(1, n + 1) for G in combinations(range(n), size)]
 

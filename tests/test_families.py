@@ -10,7 +10,8 @@ from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
                      family_members, family_slack_violation, family_walk,
-                     grid_triangulation_oracle, small_family)
+                     grid_triangulation_oracle, small_family,
+                     union_find_labels)
 
 import multinerve.families
 import multinerve.verify
@@ -19,6 +20,7 @@ from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         is_acyclic_with_slack, max_components, nerve,
                         random_family, reduced_multinerve, region_betti,
                         region_is_empty, subcomplex_family)
+from multinerve.families import SubcomplexMember
 from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
                                  interval_union_double_edge_family,
@@ -661,12 +663,14 @@ class TestRegionMemo:
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_one_rank_and_one_union_find_per_distinct_region(
             self, monkeypatch, backend):
-        # one union-find per distinct region gives its components, and one
-        # _region_ranks call counts its Betti vector from that union-find,
+        # one labelling pass per distinct region gives its components, and
+        # one _region_ranks call counts its Betti vector from those groups,
         # for both backends: the only reduced_betti and the only selection
         # from a boundary are the multinerve's, in the report
         from multinerve.homology import Boundary
-        spied = [(multinerve.families, "UnionFind"),
+        labelled = "_subcomplex_groups" if backend == "subcomplex" \
+            else "_box_groups"
+        spied = [(multinerve.families, labelled),
                  (multinerve.families, "_region_ranks"),
                  (multinerve.verify, "reduced_betti")]
         calls = {name: [] for _, name in spied}
@@ -694,7 +698,7 @@ class TestRegionMemo:
                 region_betti(F, A)
                 components(F, A)
             distinct = {tuple(family_region(F, A)) for A in asked}
-            assert len(calls["UnionFind"]) == len(distinct) < len(asked)
+            assert len(calls[labelled]) == len(distinct) < len(asked)
             assert len(calls["_region_ranks"]) == len(distinct)
             assert len(calls["reduced_betti"]) == len(selected) == 1
             if backend == "subcomplex":
@@ -764,7 +768,32 @@ class TestRegionMemo:
         F = random_family("subcomplex", 5, 1)
         with pytest.raises(MemoryError):
             nerve(F)
+        assert F._walk is None
         assert nerve(F).simplices == family_nerve(F) | {frozenset()}
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_walk_broken_while_extending_starts_over(self, monkeypatch, at):
+        # the break lands on the first region extended from a nonempty set,
+        # in level 2, or on the walk's last, in its top level
+        real, grown, stop = multinerve.families._extend, [], [0]
+
+        def flaky(F, prev, j):
+            if prev is not None:
+                grown.append(j)
+                if len(grown) == stop[0]:
+                    raise MemoryError
+            return real(F, prev, j)
+        monkeypatch.setattr(multinerve.families, "_extend", flaky)
+        nerve(random_family("subcomplex", 5, 1))  # counts, never breaks
+        stop[0] = 1 if at == "first" else len(grown)
+        del grown[:]
+        F = random_family("subcomplex", 5, 1)
+        assert max(len(G) for G, _ in family_walk(F)) >= 3
+        with pytest.raises(MemoryError):
+            nerve(F)
+        assert F._walk is None and len(grown) == stop[0]
+        assert nerve(F).simplices == family_nerve(F) | {frozenset()}
+        assert F._walk == family_walk(F)
 
 
 def _walk_family(backend: str, n: int, seed: int):
@@ -833,3 +862,50 @@ class TestMaskRegions:
                     family_components(F, A), A
         # the union has holes, the rings', unless T itself is a member
         assert bool(region_betti(F, ()).items()) is not bool(seed % 2)
+
+
+class TestCarriedRegions:
+    """The walk hands each set's region down from its parent's, and a
+    subcomplex region is labelled in one union-find pass; both match their
+    definitions."""
+
+    @pytest.mark.parametrize("backend", ["box", "subcomplex"])
+    def test_walked_regions_match_prefix_regions(self, backend):
+        # every region the walk keeps is the one _region builds from the
+        # prefixes on a fresh copy, as a tuple (a box label's canon is its
+        # index there), and decodes to the region from its definition
+        def fresh(n):
+            if n:
+                return _walk_family(backend, n, n)
+            if backend == "box":
+                return box_family(1, [])
+            return subcomplex_family(grid_triangulation(2), [])
+        for n in range(17):
+            F, G = fresh(n), fresh(n)
+            walked = [A for A, _ in multinerve.families._nerve_walk(F)]
+            assert len(walked) >= n
+            for A in walked:
+                got = F._region_cache[A]
+                want = multinerve.families._region(G, A)
+                assert type(got) is type(want) and got == want, (n, A)
+                if backend == "box":
+                    decoded = [b.intervals for b in got]
+                else:
+                    decoded = sorted(
+                        SubcomplexMember(got, F.ambient).simplices,
+                        key=lambda s: (len(s), sorted(s)))
+                assert decoded == family_region(F, A), (n, A)
+
+    def test_labels_match_a_plain_union_find(self):
+        for seed in range(30):
+            F = random_family("subcomplex", 12, seed, grid=7,
+                              stars_per_member=3)
+            walked = [A for A, hit in multinerve.families._nerve_walk(F)
+                      if hit]
+            regions = {multinerve.families._region(F, A): A
+                       for A in [(), *walked]}
+            for A in regions.values():
+                labels, owner = multinerve.families._subcomplex_groups(F, A)
+                want, want_owner = union_find_labels(family_region(F, A))
+                assert [(c.canon, c.rep) for c in labels] == want, (seed, A)
+                assert {v: owner(v) for v in want_owner} == want_owner
