@@ -7,9 +7,10 @@ Two backends realize the oracle:
   and components come from the 1-skeleton: union-find over the region's
   vertex bits, joined along its edge bits.
 * ``box``: members are finite unions of open axis-aligned boxes with
-  rational endpoints; intersections are enumerated box overlaps and
-  components come from the strict-overlap graph.  Openness is modeled by
-  strict inequalities throughout, so tangent boxes never merge.
+  rational endpoints; intersections are enumerated box overlaps, and
+  components come from the strict-overlap graph of the region's distinct
+  boxes, built once per region.  Openness is modeled by strict
+  inequalities throughout, so tangent boxes never merge.
 
 The family keeps one region per index set A, the region of a set P
 extended by one member (``_extend``): the walk hands each set's region
@@ -25,9 +26,10 @@ an empty intersection ends the walk above it; a walk that runs to its end
 is kept on the family.
 
 Both backends count a region's Betti vector the same way, from the cell
-counts and boundary ranks of one complex, with no chain complex built: the
-region itself, or the nerve of its distinct boxes up to dimension d (see
-``_region_betti``).  Only Betti vectors build T's ``Boundary``.
+counts of one complex and the ranks of its boundary, eliminated top down
+on the dimensions that need it: the region itself, or the nerve of its
+distinct boxes up to dimension d, the clique complex of their overlap
+graph (see ``_region_betti``).  Only Betti vectors build T's ``Boundary``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .homology import BettiVector, Boundary, UnionFind, sparse_rank
+from .homology import BettiVector, Boundary, ChainComplex, sparse_rank
 from .poset import SimplicialComplex, _bit_ids
 
 
@@ -138,6 +140,7 @@ class SetFamily:
         self._rid_cache: dict[tuple, int] = {}
         self._betti_cache: dict[int, BettiVector] = {}
         self._groups_cache: dict[int, tuple] = {}
+        self._graph_cache: dict[int, tuple] = {}
         self._walk: list[tuple[tuple[int, ...], bool]] | None = None
         self._ambient_index: _AmbientIndex | None = None
 
@@ -327,27 +330,47 @@ def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     return tuple(labels), owner.__getitem__
 
 
+def _box_graph(F: SetFamily, A: tuple[int, ...]) -> tuple:
+    """The overlap graph of the region's distinct boxes, built once per
+    region for ``_box_groups`` and ``_region_ranks``: the boxes in
+    first-occurrence order, the first index of each in the region, and
+    each one's neighbours, the boxes it overlaps, as a mask of positions."""
+    first: dict[Box, int] = {}
+    for i, b in enumerate(_region(F, A)):
+        first.setdefault(b, i)
+    boxes, nbrs = list(first), [0] * len(first)
+    for (i, a), (j, b) in combinations(enumerate(boxes), 2):
+        if a.overlaps(b):
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+    return boxes, list(first.values()), nbrs
+
+
 def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """Union-find over the region's boxes, joined where they overlap.  The
-    owner gives a rep the component of the first box it overlaps, sound
-    for a rep inside one box, as it is connected.  No other comes:
+    """The components of the region's overlap graph (``_box_graph``), each
+    grown from its lowest box by bit operations and labelled by that box
+    and its first index in the region; a twin joins its first occurrence.
+    The owner gives a rep the component of the first box it overlaps,
+    sound for a rep inside one box, as it is connected.  No other comes:
     ``component_containing`` refuses them, and ``multinerve`` passes a
     rep over A, the meet of one box per member, to the regions over
     subsets of A, each of which holds the meet of the same boxes."""
-    boxes = _region(F, A)
-    uf = UnionFind(range(len(boxes)))
-    for i, j in combinations(range(len(boxes)), 2):
-        if boxes[i].overlaps(boxes[j]):
-            uf.union(i, j)
-    labels, owner = [], {}
-    for i, group in sorted((min(g), g) for g in uf.groups().values()):
-        owner.update(dict.fromkeys(group, len(labels)))
-        labels.append(ComponentLabel(i, boxes[i]))
-    labels = tuple(labels)
+    boxes, first, nbrs = _per_region(F, F._graph_cache, A, _box_graph)
+    labels, owner, left = [], [0] * len(boxes), (1 << len(boxes)) - 1
+    while left:
+        i = (left & -left).bit_length() - 1
+        comp = new = 1 << i
+        while new:
+            new = reduce(int.__or__, map(nbrs.__getitem__, _bit_ids(new))) & ~comp
+            comp |= new
+        left &= ~comp
+        for j in _bit_ids(comp):
+            owner[j] = len(labels)
+        labels.append(ComponentLabel(first[i], boxes[i]))
 
     def index(rep: Box) -> int:
         return next(owner[i] for i, b in enumerate(boxes) if b.overlaps(rep))
-    return labels, index
+    return tuple(labels), index
 
 
 def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
@@ -443,10 +466,15 @@ def _region_betti(F: SetFamily, A: tuple[int, ...]) -> BettiVector:
     of open boxes is an open box, so the boxes are a good cover and the
     full nerve has the region's homology (nerve theorem); a twin box would
     keep the homotopy type too, its vertex's link being the closed star of
-    its twin, and is dropped to keep K small.  The region is open in R^d,
-    so its H_n, and the full nerve's, vanish for n >= d (Hatcher, Prop.
-    3.46).  And b_n for n < d reads the n-cells and the ranks of d_n and
-    d_{n+1}, n + 1 <= d: K, the d-skeleton, holds every cell they read.
+    its twin, and is dropped to keep K small.  The nerve is the clique
+    complex of the boxes' overlap graph, as open boxes have Helly number 2
+    (Danzer-Gruenbaum-Klee 1963): open intervals that overlap pairwise
+    share a point, the largest lower end lying below the smallest upper
+    one, so open boxes that overlap pairwise do too, axis by axis.  The
+    region is open in R^d, so its H_n, and the full nerve's, vanish for
+    n >= d (Hatcher, Prop. 3.46).  And b_n for n < d reads the n-cells and
+    the ranks of d_n and d_{n+1}, n + 1 <= d: K, the d-skeleton, holds
+    every cell they read.
     """
     if not _region(F, A):
         return BettiVector.from_dict({-1: 1})
@@ -461,46 +489,53 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
     over A, the empty simplex included, and the rank of each d_n.
 
     rank d_0 = 1, as K has a vertex; rank d_1 is #vertices - #components
-    (see ``ChainComplex.rank_boundary``), from the union-find of
-    ``_groups``, whose groups are K's (a box overlaps its twin).  Every
-    other rank is ``sparse_rank`` of the rows, but for a subcomplex
-    region's top.  A subcomplex region's cells are counted from their
-    sizes, and T's rows are gathered only for a dimension that must be
-    eliminated: every member is face-closed (``subcomplex_family`` checks
-    it), so the region is closed downward in T and its rows are T's whole
-    (see ``Boundary``); and the rank of d_n, n = dim T, is the n-cell count
-    when T's top rows are independent (``top_free``), as a region's are
-    some of them.  T's n-simplex ids are one run, so a region's n-cells
-    are the popcount of those bits, and its rows are read by bit position.
+    (see ``ChainComplex.rank_boundary``), from ``_groups``, whose groups
+    are K's.  Every other rank is eliminated by ``rank_boundary`` from the
+    top down, so each clears the next, but for a subcomplex region's top.
+    A subcomplex region's cells are counted from their sizes, and T's rows
+    are gathered only once a dimension must be eliminated: every member
+    is face-closed (``subcomplex_family`` checks it), so the region is
+    closed downward in T and its rows are T's whole (see ``Boundary``);
+    and the rank of d_n, n = dim T, is the n-cell count when T's top rows
+    are independent (``top_free``), as a region's are some of them.  T's
+    n-simplex ids are one run, so a region's n-cells are the popcount of
+    those bits, and its rows are read by bit position.  A box region's K
+    is the clique complex of its overlap graph (``_box_graph``) up to
+    dimension d, its cells in (size, lexicographic) order, face i of a
+    clique dropping its i-th box.
     """
-    region, top = _region(F, A), None
+    region, top, cc = _region(F, A), None, None
     if F.backend == "subcomplex":
         T, index = F.ambient, _ambient(F)
         sizes = {n: c for n in range(-1, T.dim + 1)  # bit 0: the empty one
                  if (c := ((region | 1) & T.dim_mask(n)).bit_count())}
         top = T.dim if index.top_free else None
 
-        def rows(n: int) -> list:
-            return [index.boundary.rows[i] for i in _bit_ids(region & T.dim_mask(n))]
+        def chain() -> ChainComplex:  # the rows of the dimensions eliminated
+            rows = index.boundary.rows
+            return ChainComplex({n: {i: rows[i] for i in _bit_ids(region & T.dim_mask(n))}
+                                 for n in range(2, max(sizes) + 1) if n != top})
     else:
-        # the intersecting sets of one box each are the nerve's simplices
-        d, ids, faces = F.ambient, {(): 0}, [()]
-        for B, hit in _nerve_walk(box_family(
-                d, [[b] for b in dict.fromkeys(region)])):
-            if len(B) > d + 1:
-                break
-            if hit:
-                ids[B] = len(faces)
-                faces.append(tuple(ids[B[:i] + B[i + 1:]]
-                                   for i in range(len(B))))
-        grouped: dict[int, list] = {}
-        for row in Boundary.of_faces(faces).rows.values():
-            grouped.setdefault(len(row) - 1, []).append(row)
-        sizes = {n: len(r) for n, r in grouped.items()}
-        rows = grouped.__getitem__
+        nbrs = _per_region(F, F._graph_cache, A, _box_graph)[2]
+        faces, ids = [()], {(): 0}
+        level = [((i,), nbr) for i, nbr in enumerate(nbrs)]  # clique, common
+        while level:
+            grown = []
+            for C, common in level:
+                ids[C] = len(faces)
+                faces.append(tuple(ids[C[:i] + C[i + 1:]] for i in range(len(C))))
+                if len(C) <= F.ambient:
+                    grown.extend((C + (j,), common & nbrs[j])
+                                 for j in _bit_ids(common & -(2 << C[-1])))
+            level = grown
+        grouped: dict[int, dict] = {}
+        for c, row in Boundary.of_faces(faces).rows.items():
+            grouped.setdefault(len(row) - 1, {})[c] = row
+        cc = ChainComplex(grouped)
+        sizes = cc.sizes
     ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
-    for n in range(2, max(sizes) + 1):
-        ranks[n] = sizes[n] if n == top else sparse_rank(rows(n))
+    for n in range(max(sizes), 1, -1):
+        ranks[n] = sizes[n] if n == top else (cc := cc or chain()).rank_boundary(n)
     return sizes, ranks
 
 

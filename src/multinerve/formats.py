@@ -27,6 +27,16 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
+def _plain(text: str) -> str:
+    """text, the numeric part of one line (or a whole complex block),
+    checked once before int() reads its fields: int() also takes '_'
+    between digits ('1_0' is 10) and non-ASCII digits ('\u0661' is 1),
+    which no format allows, so either raises ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not plain ASCII: {text!r}")
+    return text
+
+
 def _lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -69,6 +79,7 @@ def parse_poset(text: str, path: str = "<string>") -> SimplicialPoset:
         if len(parts) < 2:
             raise ParseError(path, lineno, "expected '<id> <dim> <faces...>'")
         try:
+            _plain(body)
             cid, dim = int(parts[0]), int(parts[1])
             faces = tuple(int(p) for p in parts[2:])
         except ValueError:
@@ -109,18 +120,18 @@ def parse_complex(text: str, path: str = "<string>") -> SimplicialComplex:
         raise ParseError(path, 1, "empty file, expected 'complex v1' header")
     if header != "complex v1":
         raise ParseError(path, lineno, f"expected 'complex v1' header, got {header!r}")
-    return _complex_lines(it, path)
+    return _complex_lines(it, path, "_" not in text and text.isascii())
 
 
-def _complex_lines(lines, path: str) -> SimplicialComplex:
+def _complex_lines(lines, path: str, plain: bool) -> SimplicialComplex:
     """The complex whose simplices are the numbered lines (after the
     header): a vertex repeated within a line, or a simplex repeated on a
     second line, or a simplex missing a face, is refused, citing the line
-    (and the first one)."""
+    (and the first one).  plain: the whole text passed ``_plain``."""
     first: dict[frozenset, int] = {}
     for lineno, line in lines:
         try:
-            verts = list(map(int, line.split()))
+            verts = list(map(int, (line if plain else _plain(line)).split()))
         except ValueError:
             raise ParseError(path, lineno, "vertex ids must be integers")
         s = frozenset(verts)
@@ -143,13 +154,16 @@ def _fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_fraction(tok: str, path: str, lineno: int) -> Fraction:
+def _parse_fraction(tok: str, path: str, lineno: int, plain: bool) -> Fraction:
+    """The rational tok, checked by ``_plain`` unless its line passed."""
     if "/" in tok:
         num, den = tok.split("/", 1)
     else:
         num, den = tok, "1"
     try:
         num_i, den_i = int(num), int(den)
+        if not plain:
+            _plain(tok)
     except ValueError:
         raise ParseError(path, lineno, f"expected rational p/q, got {tok!r}")
     if den_i <= 0:
@@ -194,7 +208,7 @@ def parse_family(text: str, path: str = "<string>",
     if backend not in ("subcomplex", "box"):
         raise ParseError(path, lineno, f"unknown backend {parts[2]!r}")
     try:
-        ambient = int(parts[3])
+        ambient = int(_plain(parts[3]))
     except ValueError:
         raise ParseError(path, lineno, "ambient descriptor must be an integer")
     if backend == "box" and ambient < 1:
@@ -208,7 +222,7 @@ def parse_family(text: str, path: str = "<string>",
         if len(toks) != 2:
             raise ParseError(path, lineno, "expected 'gamma-dim <int>'")
         try:
-            gamma_dim = int(toks[1])
+            gamma_dim = int(_plain(toks[1]))
         except ValueError:
             raise ParseError(path, lineno, "gamma-dim must be an integer")
         if gamma_dim < 0:
@@ -228,7 +242,9 @@ def parse_family(text: str, path: str = "<string>",
             elif toks[0] == "box":
                 if not members:
                     raise ParseError(path, lineno, "'box' line before any 'member'")
-                vals = [_parse_fraction(t, path, lineno) for t in toks[1:]]
+                plain = "_" not in line and line.isascii()
+                vals = [_parse_fraction(t, path, lineno, plain)
+                        for t in toks[1:]]
                 if len(vals) != 2 * ambient:
                     raise ParseError(path, lineno,
                                      f"expected {2 * ambient} rationals for a "
@@ -251,7 +267,7 @@ def parse_family(text: str, path: str = "<string>",
         pos += 1
     if pos >= len(lines):
         raise ParseError(path, lines[-1][0], "missing 'end complex'")
-    T = _complex_lines(lines[start:pos], path)
+    T = _complex_lines(lines[start:pos], path, "_" not in text and text.isascii())
     if T.dim != ambient:
         raise ParseError(path, lines[pos][0],
                          f"triangulation dimension {T.dim} != declared {ambient}")
@@ -264,7 +280,7 @@ def parse_family(text: str, path: str = "<string>",
         if toks[0] != "member":
             raise ParseError(path, lineno, f"expected 'member', got {toks[0]!r}")
         try:
-            sids = list(map(int, toks[1:]))
+            sids = list(map(int, _plain(line).split()[1:]))
         except ValueError:
             raise ParseError(path, lineno, "simplex ids must be integers")
         for sid in sids:
@@ -291,6 +307,7 @@ def parse_betti(text: str, path: str = "<string>") -> BettiVector:
         if len(toks) != 2:
             raise ParseError(path, lineno, "expected '<dim> <value>'")
         try:
+            _plain(line)
             entries[int(toks[0])] = int(toks[1])
         except ValueError:
             raise ParseError(path, lineno, "dimensions and values must be integers")

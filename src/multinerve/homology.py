@@ -3,7 +3,8 @@
 Boundary matrices carry integer entries (always -1/0/+1 at construction);
 the ranks of d_0 and d_1 are read off them (``ChainComplex.rank_boundary``)
 and the others come from fraction-free integer elimination, so every Betti
-number is exact.  The (-1)-dimensional cell doubles as the augmentation,
+number is exact; ranks are taken top down, each skipping the rows the one
+above has cleared.  The (-1)-dimensional cell doubles as the augmentation,
 which makes reduced homology the uniform default: the empty space has
 Betti vector {-1: 1} and nothing else.
 
@@ -22,9 +23,11 @@ from .poset import SimplicialComplex, SimplicialPoset
 SparseRow = dict[int, int]
 
 
-def sparse_rank(rows: Iterable[SparseRow]) -> int:
+def sparse_rank(rows: Iterable[SparseRow],
+                pivots: dict[int, SparseRow] | None = None) -> int:
     """Rank over Q of an integer matrix given as sparse rows (column ->
-    entry; a zero entry counts as absent).
+    entry; a zero entry counts as absent).  A caller that passes an empty
+    dict as ``pivots`` gets the kept rows in it, keyed by largest column.
 
     Each row is reduced against pivots keyed by their largest column (the
     column algorithm of persistent homology, Zomorodian-Carlsson 2005): while
@@ -39,7 +42,8 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
     largest column holds a zero drops its zeros; a zero in any other column
     adds nothing to a reduction.  Input rows are never written to.
     """
-    pivots: dict[int, SparseRow] = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         while row:
             c = max(row)
@@ -110,41 +114,19 @@ class BettiVector:
 Space = Union[SimplicialPoset, SimplicialComplex]
 
 
-class UnionFind:
-    """Disjoint sets of hashable items, each named by one of its items."""
-
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
-    def union(self, a, b) -> bool:
-        """Join the sets of a and b; whether they were apart."""
-        a, b = self.find(a), self.find(b)
-        self.parent[b] = a
-        return a != b
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 class ChainComplex:
-    """Augmented rational chain complex, built by ``Boundary.select``:
-    ``boundary[n]`` maps each n-cell id to its signed row in C_{n-1};
-    dimension -1 holds the augmentation, whose row is empty."""
+    """Augmented rational chain complex on rows of a ``Boundary``, as
+    ``select`` builds it: ``boundary[n]`` maps each n-cell id to its signed
+    row in C_{n-1}; dimension -1 holds the augmentation, whose row is
+    empty.  ``cleared`` maps each n >= 3 whose rank was taken to the
+    pivots of d_n, and stays None until one is."""
 
-    __slots__ = ("sizes", "boundary")
+    __slots__ = ("sizes", "boundary", "cleared")
 
     def __init__(self, boundary: dict[int, dict[int, SparseRow]]):
         self.boundary = boundary
         self.sizes = {d: len(rows) for d, rows in boundary.items()}
+        self.cleared: dict[int, dict[int, SparseRow]] | None = None
 
     def size(self, n: int) -> int:
         return self.sizes.get(n, 0)
@@ -162,6 +144,14 @@ class ChainComplex:
         graph of 0- and 1-cells, of rank #0-cells - #components: one per
         union that joins two components.  This holds for every boundary
         built here: X[S], spaces and ``families._region_ranks``'s regions.
+
+        Once rank d_{n+1} is taken, d_n skips the rows of the n-cells that
+        key its pivots (clearing, Chen-Kerber 2011), so ranks taken top
+        down eliminate less.  A pivot r keyed by cell c is a combination of
+        d_{n+1}'s rows, so d_n r = 0 by d o d = 0 (checked by ``Boundary``):
+        sum_e r_e row_e = 0 over the n-cells e <= c in r, r_c nonzero, so
+        c's row in d_n lies in the span of the rows of lower n-cells.  By
+        induction on the id, the rows kept span all of d_n's rows.
         """
         rows = self.boundary.get(n)
         if not rows:
@@ -169,9 +159,24 @@ class ChainComplex:
         if n == 0:
             return 1
         if n == 1:
-            uf = UnionFind(self.boundary[0])
-            return sum(uf.union(*row) for row in rows.values())
-        return sparse_rank(rows.values())
+            root, joins = {v: v for v in self.boundary[0]}, 0
+            for u, v in rows.values():
+                while root[u] != u:
+                    root[u] = u = root[root[u]]  # path halving
+                while root[v] != v:
+                    root[v] = v = root[root[v]]
+                if u != v:
+                    root[v], joins = u, joins + 1
+            return joins
+        done = self.cleared and self.cleared.get(n + 1)
+        rows = ([row for c, row in rows.items() if c not in done] if done
+                else rows.values())
+        if n < 3:
+            return sparse_rank(rows)
+        if self.cleared is None:
+            self.cleared = {}
+        pivots = self.cleared[n] = {}
+        return sparse_rank(rows, pivots)
 
     @property
     def top(self) -> int:
@@ -246,17 +251,19 @@ def _signed_rows(faces) -> dict[int, SparseRow]:
 
 
 def reduced_betti(X: Space | ChainComplex) -> BettiVector:
-    """Exact reduced Betti numbers over Q."""
+    """Exact reduced Betti numbers over Q, the ranks taken top down so that
+    each clears the next (see ``ChainComplex.rank_boundary``)."""
     cc = X if isinstance(X, ChainComplex) else chain_complex(X)
     return BettiVector.from_ranks(cc.sizes, {n: cc.rank_boundary(n)
-                                             for n in range(0, cc.top + 1)})
+                                             for n in range(cc.top, -1, -1)})
 
 
 def top_nonzero_betti(X: Space | ChainComplex, floor: int = 0) -> int | None:
     """Largest n >= floor with nonzero reduced Betti number, scanning downward.
 
-    Computes boundary ranks lazily from the top dimension, so callers that
-    only need "is anything alive at or above floor" pay for few eliminations.
+    Computes boundary ranks lazily from the top dimension, each clearing
+    the next (see ``ChainComplex.rank_boundary``), so callers that only
+    need "is anything alive at or above floor" pay for few eliminations.
     """
     cc = X if isinstance(X, ChainComplex) else chain_complex(X)
     ranks: dict[int, int] = {}
@@ -267,7 +274,7 @@ def top_nonzero_betti(X: Space | ChainComplex, floor: int = 0) -> int | None:
         return ranks[n]
 
     for n in range(cc.top, floor - 1, -1):
-        if cc.size(n) - rank(n) - rank(n + 1):
+        if cc.size(n) - rank(n + 1) - rank(n):
             return n
     return None
 

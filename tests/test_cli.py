@@ -214,6 +214,45 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"mnv: {path}{cited}\n"
 
+    @pytest.mark.parametrize("command,text,cited", [
+        ("homology", "poset v1\n0 -1\n0_1 0 0\n",
+         ":3: ids and dimensions must be integers"),
+        ("homology", "poset v1\n0 -1\n\u0661 0 0\n",
+         ":3: ids and dimensions must be integers"),
+        ("homology", "complex v1\n0 1_0\n", ":2: vertex ids must be integers"),
+        ("homology", "complex v1\n0\n\u0661\n",
+         ":3: vertex ids must be integers"),
+        ("nerve", "family v1 subcomplex 0\ncomplex v1\n0\nend complex\n"
+                  "member 0_0\n", ":5: simplex ids must be integers"),
+        ("nerve", "family v1 subcomplex 0\ncomplex v1\n0_0\nend complex\n"
+                  "member 0\n", ":3: vertex ids must be integers"),
+        ("nerve", "family v1 box 1\nmember\nbox 0 1_0\n",
+         ":3: expected rational p/q, got '1_0'"),
+        ("nerve", "family v1 box 1\nmember\nbox 0/\u0661 1\n",
+         ":3: expected rational p/q, got '0/\u0661'"),
+        ("nerve", "family v1 box 1_0\nmember\nbox 0 1\n",
+         ":1: ambient descriptor must be an integer"),
+        ("nerve", "family v1 box 1\ngamma-dim \u0661\nmember\nbox 0 1\n",
+         ":2: gamma-dim must be an integer"),
+    ])
+    def test_python_only_integer_spellings_are_2(self, command, text, cited,
+                                                 tmp_path):
+        # int() reads '1_0' as 10 and non-ASCII digits as digits; no format
+        # takes either, and the field's own message cites the line
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = mnv_in_process(command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"mnv: {path}{cited}\n"
+
+    def test_signs_and_labels_stay_accepted(self, tmp_path):
+        # a signed id still parses, and a poset label may be any text
+        for text in ("poset v1\n+0 -1\n1 +0 0 | \u0661\n",
+                     "complex v1\n+0\n"):
+            path = tmp_path / "ok.txt"
+            path.write_text(text, encoding="utf-8")
+            assert mnv_in_process("homology", str(path)) == (0, "", "")
+
     def test_cap_refusal_is_3_and_names_cap(self, tmp_path):
         p = tmp_path / "big.poset"
         lines = ["poset v1", "0 -1"] + [f"{i} 0 0" for i in range(1, 13)]

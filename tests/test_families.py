@@ -181,23 +181,29 @@ class TestRegionBetti:
                 [box((Fraction(3, 2), 4))]]
 
     def test_box_nerve_gets_distinct_boxes(self, monkeypatch):
-        # a box region's nerve is walked on a family of one box per member,
-        # its distinct boxes
-        real, seen = multinerve.families.box_family, []
+        # a box region's nerve and components read one overlap graph,
+        # built once per distinct region on its distinct boxes in
+        # first-occurrence order, whichever query comes first
+        real, seen = multinerve.families._box_graph, []
 
-        def spy(dim, members):
-            seen.append([tuple(m) for m in members])
-            return real(dim, members)
-        monkeypatch.setattr(multinerve.families, "box_family", spy)
+        def spy(F, A):
+            seen.append((A, real(F, A)))
+            return seen[-1][1]
+        monkeypatch.setattr(multinerve.families, "_box_graph", spy)
         F = box_family(1, self.REPEATED)
-        for A in ((), (0, 1), (0, 1, 2)):
-            region_betti(F, A)
-        assert len(seen) == 3
-        for members, A in zip(seen, ((), (0, 1), (0, 1, 2))):
-            assert all(len(m) == 1 for m in members)
-            boxes = [m[0] for m in members]
-            assert len(set(boxes)) == len(boxes)
-            assert set(boxes) == set(multinerve.families._region(F, A))
+        asked = ((), (0,), (1,), (0, 1), (0, 1, 2))
+        for k, A in enumerate(asked):
+            for query in (region_betti, components)[::1 if k % 2 else -1]:
+                query(F, A)
+        regions = [multinerve.families._region(F, A) for A in asked]
+        assert len(seen) == len(set(regions)) == 4
+        for A, (boxes, first, nbrs) in seen:
+            region = multinerve.families._region(F, A)
+            assert boxes == list(dict.fromkeys(region))
+            assert first == [region.index(b) for b in boxes]
+            assert nbrs == [sum(1 << j for j, c in enumerate(boxes)
+                                if j != i and b.overlaps(c))
+                            for i, b in enumerate(boxes)]
 
     def test_repeated_member_against_oracle(self):
         F = box_family(1, self.REPEATED)

@@ -1,6 +1,7 @@
 """Homology core: chain complexes, exact Betti numbers, Euler characteristic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,11 @@ from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
                      gauss_jordan_rank, random_complex, random_poset, relabel,
                      small_family, with_isolated_vertices)
 
-from multinerve import (BettiVector, SimplicialComplex, build_poset,
-                        chain_complex, euler_characteristic,
+from multinerve import (BettiVector, SimplicialComplex, box, box_family,
+                        build_poset, chain_complex, euler_characteristic,
                         is_acyclic_with_slack, leray_number, random_family,
-                        reduced_betti, region_betti, sparse_rank)
+                        reduced_betti, region_betti, sparse_rank,
+                        verify_multinerve_theorem)
 from multinerve.fixtures import cycle_complex, double_edge_poset
 from multinerve.homology import ChainComplex, top_nonzero_betti
 
@@ -178,23 +180,41 @@ def _dense_rank(cc: ChainComplex, n: int) -> int:
 
 @pytest.fixture
 def low_ranks(monkeypatch):
-    """Check every rank of d_0 and d_1 asked while the fixture is on
-    against the dense rank; the list of (n, augmentation cell) asked."""
-    real, asked = ChainComplex.rank_boundary, []
+    """Check every rank of d_n asked while the fixture is on, cleared ones
+    too, against the dense rank of all of d_n's rows, and check that the
+    rows it eliminates are d_n's but those of the n-cells keying a pivot
+    of d_{n+1}; the list of (n, augmentation cell or None, rows cleared)
+    asked, the augmentation read for n <= 1 only."""
+    from multinerve import homology
+    real, real_rank, asked, fed = (ChainComplex.rank_boundary,
+                                   homology.sparse_rank, [], [])
+
+    def sparse_rank(rows, *pivots):
+        fed.append(rows := list(rows))
+        return real_rank(rows, *pivots)
 
     def rank_boundary(cc, n):
+        del fed[:]
         out = real(cc, n)
-        if n <= 1:
-            assert out == _dense_rank(cc, n), (n, cc.boundary)
-            asked.append((n, *cc.boundary[-1]))
+        assert out == _dense_rank(cc, n), (n, cc.boundary)
+        rows, cleared = cc.boundary.get(n), 0
+        if n >= 2 and rows:
+            done = (cc.cleared or {}).get(n + 1, {})
+            kept = [r for c, r in rows.items() if c not in done]
+            assert fed == [kept], n
+            cleared = len(rows) - len(kept)
+        aug = next(iter(cc.boundary[-1])) if n <= 1 else None
+        asked.append((n, aug, cleared))
         return out
+    monkeypatch.setattr(homology, "sparse_rank", sparse_rank)
     monkeypatch.setattr(ChainComplex, "rank_boundary", rank_boundary)
     return asked
 
 
 class TestLowRanks:
-    """rank d_0 and d_1 read off without elimination, against dense
-    Gauss-Jordan rank on every complex the program ranks."""
+    """Every rank the program takes, d_0 and d_1 read off without
+    elimination and the others eliminated top down with clearing, against
+    dense Gauss-Jordan rank on every complex the program ranks."""
 
     def test_double_edge(self):
         # 2 vertices joined by 2 edges: one independent edge
@@ -227,14 +247,26 @@ class TestLowRanks:
             leray_number(P)
             leray_number(P, sample=30, seed=1)
         # every X[S] has the least cell as its augmentation
-        assert {aug for _, aug in low_ranks} == {0}
-        assert {n for n, _ in low_ranks} == {0, 1}
+        assert {aug for n, aug, _ in low_ranks if n <= 1} == {0}
+        assert {n for n, _, _ in low_ranks} >= {0, 1, 2}
+
+    def test_multinerves_clear_rows(self, low_ranks):
+        # M's ranks are taken top down, and some skip the rows of cells
+        # that key a pivot of the rank above
+        for backend in ("box", "subcomplex"):
+            for seed in range(20):
+                F = small_family(seed, backend)
+                if is_acyclic_with_slack(F, 0)[0]:
+                    verify_multinerve_theorem(F, 0)
+        assert {n for n, _, _ in low_ranks} >= {0, 1, 2, 3}
+        assert any(cleared for _, _, cleared in low_ranks)
 
     def test_box_nerves_and_subcomplex_regions(self, low_ranks, monkeypatch):
-        # both backends count a region's cells and ranks with no chain
-        # complex (``_region_ranks``), checked here against the dense
-        # boundaries of its complex rebuilt: a subcomplex region itself, or
-        # a box region's nerve of distinct boxes up to dimension d
+        # both backends count a region's cells and ranks (``_region_ranks``),
+        # checked here against the dense boundaries of its complex rebuilt:
+        # a subcomplex region itself, or for a box region the meets of every
+        # set of at most d + 1 of its distinct boxes, which the clique
+        # complex of their overlap graph must match
         from multinerve import families
         real, counted = families._region_ranks, []
 
@@ -260,7 +292,24 @@ class TestLowRanks:
                 random_family(backend, 5, 3, ambient_dim=2), 0)
             assert {n for b, ranks in counted if b == backend
                     for n, r in ranks.items() if r} >= {0, 1, 2}
-        assert low_ranks == []
+        # d_0 and d_1 come from a region's groups, never from rank_boundary
+        assert min(n for n, _, _ in low_ranks) == 2
+        # in R^3, cliques of 4 boxes: d_3 is eliminated and clears d_2's
+        # rows; tangent boxes do not overlap, twins and nested boxes do
+        del low_ranks[:], counted[:]
+        cube = box((0, 4), (0, 4), (0, 4))
+        for F in (box_family(3, [
+                [cube, box((1, 2), (1, 2), (1, 2))],
+                [box((0, 1), (0, 1), (0, 1)), box((1, 2), (0, 1), (0, 1))],
+                [cube, box((Fraction(1, 2), 3), (0, 2), (1, 3))],
+                [box((Fraction(1, 2), 3), (Fraction(1, 2), 3), (0, 1))],
+                [box((1, 3), (1, 3), (0, 4)), box((3, 4), (0, 4), (0, 4))]]),
+                random_family("box", 5, 7, ambient_dim=3, boxes_per_member=3)):
+            region_betti(F, ())
+            is_acyclic_with_slack(F, 0)
+        assert {n for _, ranks in counted for n, r in ranks.items() if r} \
+            == {0, 1, 2, 3}
+        assert any(cleared for n, _, cleared in low_ranks if n == 2)
 
 
 class TestEuler:
