@@ -23,8 +23,8 @@ from .homology import reduced_betti
 from .leray import CapExceeded, format_leray, j_index, leray_number
 from .nerve import multinerve, nerve, reduced_multinerve
 from .poset import PosetError, SimplicialComplex, barycentric_subdivision
-from .verify import (PreconditionError, helly_number, instance_id,
-                     random_family, verify_helly_bound,
+from .verify import (BoundReport, PreconditionError, helly_number,
+                     instance_id, random_family, verify_helly_bound,
                      verify_multinerve_theorem, verify_projection_bound)
 
 EXIT_OK = 0
@@ -106,20 +106,18 @@ def _multinerve(args) -> None:
 def _helly(args) -> None:
     F = _load_family(args)
     res = helly_number(F, cap=args.cap)
-    text = (f"report v1\ninstance = {instance_id(F)}\nh = {res.h}\n"
-            f"witness = {','.join(str(i) for i in res.witness)}\n")
-    _emit(text, args.out)
+    q = {"h": res.h, "witness": ",".join(map(str, res.witness))}
+    _emit(BoundReport(instance_id(F), q, checks=None).render(), args.out)
 
 
 def _check_acyclic(args) -> int:
     F = _load_family(args)
     ok, viol = is_acyclic_with_slack(F, args.s)
-    lines = ["report v1", f"instance = {instance_id(F)}", f"s = {args.s}",
-             f"acyclic_with_slack = {'true' if ok else 'false'}"]
+    q = {"s": args.s, "acyclic_with_slack": "true" if ok else "false"}
     if viol is not None:
-        lines.append(f"violation_subset = {','.join(str(i) for i in viol.subset)}")
-        lines.append(f"violation_dim = {viol.dim}")
-    _emit("\n".join(lines) + "\n", args.out)
+        q["violation_subset"] = ",".join(map(str, viol.subset))
+        q["violation_dim"] = viol.dim
+    _emit(BoundReport(instance_id(F), q, checks=None).render(), args.out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

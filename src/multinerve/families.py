@@ -253,18 +253,24 @@ def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple[Box, ...]:
     A mask of T's simplex ids (the members' AND, the union their OR), or
     the open boxes met from one box per member of A, in the lexicographic
     order of those choices; falsy when empty.  ``_extend`` builds it from
-    the cached region of the prefix A[:-1], so nothing is met above an
+    the region of the longest nonempty prefix of A in the cache, one index
+    at a time, caching each longer prefix, so nothing is met above an
     empty prefix.
     """
-    if A in F._region_cache:
-        return F._region_cache[A]
-    if A:
-        out = _extend(F, _region(F, A[:-1]) if len(A) > 1 else None, A[-1])
-    elif F.backend == "subcomplex":
-        out = reduce(int.__or__, (m.mask for m in F.members), 0)
-    else:
-        out = tuple(b for m in F.members for b in m.boxes)
-    F._region_cache[A] = out
+    cache = F._region_cache
+    if A in cache:
+        return cache[A]
+    if not A:
+        cache[A] = (reduce(int.__or__, (m.mask for m in F.members), 0)
+                    if F.backend == "subcomplex"
+                    else tuple(b for m in F.members for b in m.boxes))
+        return cache[A]
+    k = len(A) - 1
+    while k and A[:k] not in cache:
+        k -= 1
+    out = cache[A[:k]] if k else None
+    for i in range(k, len(A)):
+        out = cache[A[:i + 1]] = _extend(F, out, A[i])
     return out
 
 
@@ -394,11 +400,11 @@ def _walk_source(F: SetFamily):
     runs to the end, so an error or a scan that stops early keeps none.
     A level holds, for each set P it extends, P's mask of member indices,
     its region (None for the empty set) and a mask of the j to try: the
-    region of P + (j,) is ``_extend`` of P's (a singleton's is
-    ``_region``'s), kept in F's cache unless A has one there.  ``ext``
-    maps P's mask to the j for which P + (j,) intersects, so A = P + (a,)
-    gets each j > a in ext[P] and in ext[A's mask less bit p], p in P, as
-    then A + (j,) less j, a or p intersects.  Each level is lexicographic."""
+    region of P + (j,) is ``_extend`` of P's, kept in F's cache unless A
+    has one there.  ``ext`` maps P's mask to the j for which P + (j,)
+    intersects, so A = P + (a,) gets each j > a in ext[P] and in ext[A's
+    mask less bit p], p in P, as then A + (j,) less j, a or p intersects.
+    Each level is lexicographic."""
     walk, cache = [], F._region_cache
     layer = [((), 0, None, (1 << len(F)) - 1)]
     while layer:
@@ -408,8 +414,7 @@ def _walk_source(F: SetFamily):
             alive = 0
             for j in _bit_ids(cand):
                 A = P + (j,)
-                got = (_region(F, A) if region is None
-                       else cache.setdefault(A, _extend(F, region, j)))
+                got = cache.setdefault(A, _extend(F, region, j))
                 item = A, bool(got)
                 walk.append(item)
                 yield item
@@ -528,10 +533,8 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
                     grown.extend((C + (j,), common & nbrs[j])
                                  for j in _bit_ids(common & -(2 << C[-1])))
             level = grown
-        grouped: dict[int, dict] = {}
-        for c, row in Boundary.of_faces(faces).rows.items():
-            grouped.setdefault(len(row) - 1, {})[c] = row
-        cc = ChainComplex(grouped)
+        boundary = Boundary.of_faces(faces)
+        cc = boundary.select(boundary.rows)
         sizes = cc.sizes
     ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
     for n in range(max(sizes), 1, -1):

@@ -1,9 +1,10 @@
 """Line-oriented text formats: poset.v1, complex.v1, family.v1, betti.v1.
 
-All files are UTF-8 with LF endings and decimal integer ids.  Parsers
-validate the declared format version and re-run the full build validation,
-so a file that parses always yields a structurally sound object.  Parse
-errors cite file, line, and what was expected.
+All files are UTF-8 with LF endings; integer fields are ASCII decimal
+digits with an optional sign, read by ``_ints`` alone.  Parsers validate
+the declared format version and re-run the full build validation, so a
+file that parses always yields a structurally sound object.  Parse errors
+cite file, line, and what was expected.
 """
 
 from __future__ import annotations
@@ -27,14 +28,19 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def _plain(text: str) -> str:
-    """text, the numeric part of one line (or a whole complex block),
-    checked once before int() reads its fields: int() also takes '_'
-    between digits ('1_0' is 10) and non-ASCII digits ('\u0661' is 1),
-    which no format allows, so either raises ValueError."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"not plain ASCII: {text!r}")
-    return text
+def _ints(text: str, path: str, lineno: int, message: str) -> list[int]:
+    """The whitespace-separated integers of text, each ASCII decimal digits
+    with an optional sign, or ParseError(path, lineno, message).  int()
+    alone also reads '_' between digits ('1_0' as 10) and non-ASCII digits
+    ('\u0661' as 1), which no format allows.  Text with no field, as a side
+    of the rational '1/', is refused too."""
+    fields = text.split()
+    if fields and text.isascii() and "_" not in text:
+        try:
+            return list(map(int, fields))
+        except ValueError:
+            pass
+    raise ParseError(path, lineno, message)
 
 
 def _lines(text: str):
@@ -78,19 +84,15 @@ def parse_poset(text: str, path: str = "<string>") -> SimplicialPoset:
         parts = body.split()
         if len(parts) < 2:
             raise ParseError(path, lineno, "expected '<id> <dim> <faces...>'")
-        try:
-            _plain(body)
-            cid, dim = int(parts[0]), int(parts[1])
-            faces = tuple(int(p) for p in parts[2:])
-        except ValueError:
-            raise ParseError(path, lineno, "ids and dimensions must be integers")
+        cid, dim, *faces = _ints(body, path, lineno,
+                                 "ids and dimensions must be integers")
         if cid != len(records):
             raise ParseError(path, lineno, f"cell ids must be consecutive from 0, got {cid}")
         for f in faces:
             if f not in seen:
                 raise ParseError(path, lineno, f"cell {cid} references undeclared cell {f}")
         seen[cid] = lineno
-        records.append(CellRecord(dim, faces))
+        records.append(CellRecord(dim, tuple(faces)))
     try:
         return build_poset(records)
     except PosetError as e:
@@ -120,20 +122,17 @@ def parse_complex(text: str, path: str = "<string>") -> SimplicialComplex:
         raise ParseError(path, 1, "empty file, expected 'complex v1' header")
     if header != "complex v1":
         raise ParseError(path, lineno, f"expected 'complex v1' header, got {header!r}")
-    return _complex_lines(it, path, "_" not in text and text.isascii())
+    return _complex_lines(it, path)
 
 
-def _complex_lines(lines, path: str, plain: bool) -> SimplicialComplex:
+def _complex_lines(lines, path: str) -> SimplicialComplex:
     """The complex whose simplices are the numbered lines (after the
     header): a vertex repeated within a line, or a simplex repeated on a
     second line, or a simplex missing a face, is refused, citing the line
-    (and the first one).  plain: the whole text passed ``_plain``."""
+    (and the first one)."""
     first: dict[frozenset, int] = {}
     for lineno, line in lines:
-        try:
-            verts = list(map(int, (line if plain else _plain(line)).split()))
-        except ValueError:
-            raise ParseError(path, lineno, "vertex ids must be integers")
+        verts = _ints(line, path, lineno, "vertex ids must be integers")
         s = frozenset(verts)
         if len(s) != len(verts):
             raise ParseError(path, lineno, f"repeated vertex in simplex {line!r}")
@@ -154,18 +153,13 @@ def _fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_fraction(tok: str, path: str, lineno: int, plain: bool) -> Fraction:
-    """The rational tok, checked by ``_plain`` unless its line passed."""
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-    else:
-        num, den = tok, "1"
-    try:
-        num_i, den_i = int(num), int(den)
-        if not plain:
-            _plain(tok)
-    except ValueError:
-        raise ParseError(path, lineno, f"expected rational p/q, got {tok!r}")
+def _parse_fraction(tok: str, path: str, lineno: int) -> Fraction:
+    """The rational tok, 'p/q' or 'p': an empty side ('1/') or a second
+    '/' ('1/2/3') is refused, as no integer."""
+    num, slash, den = tok.partition("/")
+    message = f"expected rational p/q, got {tok!r}"
+    num_i, den_i = (_ints(num, path, lineno, message)
+                    + _ints(den if slash else "1", path, lineno, message))
     if den_i <= 0:
         raise ParseError(path, lineno, f"rational {tok!r} has non-positive denominator")
     return Fraction(num_i, den_i)
@@ -207,10 +201,8 @@ def parse_family(text: str, path: str = "<string>",
     backend = parts[2]
     if backend not in ("subcomplex", "box"):
         raise ParseError(path, lineno, f"unknown backend {parts[2]!r}")
-    try:
-        ambient = int(_plain(parts[3]))
-    except ValueError:
-        raise ParseError(path, lineno, "ambient descriptor must be an integer")
+    [ambient] = _ints(parts[3], path, lineno,
+                      "ambient descriptor must be an integer")
     if backend == "box" and ambient < 1:
         raise ParseError(path, lineno, f"box ambient dimension must be >= 1, got {ambient}")
 
@@ -221,10 +213,8 @@ def parse_family(text: str, path: str = "<string>",
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(path, lineno, "expected 'gamma-dim <int>'")
-        try:
-            gamma_dim = int(_plain(toks[1]))
-        except ValueError:
-            raise ParseError(path, lineno, "gamma-dim must be an integer")
+        [gamma_dim] = _ints(toks[1], path, lineno,
+                            "gamma-dim must be an integer")
         if gamma_dim < 0:
             raise ParseError(path, lineno, f"gamma-dim must be >= 0, got {gamma_dim}")
         pos += 1
@@ -242,9 +232,7 @@ def parse_family(text: str, path: str = "<string>",
             elif toks[0] == "box":
                 if not members:
                     raise ParseError(path, lineno, "'box' line before any 'member'")
-                plain = "_" not in line and line.isascii()
-                vals = [_parse_fraction(t, path, lineno, plain)
-                        for t in toks[1:]]
+                vals = [_parse_fraction(t, path, lineno) for t in toks[1:]]
                 if len(vals) != 2 * ambient:
                     raise ParseError(path, lineno,
                                      f"expected {2 * ambient} rationals for a "
@@ -267,7 +255,7 @@ def parse_family(text: str, path: str = "<string>",
         pos += 1
     if pos >= len(lines):
         raise ParseError(path, lines[-1][0], "missing 'end complex'")
-    T = _complex_lines(lines[start:pos], path, "_" not in text and text.isascii())
+    T = _complex_lines(lines[start:pos], path)
     if T.dim != ambient:
         raise ParseError(path, lines[pos][0],
                          f"triangulation dimension {T.dim} != declared {ambient}")
@@ -279,10 +267,8 @@ def parse_family(text: str, path: str = "<string>",
         toks = line.split()
         if toks[0] != "member":
             raise ParseError(path, lineno, f"expected 'member', got {toks[0]!r}")
-        try:
-            sids = list(map(int, _plain(line).split()[1:]))
-        except ValueError:
-            raise ParseError(path, lineno, "simplex ids must be integers")
+        sids = _ints(line[len("member"):], path, lineno,
+                     "simplex ids must be integers") if toks[1:] else []
         for sid in sids:
             if not 0 <= sid < n_ids:
                 raise ParseError(path, lineno, f"unknown simplex id {sid}")
@@ -306,11 +292,8 @@ def parse_betti(text: str, path: str = "<string>") -> BettiVector:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(path, lineno, "expected '<dim> <value>'")
-        try:
-            _plain(line)
-            entries[int(toks[0])] = int(toks[1])
-        except ValueError:
-            raise ParseError(path, lineno, "dimensions and values must be integers")
+        d, v = _ints(line, path, lineno, "dimensions and values must be integers")
+        entries[d] = v
     return BettiVector.from_dict(entries)
 
 

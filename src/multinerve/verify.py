@@ -82,9 +82,12 @@ class Check:
 
 @dataclass
 class BoundReport:
+    """A report.v1: the instance, its quantities, and the checks with their
+    result; ``checks`` is None in a record that checks nothing (``mnv
+    helly``, ``mnv check-acyclic``), which has no result line."""
     instance: str
     quantities: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check] | None = field(default_factory=list)
 
     @property
     def all_pass(self) -> bool:
@@ -100,8 +103,9 @@ class BoundReport:
         lines = ["report v1", f"instance = {self.instance}"]
         for k, v in self.quantities.items():
             lines.append(f"{k} = {v}")
-        lines.extend(c.render() for c in self.checks)
-        lines.append(f"result = {'PASS' if self.all_pass else 'FAIL'}")
+        if self.checks is not None:
+            lines.extend(c.render() for c in self.checks)
+            lines.append(f"result = {'PASS' if self.all_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
 

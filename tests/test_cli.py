@@ -156,6 +156,16 @@ class TestExitCodes:
         else:
             assert "helly" not in r.stdout and "FAIL" not in r.stdout
 
+    def test_long_family_is_capped_without_traceback(self, tmp_path):
+        # 1500 empty members: the total intersection, over 1500 indices, is
+        # built one prefix at a time, and the Helly cap refuses
+        fam = tmp_path / "long.family"
+        fam.write_text("family v1 box 1\n" + "member\n" * 1500)
+        r = mnv("verify", "projection", str(fam))
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == ("mnv: member count 1500 exceeds cap 16 (at most "
+                            "2^1500 subsets); raise --cap\n")
+
     @pytest.mark.parametrize("command,text,cited", [
         ("homology", "complex v1\n0\n1\n0 1\n0 1\n1 1\n",
          ":5: simplex '0 1' repeats line 4"),
@@ -416,6 +426,28 @@ class TestReportFiles:
                     "--s", "0", "--out", str(out))
             assert r.returncode == 0
         assert out.read_text().count("report v1") == 2
+
+    def test_result_line_only_on_verify_reports(self, tmp_path):
+        # helly and check-acyclic write report.v1 without a result line; a
+        # verify report writes one even when no dimension is left to check
+        from multinerve.fixtures import circle_member_family
+        from multinerve.formats import write_family
+        fam = tmp_path / "circle.family"
+        fam.write_text(write_family(circle_member_family()))
+        head = "report v1\ninstance = dd6f89463b38\n"
+        assert mnv_in_process("check-acyclic", str(fam), "--s", "0") == (
+            1, head + "s = 0\nacyclic_with_slack = false\n"
+            "violation_subset = 0\nviolation_dim = 1\n", "")
+        assert mnv_in_process("check-acyclic", str(fam), "--s", "3") == (
+            0, head + "s = 3\nacyclic_with_slack = true\n", "")
+        assert mnv_in_process("helly", str(FIXTURES / "corridor.family")) == (
+            0, "report v1\ninstance = f01ca7c7cf70\nh = 3\n"
+            "witness = 0,1,2\n", "")
+        assert mnv_in_process("verify", "multinerve",
+                              str(FIXTURES / "intervals.family"),
+                              "--s", "9") == (
+            0, "report v1\ninstance = 9e873b677d10\ns = 9\n"
+            "betti_multinerve = 0\nbetti_union = 0\nresult = PASS\n", "")
 
 
 class TestRoundTripThroughCli:

@@ -196,3 +196,70 @@ def test_load_text_raises_only_parse_errors(parts):
         load_text(" ".join(parts))
     except (ParseError, PosetError):
         pass
+
+
+# every integer field of the formats: (parser, text with the field as {},
+# its message), the message citing the text's path and the field's line.
+# int() alone would read '1_0' as 10 and '١' (Arabic-Indic one) as 1
+_INT_FIELDS = {
+    "poset-id": (parse_poset, "poset v1\n0 -1\n{} 0 0\n",
+                 "3: ids and dimensions must be integers"),
+    "poset-dim": (parse_poset, "poset v1\n0 {}\n",
+                  "2: ids and dimensions must be integers"),
+    "poset-face": (parse_poset, "poset v1\n0 -1\n1 0 0\n2 0 0\n3 1 2 {}\n",
+                   "5: ids and dimensions must be integers"),
+    "complex-vertex": (parse_complex, "complex v1\n0\n{}\n",
+                       "3: vertex ids must be integers"),
+    "family-ambient": (parse_family, "family v1 box {}\nmember\nbox 0 1\n",
+                       "1: ambient descriptor must be an integer"),
+    "gamma-dim": (parse_family,
+                  "family v1 box 1\ngamma-dim {}\nmember\nbox 0 1\n",
+                  "2: gamma-dim must be an integer"),
+    "block-vertex": (parse_family, "family v1 subcomplex 0\ncomplex v1\n"
+                                   "{}\nend complex\n",
+                     "3: vertex ids must be integers"),
+    "member-id": (parse_family, "family v1 subcomplex 1\ncomplex v1\n0\n1\n"
+                                "0 1\nend complex\nmember {}\n",
+                  "7: simplex ids must be integers"),
+    "numerator": (parse_family, "family v1 box 1\nmember\nbox {} 2\n",
+                  "3: expected rational p/q, got '{}'"),
+    "denominator": (parse_family, "family v1 box 1\nmember\nbox 0/{} 2\n",
+                    "3: expected rational p/q, got '0/{}'"),
+    "betti-dim": (parse_betti, "0 1\n{} 1\n",
+                  "2: dimensions and values must be integers"),
+    "betti-value": (parse_betti, "0 1\n1 {}\n",
+                    "2: dimensions and values must be integers"),
+}
+
+# signed spellings each field's range takes; the others are refused by a
+# range check, not as non-integers
+_SIGNED = {"poset-id": ("+1",), "poset-dim": ("-1",), "poset-face": ("+1",),
+           "complex-vertex": ("+1", "-1"), "family-ambient": ("+1",),
+           "gamma-dim": ("+1",), "block-vertex": ("+1", "-1"),
+           "member-id": ("+1",), "numerator": ("+1", "-1"),
+           "denominator": ("+1",), "betti-dim": ("+1", "-1"),
+           "betti-value": ("+1", "-1")}
+
+_WRITERS = {parse_poset: write_poset, parse_complex: write_complex,
+            parse_family: write_family, parse_betti: write_betti}
+
+
+@pytest.mark.parametrize("field,spelling,refused", [
+    *((f, s, True) for f in _INT_FIELDS for s in ("1_0", "١", "x", "1.0")),
+    *((f, s, False) for f, signed in _SIGNED.items() for s in signed),
+    # a rational is one integer, or two around one '/': an empty side or a
+    # second '/' is no rational (neither '1/' nor '1/2/3' reads as 1)
+    *(("numerator", s, True) for s in ("1/", "/2", "/", "1/2/3", "1//2")),
+])
+def test_integer_fields_read_one_way(field, spelling, refused):
+    parse, template, message = _INT_FIELDS[field]
+    text = template.replace("{}", spelling)
+    if refused:
+        with pytest.raises(ParseError) as exc:
+            parse(text, "f")
+        assert str(exc.value) == "f:" + message.replace("{}", spelling)
+    else:
+        # a sign is read as int() reads it: '+1' is 1
+        write = _WRITERS[parse]
+        plain = template.replace("{}", str(int(spelling)))
+        assert write(parse(text)) == write(parse(plain))

@@ -2,7 +2,8 @@
 
 Reports, witnesses and exit codes stay byte-identical unless a change says
 why they differ.  Each family runs ``verify projection --t 1|2|3``,
-``verify helly`` and ``multinerve --t 1|2|3``; each space (a poset or a
+``verify helly`` and ``multinerve --t 1|2|3``, and ``helly`` alone, whose
+report has no ``result`` line; each space (a poset or a
 complex) runs ``homology``, and ``leray`` and ``j-index`` exact and
 sampled.  The slack
 checks run apart, ``verify multinerve --s 0|1`` and ``check-acyclic --s 0|1``,
@@ -25,7 +26,7 @@ the multinerves of two ``mnv gen`` box families of 20 and 22 vertices
 also pin how many X[S] they rank.
 To re-record after a deliberate change, run
 ``PYTHONPATH=src:tests python tests/test_golden.py``, which prints the
-current digest of every entry of the six tables, and say in the change
+current digest of every entry of the seven tables, and say in the change
 why the bytes moved.
 """
 
@@ -69,6 +70,30 @@ GOLDEN = {
     "gen-subcomplex-3": "c55a178271409e167eac682db9054d6c1ff3b0651f0d21ee14bcf21d1d2dbc16",
     "gen-subcomplex-4": "d3d947a58d6f2e7c40294ab40436cc0bd15c65feda1cd9c60b5427fd4506e271",
     "gen-subcomplex-5": "e2e6cd00fb1a7187989e3630783c5e1d00200b842a19bfd12b67b0bee3f17433",
+}
+
+# ``mnv helly`` on the same families; one whose members all meet exits 1
+# with no stdout
+HELLY_CALLS = [("helly", "{input}")]
+
+HELLY_GOLDEN = {
+    "blown_tetrahedron.family": "a635467432c7447ec50ceda1541c0ac9d63914a2173e4ed92be00ad38a0070b5",
+    "corridor.family": "0550690ab32912d027d132c8a13887e09b72b530904b9eb83055be05914b25f1",
+    "interval_union_h3.family": "aa7aefc9beb74153ea7c6e84b05d3c23f4fcfe582c3e8fa25bb98ca4be678422",
+    "intervals.family": "5f229c121ada51768de992ee95b59a1544a87a0f5e4739b81f1efa05d5e52990",
+    "two_arcs.family": "6ba4732d8b875651588c234ab507c4b224034d3ece35583f9fcc64d691f2d624",
+    "gen-box-0": "6ba4732d8b875651588c234ab507c4b224034d3ece35583f9fcc64d691f2d624",
+    "gen-box-1": "ccd14b5566dedda5df234a6a0e3b528bbaa9d7f6febc31e7780c850a51af2e60",
+    "gen-box-2": "458359a6cfd10d6303db0d7834dff09b72e7b633faacadb3c3bb22254922cb3b",
+    "gen-box-3": "b0f187c2e909046f876eaa4a31e11bc7295656994bbee7c9b9c3b4c34919684b",
+    "gen-box-4": "e217f803fafb98224da462a907f0a01b02866da8d1507317b6e7387ddf890ed7",
+    "gen-box-5": "8de487c8377d4d7a1653ee5da6237d616b927de590032c4aac96acb7bded2b9b",
+    "gen-subcomplex-0": "6ba4732d8b875651588c234ab507c4b224034d3ece35583f9fcc64d691f2d624",
+    "gen-subcomplex-1": "74db93878b4efbf83ad9922802777de387538a60143a8ec51bdaf8a39660574d",
+    "gen-subcomplex-2": "7e014911b708020218a000dc9045a8617a22e531e63b258b3207ab3dcf8ebfeb",
+    "gen-subcomplex-3": "b6c0b3607830d7ac6f3e1b2f7d2614dacd033da202614ac186cd0ee6f7f28b80",
+    "gen-subcomplex-4": "6ba4732d8b875651588c234ab507c4b224034d3ece35583f9fcc64d691f2d624",
+    "gen-subcomplex-5": "f01709b5136a1c249966b87435c40fc09cf278c4c5176ed03d40c232e60a9c52",
 }
 
 SLACK_CALLS = [("verify", "multinerve", "{input}", "--s", "0"),
@@ -246,6 +271,10 @@ def digest(name: str, directory: Path) -> str:
     return _digest(_input_path(name, directory), CALLS)
 
 
+def helly_digest(name: str, directory: Path) -> str:
+    return _digest(_input_path(name, directory), HELLY_CALLS)
+
+
 def slack_digest(name: str, directory: Path) -> str:
     return _digest(_input_path(name, directory), SLACK_CALLS)
 
@@ -265,6 +294,11 @@ def cap_digest(name: str, directory: Path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes(name, tmp_path):
     assert digest(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(HELLY_GOLDEN))
+def test_helly_report_bytes(name, tmp_path):
+    assert helly_digest(name, tmp_path) == HELLY_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SLACK_GOLDEN))
@@ -310,6 +344,7 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         for title, table, fn in (("GOLDEN", GOLDEN, digest),
+                                 ("HELLY_GOLDEN", HELLY_GOLDEN, helly_digest),
                                  ("SLACK_GOLDEN", SLACK_GOLDEN, slack_digest),
                                  ("ORACLE_GOLDEN", ORACLE_GOLDEN, oracle_digest),
                                  ("SPACE_GOLDEN", SPACE_GOLDEN, space_digest),
