@@ -10,7 +10,13 @@ Two backends realize the oracle:
   rational endpoints; intersections are enumerated box overlaps, and
   components come from the strict-overlap graph of the region's distinct
   boxes, built once per region.  Openness is modeled by strict
-  inequalities throughout, so tangent boxes never merge.
+  inequalities throughout, so tangent boxes never merge.  The oracle holds
+  every box on the family's integer grid: L, the least common denominator
+  of all endpoints, is found once when the family is built, and endpoint
+  x is held as the integer x * L, so boxes meet, compare and hash as int
+  pairs.  That is exact: multiplying by L > 0 keeps every < and <=
+  between endpoints, and every meet's endpoints are endpoints of members.
+  ``Box`` and a label's ``rep`` give the rationals back at the API edge.
 
 The family keeps one region per index set A, the region of a set P
 extended by one member (``_extend``): the walk hands each set's region
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .homology import BettiVector, Boundary, ChainComplex, sparse_rank
@@ -62,7 +69,7 @@ class Box:
     def __post_init__(self):
         for lo, hi in self.intervals:
             if not lo < hi:
-                raise FamilyError(f"box interval ({lo}, {hi}) needs lo < hi")
+                raise FamilyError(_bad_interval(lo, hi))
 
     @property
     def dim(self) -> int:
@@ -93,9 +100,52 @@ def box(*intervals) -> Box:
     return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
 
 
+def _bad_interval(lo, hi) -> str:
+    return f"box interval ({lo}, {hi}) needs lo < hi"
+
+
+def _grid_box(grid: tuple, scale: int) -> Box:
+    """The Box of a grid box, its (lo, hi) int pairs over scale."""
+    return Box(tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in grid))
+
+
+def _meet(x: tuple, y: tuple) -> tuple | None:
+    """The open meet of two grid boxes, or None when some axis fails to
+    strictly overlap."""
+    out = []
+    for (a, b), (c, d) in zip(x, y):
+        lo = a if a > c else c
+        hi = b if b < d else d
+        if lo >= hi:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def _overlaps(x: tuple, y: tuple) -> bool:
+    """Whether two grid boxes strictly overlap on every axis."""
+    for (a, b), (c, d) in zip(x, y):
+        if b <= c or d <= a:
+            return False
+    return True
+
+
+def _within(x: tuple, y: tuple) -> bool:
+    """Whether the grid box x lies in the grid box y."""
+    return all(c <= a and b <= d for (a, b), (c, d) in zip(x, y))
+
+
 @dataclass(frozen=True)
 class BoxUnionMember:
-    boxes: tuple[Box, ...]
+    """A union of open boxes, each a tuple of (lo, hi) int pairs on the
+    family's grid: the endpoints times ``scale``."""
+
+    grid: tuple[tuple[tuple[int, int], ...], ...]
+    scale: int
+
+    @property
+    def boxes(self) -> tuple[Box, ...]:
+        return tuple(_grid_box(g, self.scale) for g in self.grid)
 
 
 @dataclass(frozen=True)
@@ -117,22 +167,32 @@ class ComponentLabel:
 
     ``canon`` is the smallest representative under the backend's deterministic
     enumeration; ``rep`` is a geometric handle usable for containment queries
-    (a vertex 1-tuple, or a Box inside the component).  A label belongs to
-    the region, so index sets with equal regions share it.
+    (a vertex 1-tuple, or a Box inside the component).  ``at`` is the
+    oracle's own handle: the vertex 1-tuple, or the box on the family's
+    integer grid, whose ``scale`` a box label keeps, building its ``rep``
+    only when read.  A label belongs to the region, so index sets with
+    equal regions share it.
     """
 
     canon: object
-    rep: object
+    at: object
+    scale: int | None = None
+
+    @property
+    def rep(self):
+        return self.at if self.scale is None else _grid_box(self.at, self.scale)
 
 
 class SetFamily:
     """Indexed family of members over one ambient space, with oracle caches."""
 
     def __init__(self, backend: str, members: Sequence, ambient,
-                 gamma_dim: int, gamma_dim_assumed: bool = False):
+                 gamma_dim: int, gamma_dim_assumed: bool = False,
+                 scale: int = 1):
         self.backend = backend
         self.members = tuple(members)
         self.ambient = ambient
+        self.scale = scale  # a box family's grid: its endpoints' lcd
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
         self._region_cache: dict[tuple, int | tuple] = {}
@@ -197,17 +257,35 @@ def _id_family(T: SimplicialComplex, members: Iterable[Iterable[int]],
 def box_family(dim: int, members: Sequence[Sequence[Box]],
                gamma_dim: int | None = None) -> SetFamily:
     """Family of open box unions in R^dim; gamma_dim defaults to dim."""
-    made = []
+    members = [tuple(boxes) for boxes in members]
     for k, boxes in enumerate(members):
-        boxes = tuple(boxes)
         for b in boxes:
             if b.dim != dim:
                 raise FamilyError(f"member {k}: box dimension {b.dim} != {dim}")
-        made.append(BoxUnionMember(boxes))
+    return _rational_family(dim, [
+        [tuple(((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+               for lo, hi in b.intervals) for b in boxes] for boxes in members],
+        gamma_dim)
+
+
+def _rational_family(dim: int, members: Sequence[Sequence[tuple]],
+                     gamma_dim: int | None = None) -> SetFamily:
+    """Family of open box unions in R^dim, each box a tuple of dim
+    intervals ((p, q), (r, s)), p/q < r/s with q, s > 0, held on the
+    integer grid of L, the least common denominator of the endpoints: p/q
+    as the int p * L / q.  L is reduced to the lcd of the endpoints in
+    lowest terms, so the grid does not depend on how they were written."""
+    scale = lcm(1, *(q for boxes in members for b in boxes for iv in b for _, q in iv))
+    grid = [[tuple((p * (scale // q), r * (scale // s)) for (p, q), (r, s) in b)
+             for b in boxes] for boxes in members]
+    g = gcd(scale, *(x for boxes in grid for b in boxes for iv in b for x in iv))
+    made = [BoxUnionMember(tuple(tuple((lo // g, hi // g) for lo, hi in b)
+                                 for b in boxes), scale // g)
+            for boxes in grid]
     assumed = gamma_dim is not None
     if gamma_dim is None:
         gamma_dim = dim
-    return SetFamily("box", made, dim, gamma_dim, assumed)
+    return SetFamily("box", made, dim, gamma_dim, assumed, scale // g)
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +314,27 @@ def _ambient(F: SetFamily) -> _AmbientIndex:
     return F._ambient_index
 
 
-def _extend(F: SetFamily, prev, j: int) -> int | tuple[Box, ...]:
+def _extend(F: SetFamily, prev, j: int) -> int | tuple:
     """The region of P + (j,) from prev, the region of the index set P
     (None when P is empty): member j's, or prev AND its mask, or the open
-    boxes met from each box of prev and each of member j, in that order."""
+    grid boxes met from each box of prev and each of member j, in that
+    order."""
     m = F.members[j]
     if F.backend == "subcomplex":
         return m.mask if prev is None else prev & m.mask
-    return m.boxes if prev is None else tuple(
-        met for cur in prev for b in m.boxes if (met := cur.meet(b)) is not None)
+    return m.grid if prev is None else tuple(
+        met for cur in prev for b in m.grid if (met := _meet(cur, b)) is not None)
 
 
-def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple[Box, ...]:
+def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple:
     """The region over the sorted index set A (the union when A is empty).
 
     A mask of T's simplex ids (the members' AND, the union their OR), or
-    the open boxes met from one box per member of A, in the lexicographic
-    order of those choices; falsy when empty.  ``_extend`` builds it from
-    the region of the longest nonempty prefix of A in the cache, one index
-    at a time, caching each longer prefix, so nothing is met above an
-    empty prefix.
+    the open grid boxes met from one box per member of A, in the
+    lexicographic order of those choices; falsy when empty.  ``_extend``
+    builds it from the region of the longest nonempty prefix of A in the
+    cache, one index at a time, caching each longer prefix, so nothing is
+    met above an empty prefix.
     """
     cache = F._region_cache
     if A in cache:
@@ -263,7 +342,7 @@ def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple[Box, ...]:
     if not A:
         cache[A] = (reduce(int.__or__, (m.mask for m in F.members), 0)
                     if F.backend == "subcomplex"
-                    else tuple(b for m in F.members for b in m.boxes))
+                    else tuple(b for m in F.members for b in m.grid))
         return cache[A]
     k = len(A) - 1
     while k and A[:k] not in cache:
@@ -301,8 +380,9 @@ def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
 
 def _groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     """The component labels of the region over the checked index set A,
-    sorted by canon, and its owner: a function from a rep (a vertex
-    1-tuple, or a box inside the region) to the index of its component."""
+    sorted by canon, and its owner: a function from a label's ``at`` (a
+    vertex 1-tuple, or a grid box inside the region) to the index of its
+    component."""
     return _per_region(F, F._groups_cache, A, _subcomplex_groups
                        if F.backend == "subcomplex" else _box_groups)
 
@@ -341,12 +421,12 @@ def _box_graph(F: SetFamily, A: tuple[int, ...]) -> tuple:
     region for ``_box_groups`` and ``_region_ranks``: the boxes in
     first-occurrence order, the first index of each in the region, and
     each one's neighbours, the boxes it overlaps, as a mask of positions."""
-    first: dict[Box, int] = {}
+    first: dict[tuple, int] = {}
     for i, b in enumerate(_region(F, A)):
         first.setdefault(b, i)
     boxes, nbrs = list(first), [0] * len(first)
     for (i, a), (j, b) in combinations(enumerate(boxes), 2):
-        if a.overlaps(b):
+        if _overlaps(a, b):
             nbrs[i] |= 1 << j
             nbrs[j] |= 1 << i
     return boxes, list(first.values()), nbrs
@@ -356,11 +436,12 @@ def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     """The components of the region's overlap graph (``_box_graph``), each
     grown from its lowest box by bit operations and labelled by that box
     and its first index in the region; a twin joins its first occurrence.
-    The owner gives a rep the component of the first box it overlaps,
-    sound for a rep inside one box, as it is connected.  No other comes:
-    ``component_containing`` refuses them, and ``multinerve`` passes a
-    rep over A, the meet of one box per member, to the regions over
-    subsets of A, each of which holds the meet of the same boxes."""
+    The owner gives a grid box the component of the first box it overlaps,
+    sound for a box inside one box, as it is connected.  No other comes:
+    ``component_containing`` passes a region box, and ``multinerve``
+    passes a label's over A, the meet of one box per member, to the
+    regions over subsets of A, each of which holds the meet of the same
+    boxes."""
     boxes, first, nbrs = _per_region(F, F._graph_cache, A, _box_graph)
     labels, owner, left = [], [0] * len(boxes), (1 << len(boxes)) - 1
     while left:
@@ -372,10 +453,10 @@ def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
         left &= ~comp
         for j in _bit_ids(comp):
             owner[j] = len(labels)
-        labels.append(ComponentLabel(first[i], boxes[i]))
+        labels.append(ComponentLabel(first[i], boxes[i], F.scale))
 
-    def index(rep: Box) -> int:
-        return next(owner[i] for i, b in enumerate(boxes) if b.overlaps(rep))
+    def index(at: tuple) -> int:
+        return next(owner[i] for i, b in enumerate(boxes) if _overlaps(b, at))
     return tuple(labels), index
 
 
@@ -438,21 +519,30 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     subcomplex backend, or a Box inside one of the region's boxes for the
     box backend (a label's rep is one); any other rep is refused with
     ``FamilyError``, even a box that lies in the region across several of
-    its boxes.
+    its boxes.  A Box whose endpoints are off the family's grid is compared
+    exactly, on a grid that holds both.
     """
     A = F.check_index_set(A)
+    region = _region(F, A)
     if F.backend == "subcomplex":
         s = frozenset(rep)
         i = F.ambient.simplex_ids().get(s, 0)
-        if not _region(F, A) >> i & 1:
+        if not region >> i & 1:
             raise FamilyError(f"representative {sorted(s)} lies outside the region")
-        rep = F.ambient.ordered_tuples()[i][:1]  # in its vertices' component
+        at = F.ambient.ordered_tuples()[i][:1]  # in its vertices' component
     elif not isinstance(rep, Box):
         raise FamilyError("box-backend representative must be a Box")
-    elif not any(rep.within(b) for b in _region(F, A)):
-        raise FamilyError("representative lies outside the region")
+    else:  # the rep, and the region times k, on the grid of both
+        scale = lcm(F.scale, *(x.denominator for iv in rep.intervals for x in iv))
+        x = tuple((lo.numerator * (scale // lo.denominator),
+                   hi.numerator * (scale // hi.denominator)) for lo, hi in rep.intervals)
+        k = scale // F.scale
+        at = next((b for b in region if rep.dim == F.ambient and _within(
+            x, tuple((lo * k, hi * k) for lo, hi in b))), None)
+        if at is None:
+            raise FamilyError("representative lies outside the region")
     labels, owner = _groups(F, A)
-    return labels[owner(rep)]
+    return labels[owner(at)]
 
 
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:

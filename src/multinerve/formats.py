@@ -10,9 +10,11 @@ cite file, line, and what was expected.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .families import Box, FamilyError, SetFamily, _id_family, box_family
+from .families import (FamilyError, SetFamily, _bad_interval, _id_family,
+                       _rational_family)
 from .homology import BettiVector
 from .poset import (CellRecord, PosetError, SimplicialComplex,
                     SimplicialPoset, _bit_ids, build_poset)
@@ -149,20 +151,22 @@ def _complex_lines(lines, path: str) -> SimplicialComplex:
 # -- family.v1 --------------------------------------------------------------
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _fmt_rational(x: int, scale: int) -> str:
+    """The grid endpoint x, over scale, as a reduced 'p/q'."""
+    g = gcd(x, scale)
+    return f"{x // g}/{scale // g}"
 
 
-def _parse_fraction(tok: str, path: str, lineno: int) -> Fraction:
-    """The rational tok, 'p/q' or 'p': an empty side ('1/') or a second
-    '/' ('1/2/3') is refused, as no integer."""
+def _parse_rational(tok: str, path: str, lineno: int) -> tuple[int, int]:
+    """The rational tok, 'p/q' or 'p', as (p, q) with q > 0: an empty side
+    ('1/') or a second '/' ('1/2/3') is refused, as no integer."""
     num, slash, den = tok.partition("/")
     message = f"expected rational p/q, got {tok!r}"
     num_i, den_i = (_ints(num, path, lineno, message)
                     + _ints(den if slash else "1", path, lineno, message))
     if den_i <= 0:
         raise ParseError(path, lineno, f"rational {tok!r} has non-positive denominator")
-    return Fraction(num_i, den_i)
+    return num_i, den_i
 
 
 def write_family(F: SetFamily) -> str:
@@ -180,12 +184,9 @@ def write_family(F: SetFamily) -> str:
         out.append(f"gamma-dim {F.gamma_dim}")
     for m in F.members:
         out.append("member")
-        for b in m.boxes:
-            toks = []
-            for lo, hi in b.intervals:
-                toks.append(_fmt_fraction(lo))
-                toks.append(_fmt_fraction(hi))
-            out.append("box " + " ".join(toks))
+        for b in m.grid:
+            out.append("box " + " ".join(_fmt_rational(x, F.scale)
+                                         for iv in b for x in iv))
     return "\n".join(out) + "\n"
 
 
@@ -208,7 +209,7 @@ def parse_family(text: str, path: str = "<string>",
 
     pos = 1
     gamma_dim = None
-    if pos < len(lines) and lines[pos][1].startswith("gamma-dim"):
+    if pos < len(lines) and lines[pos][1].split()[0] == "gamma-dim":
         lineno, line = lines[pos]
         toks = line.split()
         if len(toks) != 2:
@@ -222,7 +223,7 @@ def parse_family(text: str, path: str = "<string>",
         gamma_dim = gamma_dim_override
 
     if backend == "box":
-        members: list[list[Box]] = []
+        members: list[list[tuple]] = []
         for lineno, line in lines[pos:]:
             toks = line.split()
             if toks[0] == "member":
@@ -232,19 +233,20 @@ def parse_family(text: str, path: str = "<string>",
             elif toks[0] == "box":
                 if not members:
                     raise ParseError(path, lineno, "'box' line before any 'member'")
-                vals = [_parse_fraction(t, path, lineno) for t in toks[1:]]
+                vals = [_parse_rational(t, path, lineno) for t in toks[1:]]
                 if len(vals) != 2 * ambient:
                     raise ParseError(path, lineno,
                                      f"expected {2 * ambient} rationals for a "
                                      f"{ambient}-dimensional box")
-                intervals = tuple((vals[2 * i], vals[2 * i + 1]) for i in range(ambient))
-                try:
-                    members[-1].append(Box(intervals))
-                except ValueError as e:
-                    raise ParseError(path, lineno, str(e))
+                b = tuple(zip(vals[::2], vals[1::2]))
+                for (p, q), (r, s) in b:
+                    if not p * s < r * q:
+                        raise ParseError(path, lineno, _bad_interval(
+                            Fraction(p, q), Fraction(r, s)))
+                members[-1].append(b)
             else:
                 raise ParseError(path, lineno, f"expected 'member' or 'box', got {toks[0]!r}")
-        return box_family(ambient, members, gamma_dim)
+        return _rational_family(ambient, members, gamma_dim)
 
     # subcomplex backend: embedded complex block, then member id lists
     if pos >= len(lines) or lines[pos][1] != "complex v1":
@@ -287,13 +289,22 @@ def write_betti(b: BettiVector) -> str:
 
 
 def parse_betti(text: str, path: str = "<string>") -> BettiVector:
-    entries = {}
+    """A reduced Betti vector, one '<dim> <value>' line per dimension: a
+    dimension below -1, a negative value or a dimension given on a second
+    line is refused, citing the line (and the first one)."""
+    entries, first = {}, {}
     for lineno, line in _lines(text):
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(path, lineno, "expected '<dim> <value>'")
         d, v = _ints(line, path, lineno, "dimensions and values must be integers")
-        entries[d] = v
+        if d < -1:
+            raise ParseError(path, lineno, f"dimension must be >= -1, got {d}")
+        if v < 0:
+            raise ParseError(path, lineno, f"Betti number must be >= 0, got {v}")
+        if d in first:
+            raise ParseError(path, lineno, f"dimension {d} repeats line {first[d]}")
+        entries[d], first[d] = v, lineno
     return BettiVector.from_dict(entries)
 
 

@@ -74,7 +74,7 @@ def multinerve(F: SetFamily) -> LabeledPoset:
         for comp in labels:
             tags.append(CellTag(A, comp))
             records.append(CellRecord(len(A) - 1, tuple(
-                b + index(comp.rep) for b, index in below)))
+                b + index(comp.at) for b, index in below)))
     return LabeledPoset(build_poset(records), tuple(tags))
 
 

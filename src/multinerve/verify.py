@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .families import (SetFamily, _id_family, _nerve_walk, box, box_family,
+from .families import (SetFamily, _id_family, _nerve_walk, _rational_family,
                        components, is_acyclic_with_slack, max_components,
                        region_betti, region_is_empty)
 from .homology import BettiVector, reduced_betti
@@ -316,11 +315,10 @@ def random_family(backend: str, n: int, seed: int, *,
                 intervals = []
                 for _ in range(ambient_dim):
                     a = rng.randrange(0, 13)
-                    b = a + rng.randrange(2, 7)
-                    intervals.append((Fraction(a, 2), Fraction(b, 2)))
-                boxes.append(box(*intervals))
+                    intervals.append(((a, 2), (a + rng.randrange(2, 7), 2)))
+                boxes.append(tuple(intervals))
             members.append(boxes)
-        return box_family(ambient_dim, members, gamma_dim)
+        return _rational_family(ambient_dim, members, gamma_dim)
     if backend == "subcomplex":
         T = grid_triangulation(grid)
         members = []

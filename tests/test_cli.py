@@ -1,14 +1,17 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
+import collections
 import contextlib
 import io
 import json
 import os
+import random
 import resource
 import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -589,13 +592,73 @@ class TestBenchTracer:
         assert metrics["leray.leray_number.calls"] >= 1
 
 
+def _primes_family_text() -> str:
+    """A 10-member box family of R^1 whose 120 endpoints use the first 60
+    primes as denominators, each in lowest terms, so its grid's least
+    common denominator is their product, a 384-bit integer."""
+    primes, k = [], 2
+    while len(primes) < 60:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    rng, lines = random.Random(0), ["family v1 box 1"]
+    for t in range(30):
+        if t % 3 == 0:
+            lines.append("member")
+        a = rng.randrange(12)
+        b = a + rng.randrange(1, 5)
+        p, q = primes[2 * t], primes[2 * t + 1]
+        lines.append(f"box {a * p + 1}/{p} {b * q + 1}/{q}")
+    return "\n".join(lines) + "\n"
+
+
+def test_large_grid_reports_unchanged(tmp_path):
+    # a grid as fine as the endpoints' denominators make it: the reports
+    # are those recorded with Fraction endpoints, and the big ints of the
+    # grid cost no more than seconds
+    path = tmp_path / "primes.family"
+    path.write_text(_primes_family_text())
+    start = time.perf_counter()
+    assert mnv_in_process("verify", "multinerve", str(path), "--s", "0") == (
+        0, "report v1\ninstance = aef8c961a14d\ns = 0\nbetti_multinerve = 0\n"
+        "betti_union = 0\nCHECK multinerve_theorem_dim_0: 0 == 0 : PASS\n"
+        "result = PASS\n", "")
+    assert mnv_in_process("helly", str(path)) == (
+        0, "report v1\ninstance = aef8c961a14d\nh = 4\n"
+        "witness = 0,2,3,6\n", "")
+    assert time.perf_counter() - start < 10
+
+
+def test_box_calls_make_no_fraction_comparison(tmp_path, monkeypatch):
+    # a box family's oracle meets, compares and hashes ints on its grid:
+    # parsing it and running these calls on it compare and hash no Fraction
+    code, text, _ = mnv_in_process("gen", "--backend", "box", "--n", "6",
+                                   "--ambient-dim", "2", "--seed", "3")
+    path = tmp_path / "f.family"
+    path.write_text(text + "member\nbox 1/3 5/7 -2/5 11/3\n")
+    counts = collections.Counter()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+        def spy(*args, _real=getattr(Fraction, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(Fraction, name, spy)
+    assert Fraction(1, 2) < Fraction(2, 3) and counts == {"__lt__": 1}
+    counts.clear()
+    for argv in (("verify", "multinerve", str(path), "--s", "0"),
+                 ("helly", str(path)),
+                 ("verify", "projection", str(path), "--t", "2")):
+        assert mnv_in_process(*argv)[0] == 0, argv
+    assert counts == {}
+
+
 @pytest.mark.parametrize("workload", sorted(
     p.stem for p in (BENCH / "reference").glob("*.json")))
 def test_bench_reference_outputs(workload, tmp_path, monkeypatch):
-    # the first four box and four subcomplex instances of each family pool,
-    # and the first two spaces, replayed as the benchmark runs them: a
-    # change to the recorded exit codes or stdout, which the benchmark
-    # counts as failed calls, fails here first
+    # every box instance of the oracle pool, the first four box and four
+    # subcomplex instances of each other family pool, and the first two
+    # spaces, replayed as the benchmark runs them: a change to the recorded
+    # exit codes or stdout, which the benchmark counts as failed calls,
+    # fails here first
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import (WORKLOADS, RefClock, command_key, digest,
                            input_text, item_commands, load_pool, run_call)
@@ -605,8 +668,9 @@ def test_bench_reference_outputs(workload, tmp_path, monkeypatch):
     wl, clock, items = WORKLOADS[workload], RefClock(), []
     pool = load_pool(workload)["items"]
     for kind in ("box-", "subcomplex-"):
-        items += [item for item in pool if item["id"].startswith(kind)][:4]
-    assert len(items) in (0, 8)
+        of_kind = [item for item in pool if item["id"].startswith(kind)]
+        items += of_kind if (workload, kind) == ("oracle", "box-") else of_kind[:4]
+    assert len(items) == {"oracle": 26, "projection": 8}.get(workload, 0)
     for item in items or pool[:2]:
         text = input_text(item, main, clock)
         assert digest(text) == item["input_digest"], item["id"]

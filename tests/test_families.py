@@ -1,16 +1,18 @@
 """Intersection-component oracle: both backends, slack, component counts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
                      family_component_maxima, family_components,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
                      family_members, family_slack_violation, family_walk,
-                     grid_triangulation_oracle, small_family,
+                     grid_intervals, grid_triangulation_oracle, small_family,
                      union_find_labels)
 
 import multinerve.families
@@ -20,7 +22,7 @@ from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         is_acyclic_with_slack, max_components, nerve,
                         random_family, reduced_multinerve, region_betti,
                         region_is_empty, subcomplex_family)
-from multinerve.families import SubcomplexMember
+from multinerve.families import SubcomplexMember, _meet, _overlaps, _within
 from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
                                  interval_union_double_edge_family,
@@ -45,6 +47,76 @@ class TestBox:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(FamilyError, match="dimension"):
             box_family(2, [[box((0, 1))]])
+
+
+# endpoints with mixed denominators; a box drawn against another often
+# reuses its endpoints, so the two touch, nest or coincide
+_RATIONAL = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+def _interval(draw, endpoints):
+    return tuple(sorted(draw(st.lists(endpoints, min_size=2, max_size=2,
+                                      unique=True))))
+
+
+@st.composite
+def _box_pairs(draw):
+    a = [_interval(draw, _RATIONAL) for _ in range(draw(st.integers(1, 3)))]
+    b = [_interval(draw, st.one_of(_RATIONAL, st.sampled_from(iv))) for iv in a]
+    return box(*a), box(*b)
+
+
+class TestIntegerGrid:
+    """A box family holds its boxes on the integer grid of its endpoints'
+    least common denominator; there they meet, overlap and nest exactly as
+    their Fraction boxes do."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_box_pairs())
+    def test_grid_boxes_agree_with_fraction_boxes(self, pair):
+        a, b = pair
+        F = box_family(a.dim, [[a], [b]])
+        assert F.scale == math.lcm(*(x.denominator for c in pair
+                                     for iv in c.intervals for x in iv))
+        (x,), (y,) = (m.grid for m in F.members)
+        assert [m.boxes for m in F.members] == [(a,), (b,)]
+        met, want = _meet(x, y), a.meet(b)
+        assert (met and grid_intervals(F, met)) == (want and want.intervals)
+        assert _overlaps(x, y) == a.overlaps(b) == (want is not None)
+        assert _within(x, y) == a.within(b)
+        assert _within(y, x) == b.within(a)
+        assert region_is_empty(F, (0, 1)) == (want is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_off_grid_rep_is_found_exactly(self, data):
+        # a family on the grid of halves and thirds, asked for the
+        # component of a box whose endpoints are mostly fifths and
+        # sevenths, inside one of the region's boxes or just outside it
+        seed = data.draw(st.integers(0, 10 ** 6))
+        rng = random.Random(seed)
+        members = [[box(*((Fraction(lo, d), Fraction(lo + rng.randrange(1, 9), d))
+                          for lo, d in ((rng.randrange(-6, 12), rng.choice((2, 3))),)))
+                    for _ in range(rng.randrange(1, 4))] for _ in range(3)]
+        F = box_family(1, members)
+        A = data.draw(st.sampled_from([(), (0,), (1,), (0, 1), (0, 2)]))
+        region = family_region(F, A)
+        if not region:
+            return
+        (lo, hi), = data.draw(st.sampled_from(region))
+        i, j = sorted(data.draw(st.lists(st.integers(-3, 38), min_size=2,
+                                         max_size=2, unique=True)))
+        rep = box((lo + (hi - lo) * Fraction(i, 35), lo + (hi - lo) * Fraction(j, 35)))
+        holder = next((iv for iv in region if rep.within(Box(iv))), None)
+        if holder is None:
+            with pytest.raises(FamilyError, match="outside"):
+                component_containing(F, A, rep)
+        else:
+            # the component of the region box that holds the rep, whose
+            # endpoints are on the grid
+            got = component_containing(F, A, rep)
+            assert got is component_containing(F, A, Box(holder))
+            assert got in components(F, A)
 
 
 class TestComponents:
@@ -201,9 +273,10 @@ class TestRegionBetti:
             region = multinerve.families._region(F, A)
             assert boxes == list(dict.fromkeys(region))
             assert first == [region.index(b) for b in boxes]
-            assert nbrs == [sum(1 << j for j, c in enumerate(boxes)
+            exact = [Box(grid_intervals(F, b)) for b in boxes]
+            assert nbrs == [sum(1 << j for j, c in enumerate(exact)
                                 if j != i and b.overlaps(c))
-                            for i, b in enumerate(boxes)]
+                            for i, b in enumerate(exact)]
 
     def test_repeated_member_against_oracle(self):
         F = box_family(1, self.REPEATED)
@@ -899,7 +972,7 @@ class TestCarriedRegions:
                 want = multinerve.families._region(G, A)
                 assert type(got) is type(want) and got == want, (n, A)
                 if backend == "box":
-                    decoded = [b.intervals for b in got]
+                    decoded = [grid_intervals(F, b) for b in got]
                 else:
                     decoded = sorted(
                         SubcomplexMember(got, F.ambient).simplices,

@@ -151,6 +151,31 @@ class TestFamilyRoundTrip:
         with pytest.raises(ParseError, match=message):
             parse_family(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("family v1 box 1\ngamma-dimXYZ 3\nmember\nbox 0 1\n",
+         "f:2: expected 'member' or 'box', got 'gamma-dimXYZ'"),
+        ("family v1 subcomplex 0\ngamma-dim3 3\ncomplex v1\n0\nend complex\n",
+         "f:2: expected embedded 'complex v1' block"),
+    ])
+    def test_gamma_dim_token_matched_exactly(self, text, message):
+        # only the token 'gamma-dim' starts the gamma-dim line; a longer
+        # token is an unexpected line, not a gamma-dim of 3
+        with pytest.raises(ParseError) as exc:
+            parse_family(text, "f")
+        assert str(exc.value) == message
+
+    def test_box_endpoints_written_reduced(self):
+        # endpoints are held on the grid of their least common denominator
+        # and written back as reduced p/q, however the file spelled them
+        F = parse_family("family v1 box 2\nmember\nbox 2/4 1 -6/9 0\n"
+                         "member\nbox 1/5 3/7 -1 10/14\n")
+        assert F.scale == 2 * 3 * 5 * 7
+        assert write_family(F) == ("family v1 box 2\nmember\n"
+                                   "box 1/2 1/1 -2/3 0/1\nmember\n"
+                                   "box 1/5 3/7 -1/1 5/7\n")
+        assert write_family(F) == write_family(box_family(2, [
+            list(m.boxes) for m in F.members]))
+
     def test_unknown_simplex_id(self):
         text = ("family v1 subcomplex 1\ncomplex v1\n0\n1\n0 1\nend complex\n"
                 "member 9\n")
@@ -165,6 +190,23 @@ class TestBetti:
 
     def test_negative_dimension_allowed(self):
         assert parse_betti("-1 1\n")[-1] == 1
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("0 1\n1 -1\n", "f:2: Betti number must be >= 0, got -1",
+                     id="value"),
+        pytest.param("0 1\n-7 3\n", "f:2: dimension must be >= -1, got -7",
+                     id="dim"),
+        pytest.param("0 1\n\n0 2\n", "f:3: dimension 0 repeats line 1",
+                     id="repeat"),
+        pytest.param("1 0\n1 0\n", "f:2: dimension 1 repeats line 1",
+                     id="repeat-zero"),
+    ])
+    def test_refuses_out_of_range(self, text, message):
+        # no Betti vector has a negative entry or a dimension below -1,
+        # and a dimension given twice would keep only one of its values
+        with pytest.raises(ParseError) as exc:
+            parse_betti(text, "f")
+        assert str(exc.value) == message
 
 
 class TestLoadDispatch:
@@ -238,7 +280,7 @@ _SIGNED = {"poset-id": ("+1",), "poset-dim": ("-1",), "poset-face": ("+1",),
            "gamma-dim": ("+1",), "block-vertex": ("+1", "-1"),
            "member-id": ("+1",), "numerator": ("+1", "-1"),
            "denominator": ("+1",), "betti-dim": ("+1", "-1"),
-           "betti-value": ("+1", "-1")}
+           "betti-value": ("+1",)}
 
 _WRITERS = {parse_poset: write_poset, parse_complex: write_complex,
             parse_family: write_family, parse_betti: write_betti}
