@@ -169,8 +169,8 @@ class ComponentLabel:
     enumeration; ``rep`` is a geometric handle usable for containment queries
     (a vertex 1-tuple, or a Box inside the component).  ``at`` is the
     oracle's own handle: the vertex 1-tuple, or the box on the family's
-    integer grid, whose ``scale`` a box label keeps, building its ``rep``
-    only when read.  A label belongs to the region, so index sets with
+    integer grid, whose ``scale`` a box label keeps (its family's, which
+    is its members'), building its ``rep`` only when read.  A label belongs to the region, so index sets with
     equal regions share it.
     """
 
@@ -187,12 +187,11 @@ class SetFamily:
     """Indexed family of members over one ambient space, with oracle caches."""
 
     def __init__(self, backend: str, members: Sequence, ambient,
-                 gamma_dim: int, gamma_dim_assumed: bool = False,
-                 scale: int = 1):
+                 gamma_dim: int, gamma_dim_assumed: bool = False):
         self.backend = backend
         self.members = tuple(members)
         self.ambient = ambient
-        self.scale = scale  # a box family's grid: its endpoints' lcd
+        self.scale = _common_scale(self.members) if backend == "box" else 1
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
         self._region_cache: dict[tuple, int | tuple] = {}
@@ -217,6 +216,15 @@ class SetFamily:
             if not 0 <= a < len(self.members):
                 raise FamilyError(f"unknown member index {a}")
         return A
+
+
+def _common_scale(members: tuple) -> int:
+    """The one grid scale of a box family's members (1 for no members);
+    members on different grids cannot be met, so they are refused."""
+    scales = {m.scale for m in members}
+    if len(scales) > 1:
+        raise FamilyError(f"box members lie on different grids: scales {sorted(scales)}")
+    return scales.pop() if scales else 1
 
 
 def subcomplex_family(T: SimplicialComplex, members: Sequence[Iterable],
@@ -285,7 +293,7 @@ def _rational_family(dim: int, members: Sequence[Sequence[tuple]],
     assumed = gamma_dim is not None
     if gamma_dim is None:
         gamma_dim = dim
-    return SetFamily("box", made, dim, gamma_dim, assumed, scale // g)
+    return SetFamily("box", made, dim, gamma_dim, assumed)
 
 
 # ---------------------------------------------------------------------------

@@ -648,12 +648,6 @@ def _meet(a: tuple, b: tuple):
     return out if all(lo < hi for lo, hi in out) else None
 
 
-def grid_intervals(F, b: tuple) -> tuple:
-    """A box of F's box oracle, (lo, hi) int pairs on F's grid, as Fraction
-    intervals: each endpoint over F.scale."""
-    return tuple((Fraction(lo, F.scale), Fraction(hi, F.scale)) for lo, hi in b)
-
-
 _MEMBERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

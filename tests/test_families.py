@@ -12,7 +12,7 @@ from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
                      family_members, family_slack_violation, family_walk,
-                     grid_intervals, grid_triangulation_oracle, small_family,
+                     grid_triangulation_oracle, small_family,
                      union_find_labels)
 
 import multinerve.families
@@ -22,7 +22,8 @@ from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         is_acyclic_with_slack, max_components, nerve,
                         random_family, reduced_multinerve, region_betti,
                         region_is_empty, subcomplex_family)
-from multinerve.families import SubcomplexMember, _meet, _overlaps, _within
+from multinerve.families import (BoxUnionMember, SetFamily, SubcomplexMember,
+                                 _grid_box, _meet, _overlaps, _within)
 from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
                                  interval_union_double_edge_family,
@@ -81,11 +82,20 @@ class TestIntegerGrid:
         (x,), (y,) = (m.grid for m in F.members)
         assert [m.boxes for m in F.members] == [(a,), (b,)]
         met, want = _meet(x, y), a.meet(b)
-        assert (met and grid_intervals(F, met)) == (want and want.intervals)
+        assert (met and _grid_box(met, F.scale).intervals) == (want and want.intervals)
         assert _overlaps(x, y) == a.overlaps(b) == (want is not None)
         assert _within(x, y) == a.within(b)
         assert _within(y, x) == b.within(a)
         assert region_is_empty(F, (0, 1)) == (want is None)
+
+    def test_family_takes_its_grid_from_its_members(self):
+        F = box_family(1, [[box((0, Fraction(1, 2)))], [box((Fraction(1, 3), 1))]])
+        assert F.scale == 6 and {m.scale for m in F.members} == {6}
+        assert SetFamily("box", F.members, 1, 1).scale == 6
+        assert SetFamily("box", [], 1, 1).scale == 1
+        halves = BoxUnionMember((((0, 1),),), 2)
+        with pytest.raises(FamilyError, match=r"different grids: scales \[2, 6\]"):
+            SetFamily("box", [F.members[0], halves], 1, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -273,7 +283,7 @@ class TestRegionBetti:
             region = multinerve.families._region(F, A)
             assert boxes == list(dict.fromkeys(region))
             assert first == [region.index(b) for b in boxes]
-            exact = [Box(grid_intervals(F, b)) for b in boxes]
+            exact = [_grid_box(b, F.scale) for b in boxes]
             assert nbrs == [sum(1 << j for j, c in enumerate(exact)
                                 if j != i and b.overlaps(c))
                             for i, b in enumerate(exact)]
@@ -972,7 +982,7 @@ class TestCarriedRegions:
                 want = multinerve.families._region(G, A)
                 assert type(got) is type(want) and got == want, (n, A)
                 if backend == "box":
-                    decoded = [grid_intervals(F, b) for b in got]
+                    decoded = [_grid_box(b, F.scale).intervals for b in got]
                 else:
                     decoded = sorted(
                         SubcomplexMember(got, F.ambient).simplices,
