@@ -35,7 +35,7 @@ Both backends count a region's Betti vector the same way, from the cell
 counts of one complex and the ranks of its boundary, eliminated top down
 on the dimensions that need it: the region itself, or the nerve of its
 distinct boxes up to dimension d, the clique complex of their overlap
-graph (see ``_region_betti``).  Only Betti vectors build T's ``Boundary``.
+graph (see ``_region_betti``).  Only Betti vectors sign T's rows.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .homology import BettiVector, Boundary, ChainComplex, sparse_rank
+from .homology import BettiVector, ChainComplex, _signed_rows, sparse_rank
 from .poset import SimplicialComplex, _bit_ids
 
 
@@ -74,25 +74,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    def meet(self, other: "Box") -> "Box | None":
-        """Open intersection, or None when some axis fails to strictly overlap."""
-        out = []
-        for (a, b), (c, d) in zip(self.intervals, other.intervals):
-            lo, hi = max(a, c), min(b, d)
-            if not lo < hi:
-                return None
-            out.append((lo, hi))
-        return Box(tuple(out))
-
-    def overlaps(self, other: "Box") -> bool:
-        return all(max(a, c) < min(b, d)
-                   for (a, b), (c, d) in zip(self.intervals, other.intervals))
-
-    def within(self, other: "Box") -> bool:
-        return self.dim == other.dim and all(
-            c <= a and b <= d
-            for (a, b), (c, d) in zip(self.intervals, other.intervals))
 
 
 def box(*intervals) -> Box:
@@ -201,7 +182,7 @@ class SetFamily:
         self._groups_cache: dict[int, tuple] = {}
         self._graph_cache: dict[int, tuple] = {}
         self._walk: list[tuple[tuple[int, ...], bool]] | None = None
-        self._ambient_index: _AmbientIndex | None = None
+        self._ambient_index: tuple[dict, bool] | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -300,25 +281,16 @@ def _rational_family(dim: int, members: Sequence[Sequence[tuple]],
 # region machinery
 
 
-class _AmbientIndex:
-    """What Betti vectors of subcomplex regions read, and nothing else does:
-    the checked ``Boundary`` of T's simplices, a row per id, and
-    ``top_free``: whether T's top rows (of dimension >= 2) are independent,
-    found by one ``sparse_rank``."""
-
-    __slots__ = ("boundary", "top_free")
-
-    def __init__(self, T: SimplicialComplex):
-        self.boundary = Boundary.of_faces(T.numbering()[1])
-        rows = [self.boundary.rows[i] for i in _bit_ids(T.dim_mask(T.dim))]
-        self.top_free = T.dim >= 2 and sparse_rank(rows) == len(rows)
-
-
-def _ambient(F: SetFamily) -> _AmbientIndex:
-    """The subcomplex family's ambient index, built on the first Betti
-    vector."""
+def _ambient(F: SetFamily) -> tuple[dict, bool]:
+    """What Betti vectors of subcomplex regions read, and nothing else
+    does, made on the first one and kept: the signed rows of T's
+    simplices, a row per id, and ``top_free``: whether T's top rows (of
+    dimension >= 2) are independent, found by one ``sparse_rank``."""
     if F._ambient_index is None:
-        F._ambient_index = _AmbientIndex(F.ambient)
+        T = F.ambient
+        rows = _signed_rows(T.numbering()[1])
+        top = [rows[i] for i in _bit_ids(T.dim_mask(T.dim))]
+        F._ambient_index = rows, T.dim >= 2 and sparse_rank(top) == len(top)
     return F._ambient_index
 
 
@@ -598,24 +570,23 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
     A subcomplex region's cells are counted from their sizes, and T's rows
     are gathered only once a dimension must be eliminated: every member
     is face-closed (``subcomplex_family`` checks it), so the region is
-    closed downward in T and its rows are T's whole (see ``Boundary``);
-    and the rank of d_n, n = dim T, is the n-cell count when T's top rows
-    are independent (``top_free``), as a region's are some of them.  T's
-    n-simplex ids are one run, so a region's n-cells are the popcount of
-    those bits, and its rows are read by bit position.  A box region's K
-    is the clique complex of its overlap graph (``_box_graph``) up to
-    dimension d, its cells in (size, lexicographic) order, face i of a
-    clique dropping its i-th box.
+    closed downward in T and its rows are T's whole, with d o d = 0 (see
+    ``homology``); and the rank of d_n, n = dim T, is the n-cell count
+    when T's top rows are independent (``top_free``), as a region's are
+    some of them.  T's n-simplex ids are one run, so a region's n-cells
+    are the popcount of those bits, and its rows are read by bit
+    position.  A box region's K is the clique complex of its overlap graph
+    (``_box_graph``) up to dimension d, its cells in (size, lexicographic)
+    order, face i of a clique dropping its i-th box.
     """
     region, top, cc = _region(F, A), None, None
     if F.backend == "subcomplex":
-        T, index = F.ambient, _ambient(F)
+        T, (rows, top_free) = F.ambient, _ambient(F)
         sizes = {n: c for n in range(-1, T.dim + 1)  # bit 0: the empty one
                  if (c := ((region | 1) & T.dim_mask(n)).bit_count())}
-        top = T.dim if index.top_free else None
+        top = T.dim if top_free else None
 
         def chain() -> ChainComplex:  # the rows of the dimensions eliminated
-            rows = index.boundary.rows
             return ChainComplex({n: {i: rows[i] for i in _bit_ids(region & T.dim_mask(n))}
                                  for n in range(2, max(sizes) + 1) if n != top})
     else:
@@ -631,8 +602,8 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
                     grown.extend((C + (j,), common & nbrs[j])
                                  for j in _bit_ids(common & -(2 << C[-1])))
             level = grown
-        boundary = Boundary.of_faces(faces)
-        cc = boundary.select(boundary.rows)
+        rows = _signed_rows(faces)
+        cc = ChainComplex.select(rows, rows)
         sizes = cc.sizes
     ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
     for n in range(max(sizes), 1, -1):

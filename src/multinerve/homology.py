@@ -1,15 +1,28 @@
 """Exact reduced simplicial homology over the rationals.
 
-Boundary matrices carry integer entries (always -1/0/+1 at construction);
-the ranks of d_0 and d_1 are read off them (``ChainComplex.rank_boundary``)
+Boundary rows carry integer entries (always -1/0/+1 at construction); the
+ranks of d_0 and d_1 are read off them (``ChainComplex.rank_boundary``)
 and the others come from fraction-free integer elimination, so every Betti
 number is exact; ranks are taken top down, each skipping the rows the one
 above has cleared.  The (-1)-dimensional cell doubles as the augmentation,
 which makes reduced homology the uniform default: the empty space has
 Betti vector {-1: 1} and nothing else.
 
-Every chain complex is selected from a ``Boundary``, which says why its
-rows are checked for d o d = 0 only once and why a row gives a dimension.
+Every chain complex is selected (``ChainComplex.select``) from the signed
+rows ``_signed_rows`` makes of face ids, face i of a cell entering its row
+as (-1)^i, and d o d = 0 holds on every one of them, so nothing checks it
+at run time.  Proof: write d_i c for face i of a cell c.  Every face list
+read here meets the simplicial identities d_a d_b c = d_{b-1} d_a c for
+a < b: ``build_poset`` checks them on each poset it builds (from dimension
+2; on a 1-cell both sides are the least cell, every 0-cell's one face),
+an induced subposet keeps them, and face i of a complex's simplex or of a
+box region's clique drops its i-th vertex or box, so both sides drop the
+a-th and the b-th.  Then d d c = sum_b (-1)^b sum_a (-1)^a d_a d_b c, and
+(a, b) -> (b - 1, a) maps the pairs with a < b one to one onto those with
+a >= b, each term onto the same cell with the opposite sign: the terms
+cancel in pairs.  A cell's faces drop distinct vertices, so they are
+distinct cells, no two share an entry, and a row is that sum exactly.  A
+cell set closed downward takes its rows whole, and d o d = 0 with them.
 """
 
 from __future__ import annotations
@@ -115,11 +128,11 @@ Space = Union[SimplicialPoset, SimplicialComplex]
 
 
 class ChainComplex:
-    """Augmented rational chain complex on rows of a ``Boundary``, as
-    ``select`` builds it: ``boundary[n]`` maps each n-cell id to its signed
-    row in C_{n-1}; dimension -1 holds the augmentation, whose row is
-    empty.  ``cleared`` maps each n >= 3 whose rank was taken to the
-    pivots of d_n, and stays None until one is."""
+    """Augmented rational chain complex on signed rows, as ``select``
+    builds it: ``boundary[n]`` maps each n-cell id to its signed row in
+    C_{n-1}; dimension -1 holds the augmentation, whose row is empty.
+    ``cleared`` maps each n >= 3 whose rank was taken to the pivots of
+    d_n, and stays None until one is."""
 
     __slots__ = ("sizes", "boundary", "cleared")
 
@@ -127,6 +140,20 @@ class ChainComplex:
         self.boundary = boundary
         self.sizes = {d: len(rows) for d, rows in boundary.items()}
         self.cleared: dict[int, dict[int, SparseRow]] | None = None
+
+    @classmethod
+    def select(cls, rows: Mapping[int, SparseRow],
+               cells: Iterable[int]) -> "ChainComplex":
+        """The chain complex of ``cells``, a set closed downward in
+        ``rows``, each cell filed under dimension ``len(row) - 1``: a
+        simplicial n-cell has n + 1 distinct faces, and the augmentation
+        none.  Ranks do not depend on how cells are numbered (see
+        ``sparse_rank``), so neither do Betti vectors."""
+        boundary: dict[int, dict[int, SparseRow]] = {}
+        for c in cells:
+            row = rows[c]
+            boundary.setdefault(len(row) - 1, {})[c] = row
+        return cls(boundary)
 
     def size(self, n: int) -> int:
         return self.sizes.get(n, 0)
@@ -138,20 +165,21 @@ class ChainComplex:
         the augmentation, has the empty row: each 0-cell's row is one +-1
         entry in its column, so rank d_0 = 1 when there is a 0-cell.  A
         1-cell's row has +-1 entries a, b on distinct 0-cells u, v, and
-        d o d = 0 (checked by ``Boundary``) gives a s_u + b s_v = 0, s_u and
-        s_v the entries of u's and v's rows.  Scaling each 0-cell's column
-        by its s makes d_1 the incidence matrix, up to row signs, of the
-        graph of 0- and 1-cells, of rank #0-cells - #components: one per
-        union that joins two components.  This holds for every boundary
+        d o d = 0 (proved in the module docstring) gives a s_u + b s_v = 0,
+        s_u and s_v the entries of u's and v's rows.  Scaling each 0-cell's
+        column by its s makes d_1 the incidence matrix, up to row signs, of
+        the graph of 0- and 1-cells, of rank #0-cells - #components: one
+        per union that joins two components.  This holds for every boundary
         built here: X[S], spaces and ``families._region_ranks``'s regions.
 
         Once rank d_{n+1} is taken, d_n skips the rows of the n-cells that
         key its pivots (clearing, Chen-Kerber 2011), so ranks taken top
         down eliminate less.  A pivot r keyed by cell c is a combination of
-        d_{n+1}'s rows, so d_n r = 0 by d o d = 0 (checked by ``Boundary``):
-        sum_e r_e row_e = 0 over the n-cells e <= c in r, r_c nonzero, so
-        c's row in d_n lies in the span of the rows of lower n-cells.  By
-        induction on the id, the rows kept span all of d_n's rows.
+        d_{n+1}'s rows, so d_n r = 0 by d o d = 0 (proved in the module
+        docstring): sum_e r_e row_e = 0 over the n-cells e <= c in r, r_c
+        nonzero, so c's row in d_n lies in the span of the rows of lower
+        n-cells.  By induction on the id, the rows kept span all of d_n's
+        rows.
         """
         rows = self.boundary.get(n)
         if not rows:
@@ -183,57 +211,18 @@ class ChainComplex:
         return max(self.sizes)
 
 
-class Boundary:
-    """Signed rows keyed by cell id, checked for d o d = 0, that chain
-    complexes are selected from.
-
-    A row maps each face's cell id to +1 or -1, so a cell set closed
-    downward takes its rows whole, and with them d o d = 0; and ranks do
-    not depend on how cells are numbered (see ``sparse_rank``), so neither
-    do Betti vectors.  ``select`` files each cell under dimension
-    ``len(row) - 1``, its dimension in every boundary built here: a
-    simplicial n-cell has n + 1 distinct faces, and the augmentation none.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: dict[int, SparseRow]):
-        for c, row in rows.items():
-            acc: SparseRow = {}
-            for f, a in row.items():
-                for g, b in rows[f].items():
-                    acc[g] = acc.get(g, 0) + a * b
-            if any(acc.values()):
-                raise AssertionError(f"boundary of boundary nonzero at cell {c}")
-        self.rows = rows
-
-    @classmethod
-    def of_faces(cls, faces) -> "Boundary":
-        """The boundary of the cells whose face ids are given in order."""
-        return cls(_signed_rows(faces))
-
-    def select(self, cells: Iterable[int]) -> ChainComplex:
-        """The chain complex of ``cells``, a set closed downward here."""
-        rows = self.rows
-        boundary: dict[int, dict[int, SparseRow]] = {}
-        for c in cells:
-            row = rows[c]
-            boundary.setdefault(len(row) - 1, {})[c] = row
-        return ChainComplex(boundary)
-
-
 def chain_complex(X: Space) -> ChainComplex:
-    """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i,
-    checked for d o d = 0; a complex's simplices are numbered by
-    ``SimplicialComplex.numbering``, the cell ids of its face poset."""
+    """Chain complex with bases the cells per dimension and d = sum (-1)^i d_i;
+    a complex's simplices are numbered by ``SimplicialComplex.numbering``,
+    the cell ids of its face poset."""
     if isinstance(X, SimplicialComplex):
         faces = X.numbering()[1]
     elif isinstance(X, SimplicialPoset):
         faces = X._faces
     else:
         raise TypeError(f"expected a poset or complex, got {type(X).__name__}")
-    boundary = Boundary.of_faces(faces)
-    return boundary.select(boundary.rows)
+    rows = _signed_rows(faces)
+    return ChainComplex.select(rows, rows)
 
 
 def _signed_rows(faces) -> dict[int, SparseRow]:

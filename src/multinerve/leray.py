@@ -7,8 +7,8 @@ upper interval complex is the barycentric subdivision).  They are equal
 (the theorem below), so J is L's walk, exact or sampled.
 
 L builds no new poset or complex: X[S], the cells whose vertices all lie
-in S (by vertex bitmask), is selected from X's ``Boundary``, which says why
-a selection needs no second d o d check.  For J, the cells tau >= sigma of
+in S (by vertex bitmask), is selected from X's signed rows, and keeps
+d o d = 0 (proved in ``homology``).  For J, the cells tau >= sigma of
 X[S] are the face poset of a regular CW complex, the link Lk(sigma, X[S])
 (Bjorner 1984), whose barycentric subdivision is the order complex of
 (sigma, .); so its cellular chain complex, X's rows of the cells
@@ -81,7 +81,7 @@ the exact walk makes only the independent sets of that graph: the other
 subsets are dropped unmade, the order of those kept is unchanged, and
 only the conditional pairs are tested.
 
-``_enumerate`` prepares X once per call: unique covers and X's boundary,
+``_enumerate`` prepares X once per call: unique covers and X's rows,
 read from P's validated tuples with no per-call id check (every id comes
 from P itself), beside the cell vertex masks ``build_poset`` kept.  A hit
 is a dimension j >= floor at which a reduced Betti number is nonzero; an
@@ -114,7 +114,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homology import Boundary, Space, top_nonzero_betti
+from .homology import ChainComplex, Space, _signed_rows, top_nonzero_betti
 from .poset import SimplicialComplex, SimplicialPoset, _bit_ids, _bits
 
 
@@ -272,7 +272,7 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
         subsets = (sum(1 << i for i in range(n) if rng.random() < 0.5)
                    for _ in range(sample))
         pairs = []
-    boundary = Boundary.of_faces(P._faces)
+    rows = _signed_rows(P._faces)
     ceiling, best, hit = P.dim + 1, 0, None
     tops = {masks[c] for c in V}
     for inside in subsets:
@@ -287,7 +287,7 @@ def _enumerate(X: Space, cap: int, sample: int | None, seed: int,
         if _dominated(pairs, inside):
             continue
         cells = [c for c, m in enumerate(masks) if not m & outside]
-        a = top_nonzero_betti(boundary.select(cells), best)
+        a = top_nonzero_betti(ChainComplex.select(rows, cells), best)
         if a is not None:
             best, hit = a + 1, (inside, a)
             tops = {masks[c] for c in P.cells_of_dim(best)}

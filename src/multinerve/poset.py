@@ -399,10 +399,11 @@ def order_complex(elements: Iterable, leq: Callable[[object, object], bool]) -> 
             extend(chain)
             chain.pop()
 
-    # every chain is enumerated exactly once, starting from its minimum
+    # every chain is enumerated exactly once, starting from its minimum; a
+    # chain's subsets are chains, so they are listed too: the set is closed
     for e in elems:
         extend([e])
-    return SimplicialComplex((frozenset(c) for c in chains), closed=False)
+    return SimplicialComplex((frozenset(c) for c in chains), closed=True)
 
 
 def barycentric_subdivision(X: SimplicialPoset) -> SimplicialComplex:

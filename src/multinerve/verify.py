@@ -280,7 +280,7 @@ def closed_star(T: SimplicialComplex, vertex: int) -> set[int]:
 
 
 def ring_member(g: int, i: int, j: int) -> set[frozenset]:
-    """Boundary 4-cycle of grid square (i, j): a member with the homology
+    """The boundary 4-cycle of grid square (i, j): a member with the homology
     of a circle (the diagonal edge is deliberately omitted)."""
     def v(a: int, b: int) -> int:
         return a * (g + 1) + b

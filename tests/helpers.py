@@ -157,6 +157,24 @@ def gauss_jordan_rank(rows: list[list]) -> int:
     return rank
 
 
+def assert_dd_zero(rows) -> None:
+    """Raise AssertionError unless d o d = 0 on ``rows``: signed boundary
+    rows keyed by cell id (face id -> entry), or, given a chain complex,
+    the rows its ``boundary`` files by dimension.  For each cell c, the sum
+    of row_c[f] * row_f over its faces f must vanish in every entry.  Uses
+    nothing from ``multinerve``."""
+    if hasattr(rows, "boundary"):
+        rows = {c: row for per_dim in rows.boundary.values()
+                for c, row in per_dim.items()}
+    for c, row in rows.items():
+        acc: dict = {}
+        for f, a in row.items():
+            for g, b in rows[f].items():
+                acc[g] = acc.get(g, 0) + a * b
+        if any(acc.values()):
+            raise AssertionError(f"boundary of boundary nonzero at cell {c}")
+
+
 def dense_boundaries(K: SimplicialComplex) -> tuple[dict, dict]:
     """Bases and dense boundary matrices of the augmented chain complex."""
     basis = {}
@@ -646,6 +664,19 @@ def first_hit_witness(P: SimplicialPoset, value: int, links: bool):
 def _meet(a: tuple, b: tuple):
     out = tuple((max(p, r), min(q, s)) for (p, q), (r, s) in zip(a, b))
     return out if all(lo < hi for lo, hi in out) else None
+
+
+def overlaps(a: tuple, b: tuple) -> bool:
+    """Whether two open boxes share a point: on every axis the larger lo
+    lies below the smaller hi."""
+    return all(max(p, r) < min(q, s) for (p, q), (r, s) in zip(a, b))
+
+
+def within(a: tuple, b: tuple) -> bool:
+    """Whether box a lies inside box b: the same dimension, and each of
+    a's intervals inside b's on its axis."""
+    return len(a) == len(b) and all(r <= p and q <= s
+                                    for (p, q), (r, s) in zip(a, b))
 
 
 _MEMBERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

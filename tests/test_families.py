@@ -6,14 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
                      family_component_maxima, family_components,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
                      family_members, family_slack_violation, family_walk,
-                     grid_triangulation_oracle, small_family,
-                     union_find_labels)
+                     grid_triangulation_oracle, overlaps, small_family,
+                     union_find_labels, within)
+from helpers import _meet as tuple_meet
 
 import multinerve.families
 import multinerve.verify
@@ -40,11 +41,6 @@ class TestBox:
         with pytest.raises(FamilyError, match="lo < hi"):
             box((1, 1))
 
-    def test_meet_is_strict(self):
-        assert box((0, 1)).meet(box((1, 2))) is None
-        assert box((0, 1)).meet(box((Fraction(1, 2), 2))) == \
-            box((Fraction(1, 2), 1))
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(FamilyError, match="dimension"):
             box_family(2, [[box((0, 1))]])
@@ -70,10 +66,13 @@ def _box_pairs(draw):
 class TestIntegerGrid:
     """A box family holds its boxes on the integer grid of its endpoints'
     least common denominator; there they meet, overlap and nest exactly as
-    their Fraction boxes do."""
+    their Fraction intervals do under the oracle's ``_meet``, ``overlaps``
+    and ``within``."""
 
     @settings(max_examples=400, deadline=None)
     @given(_box_pairs())
+    @example((box((0, 1)), box((1, 2))))  # touching: no meet
+    @example((box((0, 1)), box((Fraction(1, 2), 2))))
     def test_grid_boxes_agree_with_fraction_boxes(self, pair):
         a, b = pair
         F = box_family(a.dim, [[a], [b]])
@@ -81,11 +80,12 @@ class TestIntegerGrid:
                                      for iv in c.intervals for x in iv))
         (x,), (y,) = (m.grid for m in F.members)
         assert [m.boxes for m in F.members] == [(a,), (b,)]
-        met, want = _meet(x, y), a.meet(b)
-        assert (met and _grid_box(met, F.scale).intervals) == (want and want.intervals)
-        assert _overlaps(x, y) == a.overlaps(b) == (want is not None)
-        assert _within(x, y) == a.within(b)
-        assert _within(y, x) == b.within(a)
+        a, b = a.intervals, b.intervals
+        met, want = _meet(x, y), tuple_meet(a, b)
+        assert (met and _grid_box(met, F.scale).intervals) == want
+        assert _overlaps(x, y) == overlaps(a, b) == (want is not None)
+        assert _within(x, y) == within(a, b)
+        assert _within(y, x) == within(b, a)
         assert region_is_empty(F, (0, 1)) == (want is None)
 
     def test_family_takes_its_grid_from_its_members(self):
@@ -117,7 +117,7 @@ class TestIntegerGrid:
         i, j = sorted(data.draw(st.lists(st.integers(-3, 38), min_size=2,
                                          max_size=2, unique=True)))
         rep = box((lo + (hi - lo) * Fraction(i, 35), lo + (hi - lo) * Fraction(j, 35)))
-        holder = next((iv for iv in region if rep.within(Box(iv))), None)
+        holder = next((iv for iv in region if within(rep.intervals, iv)), None)
         if holder is None:
             with pytest.raises(FamilyError, match="outside"):
                 component_containing(F, A, rep)
@@ -283,9 +283,9 @@ class TestRegionBetti:
             region = multinerve.families._region(F, A)
             assert boxes == list(dict.fromkeys(region))
             assert first == [region.index(b) for b in boxes]
-            exact = [_grid_box(b, F.scale) for b in boxes]
+            exact = [_grid_box(b, F.scale).intervals for b in boxes]
             assert nbrs == [sum(1 << j for j, c in enumerate(exact)
-                                if j != i and b.overlaps(c))
+                                if j != i and overlaps(b, c))
                             for i, b in enumerate(exact)]
 
     def test_repeated_member_against_oracle(self):
@@ -386,7 +386,7 @@ class TestCountedBetti:
                     assert region_betti(F, A).items() == \
                         tuple(sorted(want.items())), (seed, A)
                     seen.update(d for d, b in want.items() if b)
-            assert multinerve.families._ambient(F).top_free is top_free
+            assert multinerve.families._ambient(F)[1] is top_free
             for s in range(4):
                 ok, viol = is_acyclic_with_slack(F, s)
                 want = family_slack_violation(F, s)
@@ -397,9 +397,9 @@ class TestCountedBetti:
 
 
 class TestAmbientIndex:
-    """Subcomplex regions are ranked on the rows of T's simplices, numbered
-    and checked for d o d = 0 once per family; only Betti vectors build
-    that index, as components come from vertex labels."""
+    """Subcomplex regions are ranked on the rows of T's simplices, signed
+    once per family; only Betti vectors build those rows, as components
+    come from vertex labels."""
 
     @staticmethod
     def _spy(monkeypatch, name):
@@ -411,18 +411,23 @@ class TestAmbientIndex:
         monkeypatch.setattr(multinerve.families, name, spy)
         return calls
 
-    def test_checked_once_per_verify_and_no_region_complex(self, monkeypatch):
-        # a subcomplex family checks d o d once, on T, a box family once
+    def test_checked_once_per_verify_and_no_region_complex(
+            self, monkeypatch, signed_rows):
+        # a subcomplex family signs rows once, for T, a box family once
         # per distinct ranked region's nerve, and the multinerve once;
         # neither family builds a region complex
-        from multinerve.homology import Boundary
         from multinerve.poset import SimplicialComplex as Complex
         checks, complexes = [], []
-        for cls, calls in ((Boundary, checks), (Complex, complexes)):
-            def spy(self, *args, real=cls.__init__, calls=calls, **kwargs):
-                calls.append(args)
-                real(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", spy)
+
+        def sign(faces, real=signed_rows.sign):
+            checks.append(faces)
+            return real(faces)
+
+        def init(self, *args, real=Complex.__init__, **kwargs):
+            complexes.append(args)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(signed_rows, "sign", sign)
+        monkeypatch.setattr(Complex, "__init__", init)
         for backend in ("subcomplex", "box"):
             F = random_family(backend, 5, 2)
             del checks[:], complexes[:]
@@ -443,7 +448,7 @@ class TestAmbientIndex:
         F = random_family("subcomplex", 6, 3, grid=4, stars_per_member=2)
         ranked = self._spy(monkeypatch, "sparse_rank")
         verify_multinerve_theorem(F, 0)
-        assert multinerve.families._ambient(F).top_free
+        assert multinerve.families._ambient(F)[1]  # top_free
         assert [len(rows) for rows, in ranked] == [2 * 4 * 4]
         assert len(F._betti_cache) > len(F)
 
@@ -451,7 +456,7 @@ class TestAmbientIndex:
         T = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
         F = subcomplex_family(T, [[(0,), (1,), (0, 1)], [(1,), (2,), (1, 2)],
                                   [(0,), (2,), (0, 2)]])
-        builds = self._spy(monkeypatch, "_AmbientIndex")
+        builds = self._spy(monkeypatch, "_signed_rows")
         assert helly_number(F).h == 3
         assert region_is_empty(F, (0, 1, 2))
         assert not region_is_empty(F, (0, 1))
@@ -757,7 +762,7 @@ class TestRegionMemo:
         # for both backends: the only reduced_betti is the multinerve's, in
         # the report, and the only other selections from a boundary are one
         # per box region's nerve
-        from multinerve.homology import Boundary
+        from multinerve.homology import ChainComplex
         labelled = "_subcomplex_groups" if backend == "subcomplex" \
             else "_box_groups"
         spied = [(multinerve.families, labelled),
@@ -769,12 +774,12 @@ class TestRegionMemo:
                 got.append(args)
                 return real(*args)
             monkeypatch.setattr(module, name, spy)
-        selected, real_select = [], Boundary.select
+        selected, real_select = [], ChainComplex.select
 
-        def select(boundary, cells):
-            selected.append(boundary)
-            return real_select(boundary, cells)
-        monkeypatch.setattr(Boundary, "select", select)
+        def select(rows, cells):
+            selected.append(rows)
+            return real_select(rows, cells)
+        monkeypatch.setattr(ChainComplex, "select", staticmethod(select))
         assert not hasattr(multinerve.families, "reduced_betti")
         for seed in range(4):
             F = repeating_family(backend, seed)
@@ -794,7 +799,7 @@ class TestRegionMemo:
             assert len(selected) == 1 + (len(distinct) if backend == "box"
                                          else 0)
             if backend == "subcomplex":
-                assert selected[0] is not F._ambient_index.boundary
+                assert selected[0] is not F._ambient_index[0]
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_equal_regions_are_held_once(self, backend):

@@ -328,14 +328,14 @@ def test_past_cap_report_bytes(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CAP_RANKED))
 def test_past_cap_ranked_count(name, tmp_path, monkeypatch):
-    from multinerve.homology import Boundary
+    from multinerve.homology import ChainComplex
     path = _multinerve_path(name, tmp_path)
-    real, ranked = Boundary.select, []
+    real, ranked = ChainComplex.select, []
 
-    def spy(self, cells):
+    def spy(rows, cells):
         ranked.append(cells)
-        return real(self, cells)
-    monkeypatch.setattr(Boundary, "select", spy)
+        return real(rows, cells)
+    monkeypatch.setattr(ChainComplex, "select", staticmethod(spy))
     assert _run(["leray", path, "--cap", "24"])[0] == 0
     assert len(ranked) == CAP_RANKED[name]
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (betti_oracle_gj, betti_oracle_lattice, betti_sum_check,
-                     box_nerve, dense_boundaries, family_region,
+from helpers import (assert_dd_zero, betti_oracle_gj, betti_oracle_lattice,
+                     betti_sum_check, box_nerve, dense_boundaries, family_region,
                      gauss_jordan_rank, random_complex, random_poset, relabel,
                      small_family, with_isolated_vertices)
 
@@ -102,11 +102,12 @@ class TestChainComplex:
         assert cc.size(-1) == 1 and cc.size(0) == 0
 
     def test_dd_zero_is_asserted(self):
-        # hand-built rows violating d o d = 0 must be rejected: the least
-        # cell 0, vertices 1 and 2, and an edge 3 with entries +1, +1
-        from multinerve.homology import Boundary
+        # hand-built rows violating d o d = 0 must be rejected by the
+        # oracle: the least cell 0, vertices 1 and 2, and an edge 3 with
+        # entries +1, +1; with +1, -1 they pass
         with pytest.raises(AssertionError):
-            Boundary({0: {}, 1: {0: 1}, 2: {0: 1}, 3: {1: 1, 2: 1}})
+            assert_dd_zero({0: {}, 1: {0: 1}, 2: {0: 1}, 3: {1: 1, 2: 1}})
+        assert_dd_zero({0: {}, 1: {0: 1}, 2: {0: 1}, 3: {1: 1, 2: -1}})
 
 
 class TestReducedBetti:
@@ -338,7 +339,7 @@ def posets(draw):
 @settings(max_examples=60, deadline=None)
 @given(posets())
 def test_dd_zero_on_random_posets(P):
-    chain_complex(P)  # d o d = 0 is checked at build time
+    assert_dd_zero(chain_complex(P))
 
 
 @settings(max_examples=40, deadline=None)

@@ -251,13 +251,13 @@ class TestLerayAndJ:
     def test_exact_calls_select_from_x_alone(self, monkeypatch):
         # J = L, so an exact call selects every complex it ranks from X's
         # boundary, whose augmentation is the least cell
-        from multinerve.homology import Boundary
-        real, augmentations = Boundary.select, []
+        from multinerve.homology import ChainComplex
+        real, augmentations = ChainComplex.select, []
 
-        def spy(self, cells):
-            augmentations.extend(c for c, row in self.rows.items() if not row)
-            return real(self, cells)
-        monkeypatch.setattr(Boundary, "select", spy)
+        def spy(rows, cells):
+            augmentations.extend(c for c, row in rows.items() if not row)
+            return real(rows, cells)
+        monkeypatch.setattr(ChainComplex, "select", staticmethod(spy))
         rng = random.Random(24)
         for _ in range(10):
             P = random_poset(rng, n_vertices=5, n_facets=5, max_facet=4)
@@ -414,16 +414,16 @@ class TestDomination:
         assert J.witness == Witness((1, 2), 1, 0)
 
     def test_sixteen_vertex_box_multinerve(self, monkeypatch):
-        from multinerve.homology import Boundary
+        from multinerve.homology import ChainComplex
         P = multinerve(random_family("box", 8, 1, ambient_dim=2,
                                      boxes_per_member=2)).poset
         assert len(P.vertex_order) == 16
-        real, asked = Boundary.select, []
+        real, asked = ChainComplex.select, []
 
-        def spy(self, cells):
+        def spy(rows, cells):
             asked.append(cells)
-            return real(self, cells)
-        monkeypatch.setattr(Boundary, "select", spy)
+            return real(rows, cells)
+        monkeypatch.setattr(ChainComplex, "select", staticmethod(spy))
         L = leray_number(P)
         assert L == LerayReport(1, "exact", Witness((1, 2), 0))
         # of 2^16 subsets, few X[S] are not dominated
@@ -484,14 +484,14 @@ class TestWalkOracle:
 
     @staticmethod
     def check(P, monkeypatch):
-        from multinerve.homology import Boundary
-        real, ranked = Boundary.select, []
+        from multinerve.homology import ChainComplex
+        real, ranked = ChainComplex.select, []
 
-        def spy(self, cells):
+        def spy(rows, cells):
             cells = tuple(cells)
             ranked.append(cells)
-            return real(self, cells)
-        monkeypatch.setattr(Boundary, "select", spy)
+            return real(rows, cells)
+        monkeypatch.setattr(ChainComplex, "select", staticmethod(spy))
         value, hit, want = pruned_walk_oracle(P)
         for index, sigma in ((leray_number, None), (j_index, P.least)):
             del ranked[:]
@@ -605,14 +605,14 @@ class TestOnePass:
     """One walk gives values and witnesses: no subset is asked twice."""
 
     def test_no_vertex_set_selected_twice(self, monkeypatch):
-        from multinerve.homology import Boundary
-        real, selected = Boundary.select, []
+        from multinerve.homology import ChainComplex
+        real, selected = ChainComplex.select, []
 
-        def spy(self, cells):
+        def spy(rows, cells):
             cells = tuple(cells)
             selected.append(cells)
-            return real(self, cells)
-        monkeypatch.setattr(Boundary, "select", spy)
+            return real(rows, cells)
+        monkeypatch.setattr(ChainComplex, "select", staticmethod(spy))
         rng, asked = random.Random(54), 0
         for P in [double_edge_poset()] + [random_poset(rng) for _ in range(20)]:
             for index in (leray_number, j_index):
@@ -643,15 +643,15 @@ def box_region_betti(K):
 
 
 class TestDDChecked:
-    """d o d is checked on every boundary chain complexes are selected
-    from: a sign flipped by the one signed-row builder on cells of
-    dimension >= 2 must be caught by ``chain_complex``, ``leray_number``,
-    ``j_index`` and both backends' ``region_betti``."""
+    """d o d = 0 is checked by the suite's oracle (``conftest.signed_rows``)
+    on every row set chain complexes are selected from: a sign flipped by
+    the one signed-row builder on cells of dimension >= 2 must be caught on
+    ``chain_complex``, ``leray_number``, ``j_index`` and both backends'
+    ``region_betti``."""
 
     @pytest.fixture
-    def flipped_signs(self, monkeypatch):
-        from multinerve import homology
-        real = homology._signed_rows
+    def flipped_signs(self, monkeypatch, signed_rows):
+        real = signed_rows.sign
 
         def flipped(faces):
             rows = real(faces)
@@ -661,7 +661,7 @@ class TestDDChecked:
                     rows[c][f] = -rows[c][f]
             return rows
 
-        monkeypatch.setattr(homology, "_signed_rows", flipped)
+        monkeypatch.setattr(signed_rows, "sign", flipped)
 
     @pytest.mark.parametrize("fn", [chain_complex, leray_number, j_index,
                                     subcomplex_region_betti,
@@ -672,31 +672,31 @@ class TestDDChecked:
 
 
 class TestBoundary:
-    """One ``Boundary`` (one d o d check) per call, exact or sampled, every
-    selection with the least cell as its augmentation, and a cell's
-    dimension in a selection is its row length."""
+    """One set of signed rows per call, exact or sampled, every selection
+    with the least cell as its augmentation, and a cell's dimension in a
+    selection is its row length."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        from multinerve.homology import Boundary
-        real, rows = Boundary.__init__, []
+    def built(self, monkeypatch, signed_rows):
+        real, rows = signed_rows.sign, []
 
-        def spy(self, r):
+        def spy(faces):
+            r = real(faces)
             rows.append(r)
-            real(self, r)
-        monkeypatch.setattr(Boundary, "__init__", spy)
+            return r
+        monkeypatch.setattr(signed_rows, "sign", spy)
         return rows
 
     @pytest.fixture
     def ranked(self, monkeypatch):
-        from multinerve.homology import Boundary
-        real, selected = Boundary.select, []
+        from multinerve.homology import ChainComplex
+        real, selected = ChainComplex.select, []
 
-        def spy(self, cells):
-            cc = real(self, cells)
+        def spy(rows, cells):
+            cc = real(rows, cells)
             selected.append(cc)
             return cc
-        monkeypatch.setattr(Boundary, "select", spy)
+        monkeypatch.setattr(ChainComplex, "select", staticmethod(spy))
         return selected
 
     def test_one_per_exact_call(self, built, ranked):
