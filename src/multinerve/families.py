@@ -18,18 +18,16 @@ Two backends realize the oracle:
   between endpoints, and every meet's endpoints are endpoints of members.
   ``Box`` and a label's ``rep`` give the rationals back at the API edge.
 
-The family keeps one region per index set A, the region of a set P
-extended by one member (``_extend``): the walk hands each set's region
-down to its extensions, and ``_region`` builds any other A from its
-prefix A[:-1] (an empty region stays empty at no cost).  Equal regions
-share a number, given on the first Betti or component query, and the
-Betti vector and component labels are found once per number, so index
-sets with equal regions share one label tuple and one region object.
-Scans over subfamilies (slack, component counts, the nerve, the
-multinerve, Helly numbers) read one walk of the index sets whose proper
-subsets all intersect, level by level in (size, lexicographic) order, so
-an empty intersection ends the walk above it; a walk that runs to its end
-is kept on the family.
+Every fact about a region (its Betti vector, components and overlap
+graph) is kept under the region itself, so index sets with equal regions
+share one label tuple.  The region of a set P extended by one member is
+``_extend`` of P's: the walk hands each set's region down to its
+extensions, and ``_region`` folds it over any other A, stopping at an
+empty prefix.  Scans over subfamilies (slack, component counts, the nerve,
+the multinerve, Helly numbers) read one walk of the index sets whose
+proper subsets all intersect, each with its region, level by level in
+(size, lexicographic) order, so an empty intersection ends the walk above
+it; a walk that runs to its end is kept on the family.
 
 Both backends count a region's Betti vector the same way, from the cell
 counts of one complex and the ranks of its boundary, eliminated top down
@@ -175,13 +173,10 @@ class SetFamily:
         self.scale = _common_scale(self.members) if backend == "box" else 1
         self.gamma_dim = gamma_dim
         self.gamma_dim_assumed = gamma_dim_assumed
-        self._region_cache: dict[tuple, int | tuple] = {}
-        self._region_ids: dict[int | tuple, tuple] = {}
-        self._rid_cache: dict[tuple, int] = {}
-        self._betti_cache: dict[int, BettiVector] = {}
-        self._groups_cache: dict[int, tuple] = {}
-        self._graph_cache: dict[int, tuple] = {}
-        self._walk: list[tuple[tuple[int, ...], bool]] | None = None
+        self._betti_cache: dict[int | tuple, BettiVector] = {}
+        self._groups_cache: dict[int | tuple, tuple] = {}
+        self._graph_cache: dict[int | tuple, tuple] = {}
+        self._walk: list[tuple[tuple[int, ...], int | tuple]] | None = None
         self._ambient_index: tuple[dict, bool] | None = None
 
     def __len__(self) -> int:
@@ -312,41 +307,27 @@ def _region(F: SetFamily, A: tuple[int, ...]) -> int | tuple:
     A mask of T's simplex ids (the members' AND, the union their OR), or
     the open grid boxes met from one box per member of A, in the
     lexicographic order of those choices; falsy when empty.  ``_extend``
-    builds it from the region of the longest nonempty prefix of A in the
-    cache, one index at a time, caching each longer prefix, so nothing is
-    met above an empty prefix.
+    folds it over A, one index at a time, and nothing is met above an
+    empty prefix.
     """
-    cache = F._region_cache
-    if A in cache:
-        return cache[A]
     if not A:
-        cache[A] = (reduce(int.__or__, (m.mask for m in F.members), 0)
-                    if F.backend == "subcomplex"
-                    else tuple(b for m in F.members for b in m.grid))
-        return cache[A]
-    k = len(A) - 1
-    while k and A[:k] not in cache:
-        k -= 1
-    out = cache[A[:k]] if k else None
-    for i in range(k, len(A)):
-        out = cache[A[:i + 1]] = _extend(F, out, A[i])
+        return (reduce(int.__or__, (m.mask for m in F.members), 0)
+                if F.backend == "subcomplex"
+                else tuple(b for m in F.members for b in m.grid))
+    out = None
+    for j in A:
+        out = _extend(F, out, j)
+        if not out:
+            break
     return out
 
 
-def _per_region(F: SetFamily, cache: dict, A: tuple[int, ...], compute):
-    """``compute(F, A)`` over the checked index set A, kept in ``cache``
-    under the region's number.  Equal regions share one, given on their
-    first query here, so emptiness and the walk never hash a region; A then
-    keeps the numbered region's object, so equal regions are held once."""
-    rid = F._rid_cache.get(A)
-    if rid is None:
-        region = _region(F, A)
-        rid, F._region_cache[A] = F._region_ids.setdefault(
-            region, (len(F._region_ids), region))
-        F._rid_cache[A] = rid
-    if rid not in cache:
-        cache[rid] = compute(F, A)
-    return cache[rid]
+def _per_region(F: SetFamily, cache: dict, region, compute):
+    """``compute(F, region)``, kept in ``cache`` under the region."""
+    got = cache.get(region)
+    if got is None:
+        got = cache[region] = compute(F, region)
+    return got
 
 
 def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
@@ -355,19 +336,18 @@ def components(F: SetFamily, A: Iterable[int]) -> tuple[ComponentLabel, ...]:
     Found once per distinct region; index sets with equal regions share the
     one tuple.
     """
-    return _groups(F, F.check_index_set(A))[0]
+    return _groups(F, _region(F, F.check_index_set(A)))[0]
 
 
-def _groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
-    """The component labels of the region over the checked index set A,
-    sorted by canon, and its owner: a function from a label's ``at`` (a
-    vertex 1-tuple, or a grid box inside the region) to the index of its
-    component."""
-    return _per_region(F, F._groups_cache, A, _subcomplex_groups
+def _groups(F: SetFamily, region) -> tuple:
+    """The component labels of the region, sorted by canon, and its owner:
+    a function from a label's ``at`` (a vertex 1-tuple, or a grid box
+    inside the region) to the index of its component."""
+    return _per_region(F, F._groups_cache, region, _subcomplex_groups
                        if F.backend == "subcomplex" else _box_groups)
 
 
-def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
+def _subcomplex_groups(F: SetFamily, region: int) -> tuple:
     """One union-find pass over the region's vertex ids, joined along its
     edges, each root kept at its group's smallest id.  T's vertex ids
     follow the vertex order, and a simplex lies in the component of any of
@@ -375,7 +355,7 @@ def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     labels come sorted by canon in root order.  The owner is keyed by the
     rep, a vertex 1-tuple.  The groups also give the region's rank d_1
     (see ``_region_ranks``)."""
-    region, T = _region(F, A), F.ambient
+    T = F.ambient
     faces, tuples = T.numbering()[1], T.ordered_tuples()
     root = {i: i for i in _bit_ids(region & T.dim_mask(0))}
     for e in _bit_ids(region & T.dim_mask(1)):
@@ -396,13 +376,13 @@ def _subcomplex_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     return tuple(labels), owner.__getitem__
 
 
-def _box_graph(F: SetFamily, A: tuple[int, ...]) -> tuple:
+def _box_graph(F: SetFamily, region: tuple) -> tuple:
     """The overlap graph of the region's distinct boxes, built once per
     region for ``_box_groups`` and ``_region_ranks``: the boxes in
     first-occurrence order, the first index of each in the region, and
     each one's neighbours, the boxes it overlaps, as a mask of positions."""
     first: dict[tuple, int] = {}
-    for i, b in enumerate(_region(F, A)):
+    for i, b in enumerate(region):
         first.setdefault(b, i)
     boxes, nbrs = list(first), [0] * len(first)
     for (i, a), (j, b) in combinations(enumerate(boxes), 2):
@@ -412,7 +392,7 @@ def _box_graph(F: SetFamily, A: tuple[int, ...]) -> tuple:
     return boxes, list(first.values()), nbrs
 
 
-def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
+def _box_groups(F: SetFamily, region: tuple) -> tuple:
     """The components of the region's overlap graph (``_box_graph``), each
     grown from its lowest box by bit operations and labelled by that box
     and its first index in the region; a twin joins its first occurrence.
@@ -422,7 +402,7 @@ def _box_groups(F: SetFamily, A: tuple[int, ...]) -> tuple:
     passes a label's over A, the meet of one box per member, to the
     regions over subsets of A, each of which holds the meet of the same
     boxes."""
-    boxes, first, nbrs = _per_region(F, F._graph_cache, A, _box_graph)
+    boxes, first, nbrs = _per_region(F, F._graph_cache, region, _box_graph)
     labels, owner, left = [], [0] * len(boxes), (1 << len(boxes)) - 1
     while left:
         i = (left & -left).bit_length() - 1
@@ -445,13 +425,15 @@ def region_is_empty(F: SetFamily, A: Iterable[int]) -> bool:
 
 
 def _nerve_walk(F: SetFamily):
-    """The (A, intersects) pairs for each nonempty index set A all of whose
-    proper subsets intersect, in (size, lexicographic) order: the kept walk
-    once one has run to its end, a new ``_walk_source`` until then.
+    """The (A, region) pairs, the region falsy when empty, for each
+    nonempty index set A all of whose proper subsets intersect, in (size,
+    lexicographic) order: the kept walk once one has run to its end, a new
+    ``_walk_source`` until then.
 
     The empty index set counts as intersecting, so every singleton is
     yielded.  Level k + 1 extends the intersecting sets of level k, so the
-    sets yielded with False are exactly the minimal empty subfamilies.
+    sets yielded with an empty region are exactly the minimal empty
+    subfamilies.
     """
     return _walk_source(F) if F._walk is None else F._walk
 
@@ -461,12 +443,11 @@ def _walk_source(F: SetFamily):
     runs to the end, so an error or a scan that stops early keeps none.
     A level holds, for each set P it extends, P's mask of member indices,
     its region (None for the empty set) and a mask of the j to try: the
-    region of P + (j,) is ``_extend`` of P's, kept in F's cache unless A
-    has one there.  ``ext`` maps P's mask to the j for which P + (j,)
-    intersects, so A = P + (a,) gets each j > a in ext[P] and in ext[A's
-    mask less bit p], p in P, as then A + (j,) less j, a or p intersects.
-    Each level is lexicographic."""
-    walk, cache = [], F._region_cache
+    region of P + (j,) is ``_extend`` of P's.  ``ext`` maps P's mask to
+    the j for which P + (j,) intersects, so A = P + (a,) gets each j > a
+    in ext[P] and in ext[A's mask less bit p], p in P, as then A + (j,)
+    less j, a or p intersects.  Each level is lexicographic."""
+    walk = []
     layer = [((), 0, None, (1 << len(F)) - 1)]
     while layer:
         ext: dict[int, int] = {}
@@ -475,8 +456,8 @@ def _walk_source(F: SetFamily):
             alive = 0
             for j in _bit_ids(cand):
                 A = P + (j,)
-                got = cache.setdefault(A, _extend(F, region, j))
-                item = A, bool(got)
+                got = _extend(F, region, j)
+                item = A, got
                 walk.append(item)
                 yield item
                 if got:
@@ -502,8 +483,7 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
     its boxes.  A Box whose endpoints are off the family's grid is compared
     exactly, on a grid that holds both.
     """
-    A = F.check_index_set(A)
-    region = _region(F, A)
+    region = _region(F, F.check_index_set(A))
     if F.backend == "subcomplex":
         s = frozenset(rep)
         i = F.ambient.simplex_ids().get(s, 0)
@@ -521,18 +501,19 @@ def component_containing(F: SetFamily, A: Iterable[int], rep) -> ComponentLabel:
             x, tuple((lo * k, hi * k) for lo, hi in b))), None)
         if at is None:
             raise FamilyError("representative lies outside the region")
-    labels, owner = _groups(F, A)
+    labels, owner = _groups(F, region)
     return labels[owner(at)]
 
 
 def region_betti(F: SetFamily, A: Iterable[int]) -> BettiVector:
     """Reduced Betti vector of the intersection over A (union when A is
     empty), found once per distinct region (see ``_region_betti``)."""
-    return _per_region(F, F._betti_cache, F.check_index_set(A), _region_betti)
+    return _per_region(F, F._betti_cache, _region(F, F.check_index_set(A)),
+                       _region_betti)
 
 
-def _region_betti(F: SetFamily, A: tuple[int, ...]) -> BettiVector:
-    """The reduced Betti vector of the region over the checked index set A.
+def _region_betti(F: SetFamily, region) -> BettiVector:
+    """The reduced Betti vector of the region.
 
     A nonempty region's is b_n = #n-cells - rank d_n - rank d_{n+1} on one
     complex K (``_region_ranks``).  A subcomplex region is K.  A box region
@@ -551,17 +532,17 @@ def _region_betti(F: SetFamily, A: tuple[int, ...]) -> BettiVector:
     the ranks of d_n and d_{n+1}, n + 1 <= d: K, the d-skeleton, holds
     every cell they read.
     """
-    if not _region(F, A):
+    if not region:
         return BettiVector.from_dict({-1: 1})
-    sizes, ranks = _region_ranks(F, A)
+    sizes, ranks = _region_ranks(F, region)
     if F.backend == "box":
         sizes.pop(F.ambient, None)
     return BettiVector.from_ranks(sizes, ranks)
 
 
-def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
-    """The cell count of each dimension of the nonempty region's complex K
-    over A, the empty simplex included, and the rank of each d_n.
+def _region_ranks(F: SetFamily, region) -> tuple[dict, dict]:
+    """The cell count of each dimension of the nonempty region's complex K,
+    the empty simplex included, and the rank of each d_n.
 
     rank d_0 = 1, as K has a vertex; rank d_1 is #vertices - #components
     (see ``ChainComplex.rank_boundary``), from ``_groups``, whose groups
@@ -579,7 +560,7 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
     (``_box_graph``) up to dimension d, its cells in (size, lexicographic)
     order, face i of a clique dropping its i-th box.
     """
-    region, top, cc = _region(F, A), None, None
+    top, cc = None, None
     if F.backend == "subcomplex":
         T, (rows, top_free) = F.ambient, _ambient(F)
         sizes = {n: c for n in range(-1, T.dim + 1)  # bit 0: the empty one
@@ -590,7 +571,7 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
             return ChainComplex({n: {i: rows[i] for i in _bit_ids(region & T.dim_mask(n))}
                                  for n in range(2, max(sizes) + 1) if n != top})
     else:
-        nbrs = _per_region(F, F._graph_cache, A, _box_graph)[2]
+        nbrs = _per_region(F, F._graph_cache, region, _box_graph)[2]
         faces, ids = [()], {(): 0}
         level = [((i,), nbr) for i, nbr in enumerate(nbrs)]  # clique, common
         while level:
@@ -605,7 +586,7 @@ def _region_ranks(F: SetFamily, A: tuple[int, ...]) -> tuple[dict, dict]:
         rows = _signed_rows(faces)
         cc = ChainComplex.select(rows, rows)
         sizes = cc.sizes
-    ranks = {0: 1, 1: sizes[0] - len(_groups(F, A)[0])}
+    ranks = {0: 1, 1: sizes[0] - len(_groups(F, region)[0])}
     for n in range(max(sizes), 1, -1):
         ranks[n] = sizes[n] if n == top else (cc := cc or chain()).rank_boundary(n)
     return sizes, ranks
@@ -627,9 +608,9 @@ def is_acyclic_with_slack(F: SetFamily, s: int) -> tuple[bool, SlackViolation | 
     """
     if s < 0:
         raise FamilyError("slack must be >= 0")
-    for G, hit in _nerve_walk(F):
-        if hit:
-            b = _per_region(F, F._betti_cache, G, _region_betti)
+    for G, region in _nerve_walk(F):
+        if region:
+            b = _per_region(F, F._betti_cache, region, _region_betti)
             cutoff = max(1, s - len(G))
             bad = sorted(d for d, v in b.items() if d >= cutoff and v)
             if bad:
@@ -648,7 +629,7 @@ def max_components(F: SetFamily, t: int = 1) -> ComponentCountReport:
     if t < 1:
         raise FamilyError("t must be >= 1")
     per_size = dict.fromkeys(range(t, len(F) + 1), 0)
-    for G, hit in _nerve_walk(F):
-        if hit and len(G) >= t:
-            per_size[len(G)] = max(per_size[len(G)], len(_groups(F, G)[0]))
+    for G, region in _nerve_walk(F):
+        if region and len(G) >= t:
+            per_size[len(G)] = max(per_size[len(G)], len(_groups(F, region)[0]))
     return ComponentCountReport(max(per_size.values(), default=0), per_size)

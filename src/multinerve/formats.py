@@ -58,12 +58,13 @@ def _lines(text: str):
 def write_poset(X: SimplicialPoset, labels: Sequence[str] | None = None) -> str:
     """poset.v1 serialization; cells are renumbered by dimension, then id,
     so that every face precedes its cofaces and the vertex order stays."""
-    order = sorted(X.cells(), key=lambda c: (X.dim_of(c), c))
+    dims, faces = X._dims, X._faces  # X's own ids, so read directly
+    order = sorted(X.cells(), key=dims.__getitem__)  # stable: ids ascend
     new_id = {c: i for i, c in enumerate(order)}
     out = ["poset v1"]
     for c in order:
-        fields = [str(new_id[c]), str(X.dim_of(c))]
-        fields.extend(str(new_id[f]) for f in X.faces_of(c))
+        fields = [str(new_id[c]), str(dims[c])]
+        fields.extend(str(new_id[f]) for f in faces[c])
         line = " ".join(fields)
         if labels is not None and labels[c]:
             line += f" | {labels[c]}"

@@ -46,7 +46,7 @@ class LabeledPoset:
 def nerve(F: SetFamily) -> SimplicialComplex:
     """Nerve of the family: one simplex per intersecting subfamily (the walk
     yields them all, a set closed downward)."""
-    return SimplicialComplex((A for A, hit in _nerve_walk(F) if hit),
+    return SimplicialComplex((A for A, region in _nerve_walk(F) if region),
                              closed=True)
 
 
@@ -64,12 +64,12 @@ def multinerve(F: SetFamily) -> LabeledPoset:
     tags = [CellTag((), None)]
     records = [CellRecord(-1, ())]
     base = {0: (0, lambda rep: 0)}
-    for A, hit in _nerve_walk(F):
-        if not hit:
+    for A, region in _nerve_walk(F):
+        if not region:
             continue
         mask = sum(map((1).__lshift__, A))
         below = [base[mask ^ 1 << a] for a in A]
-        labels, owner = _groups(F, A)
+        labels, owner = _groups(F, region)
         base[mask] = len(tags), owner
         for comp in labels:
             tags.append(CellTag(A, comp))
@@ -89,6 +89,7 @@ def _quotient(M: LabeledPoset, t: int | None) -> tuple[LabeledPoset, tuple[int, 
     the quotient's cells, numbered in M's order, are in sort order too.
     """
     tags, mapping, records = [], [], []
+    faces = M.poset._faces  # M's own ids, so read directly
     for c, tag in enumerate(M.tags):
         A = tag.subset
         if t is None or len(A) <= t - 1:
@@ -99,7 +100,7 @@ def _quotient(M: LabeledPoset, t: int | None) -> tuple[LabeledPoset, tuple[int, 
         mapping.append(len(tags))
         tags.append(tag)
         records.append(CellRecord(len(A) - 1, tuple(
-            mapping[f] for f in M.poset.faces_of(c))))
+            mapping[f] for f in faces[c])))
     return LabeledPoset(build_poset(records), tuple(tags)), tuple(mapping)
 
 

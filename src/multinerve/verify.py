@@ -51,8 +51,8 @@ def helly_number(F: SetFamily, cap: int = 16) -> HellyResult:
     # the minimal empty subfamilies are the walk's non-intersecting sets;
     # it yields them by size, then lexicographically
     best, witness = 0, ()
-    for G, hit in _nerve_walk(F):
-        if not hit and len(G) > best:
+    for G, region in _nerve_walk(F):
+        if not region and len(G) > best:
             best, witness = len(G), G
     if best == 0:
         raise AssertionError("empty total intersection admits a minimal witness")
@@ -121,18 +121,23 @@ def _fmt_betti(b: BettiVector) -> str:
 # theorem checks
 
 
+def _require_slack(F: SetFamily, s: int) -> None:
+    """Refuse F, naming its first violation, unless it is acyclic with
+    slack s."""
+    ok, viol = is_acyclic_with_slack(F, s)
+    if not ok:
+        raise PreconditionError(
+            f"family is not acyclic with slack {s}: subfamily {viol.subset} "
+            f"has nonzero reduced homology in dimension {viol.dim}")
+
+
 def verify_multinerve_theorem(F: SetFamily, s: int) -> BoundReport:
     """Check that the multinerve has the homology of the union from slack up.
 
     Precondition: the family is acyclic with slack s (verified; a violation
     is reported as an error naming the offending subfamily and dimension).
     """
-    ok, viol = is_acyclic_with_slack(F, s)
-    if not ok:
-        raise PreconditionError(
-            f"family is not acyclic with slack {s}: "
-            f"subfamily {viol.subset} has nonzero reduced homology in "
-            f"dimension {viol.dim}")
+    _require_slack(F, s)
     M = multinerve(F)
     bm = reduced_betti(M.poset)
     bu = region_betti(F, ())
@@ -202,11 +207,7 @@ def verify_projection_bound(F: SetFamily, t: int = 1, s: int | None = None,
     report.checks.append(Check("L_le_J_nerve", l_n, j_n))
     report.checks.append(Check("quotient_J_bound", j_r, max(j_m, t)))
     if s is not None:
-        ok, viol = is_acyclic_with_slack(F, s)
-        if not ok:
-            raise PreconditionError(
-                f"family is not acyclic with slack {s}: subfamily "
-                f"{viol.subset} violates at dimension {viol.dim}")
+        _require_slack(F, s)
         q["s"] = s
         report.checks.append(Check("slack_J_bound", j_m, max(F.gamma_dim, s)))
         if s <= 1:
@@ -224,11 +225,7 @@ def verify_helly_bound(F: SetFamily, s: int = 0, t: int = 1,
     """Check h <= r (max(d_Gamma, s, t) + 1) on an empty-intersection
     family; h comes first, so its cap refuses before any nerve walk."""
     h = helly_number(F, cap=cap).h
-    ok, viol = is_acyclic_with_slack(F, s)
-    if not ok:
-        raise PreconditionError(
-            f"family is not acyclic with slack {s}: subfamily {viol.subset} "
-            f"violates at dimension {viol.dim}")
+    _require_slack(F, s)
     r = max_components(F, t).value
     l_n = leray_number(nerve(F), cap=cap).value
     # r = 0 when no subfamily of size >= t intersects; r = 1 bounds the

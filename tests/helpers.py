@@ -715,6 +715,19 @@ def family_region(F, A) -> list:
     return out
 
 
+def decode_region(F, region) -> list:
+    """A region as the oracle holds it, a mask of T's simplex ids or boxes
+    of (lo, hi) int pairs on the family's grid, in ``family_region``'s
+    form: the simplices by (size, sorted vertices), or the boxes in order
+    as interval tuples."""
+    if F.backend == "subcomplex":
+        order = F.ambient.ordered_simplices()
+        return sorted((order[i] for i in range(region.bit_length())
+                       if region >> i & 1), key=lambda s: (len(s), sorted(s)))
+    return [tuple((Fraction(lo, F.scale), Fraction(hi, F.scale))
+                  for lo, hi in b) for b in region]
+
+
 def box_nerve(boxes: list, max_size: int | None = None) -> list[tuple]:
     """The index sets of at most ``max_size`` (default all) of the boxes,
     given as interval tuples, that meet, found by trying every subset."""

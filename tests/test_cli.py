@@ -376,6 +376,19 @@ class TestVerify:
         assert r.returncode == 1
         assert "slack" in r.stderr
 
+    @pytest.mark.parametrize("command", ["multinerve", "projection", "helly"])
+    def test_slack_refusal_is_one_line(self, tmp_path, command):
+        # member 0 is a square ring, with a hole, and misses member 1, so
+        # the family has empty intersection and is not acyclic at slack 0
+        fam = tmp_path / "ring.family"
+        fam.write_text("family v1 box 2\nmember\n"
+                       "box 0/1 3/1 0/1 1/1\nbox 2/1 3/1 0/1 3/1\n"
+                       "box 0/1 3/1 2/1 3/1\nbox 0/1 1/1 0/1 3/1\n"
+                       "member\nbox 5/1 6/1 5/1 6/1\n")
+        assert mnv_in_process("verify", command, str(fam), "--s", "0") == (
+            1, "", "mnv: family is not acyclic with slack 0: subfamily (0,) "
+            "has nonzero reduced homology in dimension 1\n")
+
 
 class TestSubcommands:
     def test_sd(self):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from helpers import (around_a_point_family, box_nerve, closed_star_oracle,
-                     family_component_maxima, family_components,
+                     decode_region, family_component_maxima, family_components,
                      family_helly, family_nerve, family_reduced_multinerve,
                      family_region, family_region_betti,
                      family_members, family_slack_violation, family_walk,
@@ -23,7 +23,7 @@ from multinerve import (Box, FamilyError, SimplicialComplex, box, box_family,
                         is_acyclic_with_slack, max_components, nerve,
                         random_family, reduced_multinerve, region_betti,
                         region_is_empty, subcomplex_family)
-from multinerve.families import (BoxUnionMember, SetFamily, SubcomplexMember,
+from multinerve.families import (BoxUnionMember, SetFamily,
                                  _grid_box, _meet, _overlaps, _within)
 from multinerve.fixtures import (box_ring_family, circle_member_family,
                                  corridor_box_family,
@@ -268,8 +268,8 @@ class TestRegionBetti:
         # first-occurrence order, whichever query comes first
         real, seen = multinerve.families._box_graph, []
 
-        def spy(F, A):
-            seen.append((A, real(F, A)))
+        def spy(F, region):
+            seen.append((region, real(F, region)))
             return seen[-1][1]
         monkeypatch.setattr(multinerve.families, "_box_graph", spy)
         F = box_family(1, self.REPEATED)
@@ -277,10 +277,10 @@ class TestRegionBetti:
         for k, A in enumerate(asked):
             for query in (region_betti, components)[::1 if k % 2 else -1]:
                 query(F, A)
-        regions = [multinerve.families._region(F, A) for A in asked]
-        assert len(seen) == len(set(regions)) == 4
-        for A, (boxes, first, nbrs) in seen:
-            region = multinerve.families._region(F, A)
+        regions = {tuple(family_region(F, A)) for A in asked}
+        assert len(seen) == len(regions) == 4
+        assert {tuple(decode_region(F, region)) for region, _ in seen} == regions
+        for region, (boxes, first, nbrs) in seen:
             assert boxes == list(dict.fromkeys(region))
             assert first == [region.index(b) for b in boxes]
             exact = [_grid_box(b, F.scale).intervals for b in boxes]
@@ -717,8 +717,8 @@ ALL_SUBSETS = [A for size in range(6)
 
 
 class TestRegionMemo:
-    """Regions are numbered and answered once per distinct region, labels
-    included, and the nerve walk once per family."""
+    """Each distinct region is answered once, labels included, and the
+    nerve walk is taken once per family."""
 
     @pytest.mark.parametrize("seed,backend", REPEATING)
     def test_parity_where_regions_repeat(self, seed, backend):
@@ -803,13 +803,16 @@ class TestRegionMemo:
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_equal_regions_are_held_once(self, backend):
-        # members 0 and 1 are equal: once numbered, both index sets hold
-        # the one region object, and so do their extensions
+        # members 0 and 1 are equal: each per-region table holds their
+        # region once, and so their extensions', and both index sets share
+        # its answers
         F = repeating_family(backend, 0)
         for A in [(0,), (1,), (0, 3), (1, 3)]:
             region_betti(F, A)
-        assert F._region_cache[(0,)] is F._region_cache[(1,)]
-        assert F._region_cache[(0, 3)] is F._region_cache[(1, 3)]
+            components(F, A)
+        assert len(F._betti_cache) == len(F._groups_cache) == 2
+        assert region_betti(F, (0,)) is region_betti(F, (1,))
+        assert components(F, (0, 3)) is components(F, (1, 3))
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_one_nerve_walk_per_verify_call(self, monkeypatch, backend):
@@ -821,7 +824,7 @@ class TestRegionMemo:
             walk = []
             walks.append((family, walk))
             for item in real(family):
-                walk.append(item)
+                walk.append((item[0], bool(item[1])))
                 yield item
         monkeypatch.setattr(multinerve.families, "_walk_source", spy)
         calls = (lambda F: verify_multinerve_theorem(F, 3),
@@ -844,14 +847,20 @@ class TestRegionMemo:
                         if family is F] == [want]
                 walked += 1
         assert walked
-    def test_slack_violation_builds_no_region_past_it(self):
+    def test_slack_violation_builds_no_region_past_it(self, monkeypatch):
         # ``mnv gen --backend subcomplex --n 12 --grid 7
         # --stars-per-member 3 --seed 58``: member 9 has a hole, so the
         # scan stops at (9,) having built the singletons up to it
+        real, built = multinerve.families._extend, []
+
+        def spy(F, prev, j):
+            built.append((prev, j))
+            return real(F, prev, j)
+        monkeypatch.setattr(multinerve.families, "_extend", spy)
         F = random_family("subcomplex", 12, 58, grid=7, stars_per_member=3)
         with pytest.raises(PreconditionError, match=r"subfamily \(9,\)"):
             verify_multinerve_theorem(F, 0)
-        assert sorted(F._region_cache) == [(i,) for i in range(10)]
+        assert built == [(None, i) for i in range(10)]
 
     def test_walk_broken_by_an_error_starts_over(self, monkeypatch):
         # the break lands on the fifth singleton's region
@@ -891,7 +900,7 @@ class TestRegionMemo:
             nerve(F)
         assert F._walk is None and len(grown) == stop[0]
         assert nerve(F).simplices == family_nerve(F) | {frozenset()}
-        assert F._walk == family_walk(F)
+        assert [(A, bool(region)) for A, region in F._walk] == family_walk(F)
 
 
 def _walk_family(backend: str, n: int, seed: int):
@@ -920,12 +929,16 @@ class TestMaskRegions:
     def test_walk_against_brute_force(self, backend):
         # the exact sequence, flags included, of every set whose proper
         # subsets all intersect, on 1 to 16 members
+        def walk(F):
+            return [(A, bool(region))
+                    for A, region in multinerve.families._nerve_walk(F)]
         for n in range(1, 17):
             F = _walk_family(backend, n, n)
             want = family_walk(F)
-            assert list(multinerve.families._nerve_walk(F)) == want, n
+            assert walk(F) == want, n
             # the second read is the walk kept on F
-            assert list(multinerve.families._nerve_walk(F)) == want, n
+            assert multinerve.families._nerve_walk(F) is F._walk
+            assert walk(F) == want, n
 
     def test_walk_covers_empty_and_repeated_members(self):
         for backend in ("box", "subcomplex"):
@@ -969,8 +982,8 @@ class TestCarriedRegions:
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
     def test_walked_regions_match_prefix_regions(self, backend):
-        # every region the walk keeps is the one _region builds from the
-        # prefixes on a fresh copy, as a tuple (a box label's canon is its
+        # every region the walk yields is the one _region folds from
+        # scratch on a fresh copy, as a tuple (a box label's canon is its
         # index there), and decodes to the region from its definition
         def fresh(n):
             if n:
@@ -980,46 +993,52 @@ class TestCarriedRegions:
             return subcomplex_family(grid_triangulation(2), [])
         for n in range(17):
             F, G = fresh(n), fresh(n)
-            walked = [A for A, _ in multinerve.families._nerve_walk(F)]
+            walked = list(multinerve.families._nerve_walk(F))
             assert len(walked) >= n
-            for A in walked:
-                got = F._region_cache[A]
+            for A, got in walked:
                 want = multinerve.families._region(G, A)
                 assert type(got) is type(want) and got == want, (n, A)
-                if backend == "box":
-                    decoded = [_grid_box(b, F.scale).intervals for b in got]
-                else:
-                    decoded = sorted(
-                        SubcomplexMember(got, F.ambient).simplices,
-                        key=lambda s: (len(s), sorted(s)))
-                assert decoded == family_region(F, A), (n, A)
+                assert decode_region(F, got) == family_region(F, A), (n, A)
 
     @pytest.mark.parametrize("backend", ["box", "subcomplex"])
-    def test_long_index_sets_need_no_deep_stack(self, backend):
-        # a region is extended from its longest cached prefix in a loop, so
-        # 1500 indices take no stack frame per index, and every prefix is
-        # cached on the way
+    def test_long_index_sets_need_no_deep_stack(self, backend, monkeypatch):
+        # a region is folded over its index set in a loop, so 1500 indices
+        # take no stack frame per index (past the default recursion
+        # limit), and the fold stops at the first empty prefix
+        real, calls = multinerve.families._extend, []
+
+        def spy(F, prev, j):
+            calls.append(j)
+            return real(F, prev, j)
+        monkeypatch.setattr(multinerve.families, "_extend", spy)
         n = 1500
         if backend == "box":
-            F = box_family(1, [[box((0, 2))]] * (n - 1) + [[]])
+            full, empty = [box((0, 2))], []
+            members = [full] * (n - 1) + [empty]
+            F, G = box_family(1, members), box_family(1, members[::-1])
         else:
             T = SimplicialComplex([(0,)])
-            F = subcomplex_family(T, [[(0,)]] * (n - 1) + [[]])
+            full, empty = [(0,)], []
+            members = [full] * (n - 1) + [empty]
+            F, G = (subcomplex_family(T, members),
+                    subcomplex_family(T, members[::-1]))
         assert region_is_empty(F, range(n))
         assert not region_is_empty(F, range(n - 1))
-        assert all(tuple(range(k)) in F._region_cache
-                   for k in range(1, n + 1))
+        assert calls == [*range(n), *range(n - 1)]
+        del calls[:]
+        assert region_is_empty(G, range(n))
+        assert calls == [0]
 
     def test_labels_match_a_plain_union_find(self):
         for seed in range(30):
             F = random_family("subcomplex", 12, seed, grid=7,
                               stars_per_member=3)
-            walked = [A for A, hit in multinerve.families._nerve_walk(F)
-                      if hit]
-            regions = {multinerve.families._region(F, A): A
-                       for A in [(), *walked]}
-            for A in regions.values():
-                labels, owner = multinerve.families._subcomplex_groups(F, A)
-                want, want_owner = union_find_labels(family_region(F, A))
-                assert [(c.canon, c.rep) for c in labels] == want, (seed, A)
+            regions = {multinerve.families._region(F, ())}
+            regions.update(region for _, region
+                           in multinerve.families._nerve_walk(F) if region)
+            for region in regions:
+                labels, owner = multinerve.families._subcomplex_groups(
+                    F, region)
+                want, want_owner = union_find_labels(decode_region(F, region))
+                assert [(c.canon, c.rep) for c in labels] == want, seed
                 assert {v: owner(v) for v in want_owner} == want_owner

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (assert_dd_zero, betti_oracle_gj, betti_oracle_lattice,
-                     betti_sum_check, box_nerve, dense_boundaries, family_region,
+                     betti_sum_check, box_nerve, decode_region, dense_boundaries,
                      gauss_jordan_rank, random_complex, random_poset, relabel,
                      small_family, with_isolated_vertices)
 
@@ -271,16 +271,16 @@ class TestLowRanks:
         from multinerve import families
         real, counted = families._region_ranks, []
 
-        def counts(F, A):
-            sizes, ranks = real(F, A)
-            region = family_region(F, A)
+        def counts(F, region):
+            sizes, ranks = real(F, region)
+            region = decode_region(F, region)
             K = SimplicialComplex(
                 region if F.backend == "subcomplex" else
                 box_nerve(list(dict.fromkeys(region)), F.ambient + 1))
             basis, dense = dense_boundaries(K)
-            assert sizes == {d: len(b) for d, b in basis.items()}, A
+            assert sizes == {d: len(b) for d, b in basis.items()}, region
             assert {d: ranks.get(d, 0) for d in dense} == \
-                {d: gauss_jordan_rank(rows) for d, rows in dense.items()}, A
+                {d: gauss_jordan_rank(rows) for d, rows in dense.items()}, region
             counted.append((F.backend, ranks))
             return sizes, ranks
         monkeypatch.setattr(families, "_region_ranks", counts)
